@@ -125,7 +125,7 @@ def main():
     """Few-shot MCQA pipeline: generate, score, train, evaluate."""
 
 
-@main.command()
+@main.command("generate")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file.")
 @click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
 @click.option("--strategy", type=click.Choice(["json", "decompose", "paraphrase"]), default=None)
@@ -194,7 +194,7 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
         sys.exit(1)
 
 
-@main.command()
+@main.command("score")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
 @click.option("--in", "in_path", required=True, type=click.Path())
@@ -243,7 +243,7 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
     )
 
 
-@main.command()
+@main.command("train")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path(), help="Trained model file.")
@@ -310,6 +310,8 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
             "instances": len(corpus),
             "iterations": train_cfg.iterations,
             "instance_visits": result.instance_visits,
+            "visited_instances": result.visited_instances,
+            "active_features": result.active_features,
         },
         __version__,
     )
@@ -319,7 +321,7 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
     )
 
 
-@main.command()
+@main.command("eval")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--model", required=True, type=click.Path())
@@ -349,7 +351,7 @@ def eval_cmd(config_path, in_path, model, out):
     click.echo(f"accuracy {accuracy:.4f} over {len(corpus)} instances")
 
 
-@main.command()
+@main.command("stats")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
@@ -396,7 +398,7 @@ def stats(config_path, in_path, out, report_path, max_tokens):
     )
 
 
-@main.command()
+@main.command("subset")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--sizes", required=True, help="Ascending sizes, e.g. 16,32,64.")
@@ -432,7 +434,7 @@ def subset(config_path, in_path, sizes, seed, out_dir):
     click.echo(f"wrote {len(subsets)} subsets to {out_root}")
 
 
-@main.command()
+@main.command("similarity")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--generated", required=True, type=click.Path())
 @click.option("--reference", required=True, type=click.Path())

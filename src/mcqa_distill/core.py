@@ -9,8 +9,11 @@ treat a non-empty code list as an error.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
+import secrets
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -63,6 +66,29 @@ def stable_seed(*parts) -> int:
     """
     blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a new file beside ``path``; on a clean exit, move it over ``path``.
+
+    The new file gets the usual umask-derived permissions and is flushed to
+    disk before the move. A write that raises removes the new file and
+    leaves ``path`` as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

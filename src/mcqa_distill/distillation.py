@@ -10,6 +10,11 @@ Three loss modes:
 * ``binary_bce``: per-pair sigmoid cross-entropy where a pair is labeled 1
   iff the choice is the gold one.
 
+Every mode reduces to one kernel, ``loss_kernel``: an instance's per-choice
+logits and its target vector in, its loss and the loss gradient with respect
+to those logits out. The scalar losses, the batch gradient and ``train`` all
+call it.
+
 The cross-entropy carries a 1/C factor (C = number of choices). That factor
 rescales gradients but not the argmin; pass ``average_over_choices=False`` to
 ``ce_loss`` to drop it.
@@ -17,13 +22,14 @@ rescales gradients but not the argmin; pass ``average_over_choices=False`` to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import McqaInstance, SoftLabel
+from .core import McqaInstance, SoftLabel, atomic_write
 from .scoring import soften
+from .students import SparseVector
 
 PROB_FLOOR = 1e-12
 LOGIT_CLAMP = 30.0
@@ -71,10 +77,17 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Per-step mean losses plus the exact number of instance visits."""
+    """Per-step mean losses plus the exact number of instance visits.
+
+    ``visited_instances`` counts the distinct instances the schedule visited;
+    ``active_features`` counts the parameter coordinates their pairs touch,
+    the only ones the optimizer updates.
+    """
 
     losses: List[float] = field(default_factory=list)
     instance_visits: int = 0
+    visited_instances: int = 0
+    active_features: int = 0
 
 
 def one_hot(index: int, length: int) -> SoftLabel:
@@ -112,20 +125,68 @@ def predict_probs(student, inst: McqaInstance, r: float) -> SoftLabel:
     return soften(logits, r)
 
 
-def _hard_target_loss(student, inst: McqaInstance, target_index: int) -> float:
-    # Shared float path for l_generate and l_distill at r = 0.
-    return ce_loss(one_hot(target_index, inst.num_choices), predict_probs(student, inst, 1.0))
-
-
-def l_generate(student, inst: McqaInstance) -> float:
-    """Cross-entropy against the generated (one-hot) label."""
-    return _hard_target_loss(student, inst, inst.answer_index)
-
-
 def teacher_soft_label(inst: McqaInstance, r: float) -> SoftLabel:
     if inst.teacher_scores is None:
         raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
     return soften(inst.teacher_scores, r)
+
+
+def instance_target(
+    inst: McqaInstance, mode: str, r: float = 1.0
+) -> Tuple[np.ndarray, Optional[float]]:
+    """(target vector, student temperature) of an instance under a loss mode.
+
+    The temperature is None for ``binary_bce``, whose target holds the 0/1
+    pair labels. Distillation at r = 0 targets the teacher argmax (one-hot)
+    with the student at temperature 1.
+    """
+    if mode == "generate":
+        return _probs(one_hot(inst.answer_index, inst.num_choices)), 1.0
+    if mode == "distill":
+        return _probs(teacher_soft_label(inst, r)), (r if r > 0 else 1.0)
+    if mode == "binary_bce":
+        return _probs(one_hot(inst.answer_index, inst.num_choices)), None
+    raise ValueError(f"unknown loss mode {mode!r}")
+
+
+def loss_kernel(
+    logits: np.ndarray, target: np.ndarray, temperature: Optional[float]
+) -> Tuple[float, np.ndarray]:
+    """One instance's loss and its gradient with respect to the C logits.
+
+    With a temperature t > 0 the loss is -(1/C) sum(target * log softmax(z/t)),
+    whose gradient is (softmax(z/t) - target) / (C*t) (Hinton et al. 2015).
+    With temperature None it is the mean over the C pairs of the sigmoid
+    cross-entropy against the 0/1 labels in ``target``; logits are clamped
+    to +-30, and a clamped logit gets zero gradient.
+    """
+    n = logits.size
+    if temperature is None:
+        clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
+        sig = 1.0 / (1.0 + np.exp(-clamped))
+        active = (np.abs(logits) < LOGIT_CLAMP).astype(np.float64)
+        # -[y*log(sigmoid) + (1-y)*log(1-sigmoid)] via logaddexp for stability.
+        per_pair = target * np.logaddexp(0.0, -clamped) + (1 - target) * np.logaddexp(
+            0.0, clamped
+        )
+        return float(np.mean(per_pair)), (sig - target) * active / n
+    probs = _probs(soften(logits, temperature))
+    return ce_loss(target, probs), (probs - target) / (n * temperature)
+
+
+def _forward_logits(student, question: str, choices: Sequence[str]) -> np.ndarray:
+    return np.array([student.forward(question, choice) for choice in choices], dtype=np.float64)
+
+
+def instance_loss(student, inst: McqaInstance, mode: str, r: float = 1.0) -> float:
+    """Loss of one instance under a mode (binary mode averages its C pairs)."""
+    logits = _forward_logits(student, inst.question, inst.choices)
+    return loss_kernel(logits, *instance_target(inst, mode, r))[0]
+
+
+def l_generate(student, inst: McqaInstance) -> float:
+    """Cross-entropy against the generated (one-hot) label."""
+    return instance_loss(student, inst, "generate")
 
 
 def l_distill(student, inst: McqaInstance, r: float) -> float:
@@ -135,81 +196,56 @@ def l_distill(student, inst: McqaInstance, r: float) -> float:
     r = 0 uses the teacher argmax as a hard label (student at temperature 1),
     which equals l_generate on the relabeled instance exactly.
     """
-    if inst.teacher_scores is None:
-        raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
-    if r < 0:
-        raise ValueError("distillation temperature must be >= 0")
-    if r == 0:
-        target_index = teacher_soft_label(inst, 0.0).argmax()
-        return _hard_target_loss(student, inst, target_index)
-    return ce_loss(teacher_soft_label(inst, r), predict_probs(student, inst, r))
+    return instance_loss(student, inst, "distill", r)
 
 
 def binary_bce_loss(student, question: str, choice: str, label: int) -> float:
     """Sigmoid cross-entropy on one (question, choice) pair, logit clamped to +-30."""
-    z = float(np.clip(student.forward(question, choice), -LOGIT_CLAMP, LOGIT_CLAMP))
-    # -[y*log(sigmoid) + (1-y)*log(1-sigmoid)] via logaddexp for stability.
-    return float(label * np.logaddexp(0.0, -z) + (1 - label) * np.logaddexp(0.0, z))
+    logits = _forward_logits(student, question, (choice,))
+    return loss_kernel(logits, np.array([float(label)]), None)[0]
 
 
-def _softmax_mode_pieces(student, inst: McqaInstance, mode: str, r: float):
-    """(target probs, student temperature) for the generate/distill modes."""
-    if mode == "generate":
-        return _probs(one_hot(inst.answer_index, inst.num_choices)), 1.0
-    if inst.teacher_scores is None:
-        raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
-    if r == 0:
-        target_index = teacher_soft_label(inst, 0.0).argmax()
-        return _probs(one_hot(target_index, inst.num_choices)), 1.0
-    return _probs(teacher_soft_label(inst, r)), r
+@dataclass(frozen=True)
+class _CompiledInstance:
+    """An instance reduced to what one loss evaluation reads.
+
+    ``features`` holds one (index, value) pair per choice, the gradient of
+    that choice's logit with respect to the parameter vector the caller
+    trains (the student's own, or a compacted copy of it).
+    """
+
+    features: Tuple[SparseVector, ...]
+    target: np.ndarray
+    temperature: Optional[float]
 
 
-def instance_loss(student, inst: McqaInstance, mode: str, r: float = 1.0) -> float:
-    """Loss of one instance under a mode (binary mode averages its C pairs)."""
-    if mode == "generate":
-        return l_generate(student, inst)
-    if mode == "distill":
-        return l_distill(student, inst, r)
-    if mode == "binary_bce":
-        losses = [
-            binary_bce_loss(student, inst.question, choice, int(i == inst.answer_index))
-            for i, choice in enumerate(inst.choices)
-        ]
-        return float(np.mean(losses))
-    raise ValueError(f"unknown loss mode {mode!r}")
+def _compile(student, inst: McqaInstance, mode: str, r: float) -> _CompiledInstance:
+    target, temperature = instance_target(inst, mode, r)
+    features = tuple(student.logit_and_grad(inst.question, choice)[1] for choice in inst.choices)
+    return _CompiledInstance(features, target, temperature)
 
 
-def _accumulate_instance_grad(
-    grad: np.ndarray, student, inst: McqaInstance, mode: str, r: float, scale: float
-) -> float:
-    """Add ``scale`` times the instance's loss gradient into ``grad``; return its loss."""
-    n = inst.num_choices
-    pairs = [student.logit_and_grad(inst.question, choice) for choice in inst.choices]
-    logits = np.array([z for z, _ in pairs], dtype=np.float64)
-    if mode in ("generate", "distill"):
-        target, temp = _softmax_mode_pieces(student, inst, mode, r)
-        probs = _probs(soften(logits, temp))
-        # d/dz of -(1/C) sum(p*log softmax(z/t)) is (softmax - p) / (C*t).
-        coeffs = (probs - target) / (n * temp)
-        loss = ce_loss(target, probs)
-    elif mode == "binary_bce":
-        labels = np.array(
-            [1.0 if i == inst.answer_index else 0.0 for i in range(n)], dtype=np.float64
+def _loss_and_gradient(
+    params: np.ndarray, batch: Sequence[_CompiledInstance]
+) -> Tuple[float, np.ndarray]:
+    """Mean loss and mean gradient over a batch of compiled instances.
+
+    Each logit is the dot product of its feature values with the parameters
+    they index, so the student is read through ``features`` alone.
+    """
+    grad = np.zeros_like(params)
+    scale = 1.0 / len(batch)
+    losses = []
+    for item in batch:
+        logits = np.array(
+            [np.dot(params[idx], val) for idx, val in item.features], dtype=np.float64
         )
-        clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
-        sig = 1.0 / (1.0 + np.exp(-clamped))
-        active = (np.abs(logits) < LOGIT_CLAMP).astype(np.float64)
-        coeffs = (sig - labels) * active / n
-        per_pair = labels * np.logaddexp(0.0, -clamped) + (1 - labels) * np.logaddexp(
-            0.0, clamped
-        )
-        loss = float(np.mean(per_pair))
-    else:
-        raise ValueError(f"unknown loss mode {mode!r}")
-    for coeff, (_, (idx, val)) in zip(coeffs, pairs):
-        if coeff != 0.0 and idx.size:
-            np.add.at(grad, idx, scale * coeff * val)
-    return float(loss)
+        loss, dlogits = loss_kernel(logits, item.target, item.temperature)
+        for coeff, (idx, val) in zip(dlogits, item.features):
+            if coeff != 0.0 and idx.size:
+                np.add.at(grad, idx, scale * coeff * val)
+        losses.append(loss)
+    return float(np.mean(losses)), grad
 
 
 def batch_loss(student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0) -> float:
@@ -224,17 +260,20 @@ def batch_loss_and_gradient(
     """Mean loss and mean parameter gradient over a batch."""
     if not batch:
         raise ValueError("batch must not be empty")
-    grad = np.zeros_like(student.params)
-    scale = 1.0 / len(batch)
-    losses = [
-        _accumulate_instance_grad(grad, student, inst, mode, r, scale) for inst in batch
-    ]
-    return float(np.mean(losses)), grad
+    compiled = [_compile(student, inst, mode, r) for inst in batch]
+    return _loss_and_gradient(student.params, compiled)
 
 
 def gradient(student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0) -> np.ndarray:
     """Mean per-instance loss gradient with respect to the student parameters."""
     return batch_loss_and_gradient(student, batch, mode, r)[1]
+
+
+def _visit_schedule(n_instances: int, visits: int, seed: int) -> np.ndarray:
+    """Instance indices in visit order: seeded shuffles, reshuffled each epoch."""
+    rng = np.random.default_rng(seed)
+    epochs = -(-visits // n_instances)
+    return np.concatenate([rng.permutation(n_instances) for _ in range(epochs)])[:visits]
 
 
 def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
@@ -245,55 +284,72 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     with accumulation 2 behaves like batch size 8). Instances are drawn by
     cycling a seeded shuffle, reshuffled each epoch, so identical seeds give
     identical final parameters. Returns (student, TrainResult).
+
+    The whole visit order is drawn first. Only the instances it visits are
+    compiled: their pair features are read once through ``logit_and_grad``
+    and their targets computed once. The optimizer then runs on the sorted
+    union of the coordinates those features touch, and the trained values are
+    written back into ``student.params`` at the end. That is exact: a
+    coordinate no visited pair touches has zero gradient at every step, so
+    Adam's m and v stay 0 and its update lr * 0 / (0 + eps) is 0; SGD's is
+    lr * 0. Every remaining float operation happens in the same order as a
+    dense update over all of ``student.params``.
     """
     instances = list(dataset)
     if not instances:
         raise ValueError("training dataset is empty")
     lr = cfg.resolve_learning_rate(student)
-    rng = np.random.default_rng(cfg.seed)
-    order: List[int] = []
-    cursor = 0
+    schedule = _visit_schedule(
+        len(instances), cfg.iterations * cfg.grad_accumulation * cfg.micro_batch, cfg.seed
+    )
 
-    def next_instance() -> McqaInstance:
-        nonlocal order, cursor
-        if cursor >= len(order):
-            order = list(rng.permutation(len(instances)))
-            cursor = 0
-        inst = instances[order[cursor]]
-        cursor += 1
-        return inst
+    # Compiled in first-visit order, so a bad instance fails as it would in
+    # a visit-by-visit loop.
+    compiled = {
+        i: _compile(student, instances[i], cfg.loss_mode, cfg.distill_temperature_r)
+        for i in dict.fromkeys(schedule.tolist())
+    }
+    active = np.unique(
+        np.concatenate([idx for item in compiled.values() for idx, _ in item.features])
+    )
+    for i, item in compiled.items():
+        features = tuple((np.searchsorted(active, idx), val) for idx, val in item.features)
+        compiled[i] = replace(item, features=features)
 
     params = student.params
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    result = TrainResult()
-    for step in range(1, cfg.iterations + 1):
-        grad_sum = np.zeros_like(params)
+    w = params[active]
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    result = TrainResult(
+        instance_visits=int(schedule.size),
+        visited_instances=len(compiled),
+        active_features=int(active.size),
+    )
+    steps = schedule.reshape(cfg.iterations, cfg.grad_accumulation, cfg.micro_batch)
+    for step, micro_batches in enumerate(steps, start=1):
+        grad_sum = np.zeros_like(w)
         loss_sum = 0.0
-        for _ in range(cfg.grad_accumulation):
-            batch = [next_instance() for _ in range(cfg.micro_batch)]
-            result.instance_visits += len(batch)
-            loss, grad = batch_loss_and_gradient(
-                student, batch, cfg.loss_mode, cfg.distill_temperature_r
-            )
+        for visits in micro_batches:
+            loss, grad = _loss_and_gradient(w, [compiled[i] for i in visits.tolist()])
             grad_sum += grad
             loss_sum += loss
         grad = grad_sum / cfg.grad_accumulation
         result.losses.append(loss_sum / cfg.grad_accumulation)
         if cfg.optimizer == "sgd":
-            params -= lr * grad
+            w -= lr * grad
         else:
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
             m_hat = m / (1.0 - ADAM_BETA1**step)
             v_hat = v / (1.0 - ADAM_BETA2**step)
-            params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    params[active] = w
     return student, result
 
 
 def write_loss_trace(result: TrainResult, path) -> None:
-    """Loss trace as CSV (step, loss)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Loss trace as CSV (step, loss), moved into place once fully written."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(result.losses, start=1):
             fh.write(f"{step},{loss!r}\n")

@@ -3,8 +3,8 @@
 The student maps a (question, choice) text pair to one scalar logit. The
 training code only needs ``forward`` plus ``logit_and_grad`` (the logit's
 gradient with respect to the parameter vector, in sparse index/value form),
-so any differentiable scorer fits; ``ToyStudent`` is a desk-scale stand-in
-built on the hashing trick.
+so any scorer whose logit is linear in its parameters fits; ``ToyStudent`` is
+a desk-scale stand-in built on the hashing trick.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from functools import lru_cache
 from typing import Protocol, Tuple
 
 import numpy as np
+
+from .core import atomic_write
 
 DEFAULT_FEATURES = 2**18
 DEFAULT_HASH_SEED = 0
@@ -32,7 +34,16 @@ SparseVector = Tuple[np.ndarray, np.ndarray]
 
 
 class StudentScorer(Protocol):
-    """What training and evaluation require of a student."""
+    """What training and evaluation require of a student.
+
+    Evaluation calls ``forward``. Training calls ``logit_and_grad`` once per
+    (question, choice) pair of each distinct instance it visits, before the
+    first step, and keeps only the sparse gradient. It treats the logit as linear in
+    ``params``: at every step it computes the logit as the dot product of
+    that gradient's values with the parameters at its indices, and it
+    updates ``params`` in place only after the last step. ``ToyStudent`` is
+    the only student and satisfies this exactly.
+    """
 
     @property
     def params(self) -> np.ndarray: ...
@@ -107,14 +118,17 @@ class ToyStudent:
         return float(np.dot(self.weights[idx], val)), (idx, val)
 
     def save(self, path) -> None:
-        """Versioned record: one JSON header line, then raw little-endian float64."""
+        """Versioned record: one JSON header line, then raw little-endian float64.
+
+        Written to a new file that replaces ``path`` only once complete.
+        """
         header = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "n_features": self.n_features,
             "hash_seed": self.hash_seed,
         }
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
             fh.write(self.weights.astype("<f8").tobytes())

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcqa_distill.core import FewShotSet
@@ -16,6 +17,7 @@ from mcqa_distill.generation import GenerationConfig
 from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
 from mcqa_distill.prompts import PromptTemplateSet
 from mcqa_distill.scoring import ScoringConfig
+from mcqa_distill.students import ToyStudent
 
 from conftest import SCIENCE_EXAMPLES, make_instance
 
@@ -249,6 +251,9 @@ class TestTrainEvalCommands:
         assert len(trace) == 21
         manifest = json.loads((workspace["dir"] / "model.bin.manifest.json").read_text())
         assert manifest["counts"]["instance_visits"] == 160
+        assert manifest["counts"]["visited_instances"] == 16
+        weights = ToyStudent.load(model).weights
+        assert manifest["counts"]["active_features"] == np.count_nonzero(weights)
 
     def test_distill_without_scores_exits_2(self, workspace):
         corpus_path = workspace["dir"] / "corpus.jsonl"

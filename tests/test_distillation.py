@@ -15,8 +15,10 @@ from mcqa_distill.distillation import (
     ce_loss,
     gradient,
     instance_loss,
+    instance_target,
     l_distill,
     l_generate,
+    loss_kernel,
     one_hot,
     predict_probs,
     train,
@@ -334,6 +336,96 @@ class TestTrain:
         assert lines[0] == "step,loss"
         assert len(lines) == 4
         assert lines[1].startswith("1,")
+
+
+def dense_reference_train(student, instances, cfg):
+    """The dense trainer ``train`` replaced, kept as its oracle.
+
+    Visit by visit it draws the next instance, reads every pair through
+    ``logit_and_grad``, adds the kernel's gradient into a full-size vector
+    and updates every parameter. Returns the per-step losses.
+    """
+    lr = cfg.resolve_learning_rate(student)
+    rng = np.random.default_rng(cfg.seed)
+    order, losses = [], []
+    params = student.params
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    for step in range(1, cfg.iterations + 1):
+        grad_sum, loss_sum = np.zeros_like(params), 0.0
+        for _ in range(cfg.grad_accumulation):
+            grad, batch_losses = np.zeros_like(params), []
+            for _ in range(cfg.micro_batch):
+                if not order:
+                    order = list(rng.permutation(len(instances)))[::-1]
+                inst = instances[order.pop()]
+                pairs = [student.logit_and_grad(inst.question, c) for c in inst.choices]
+                target = instance_target(inst, cfg.loss_mode, cfg.distill_temperature_r)
+                loss, dlogits = loss_kernel(np.array([z for z, _ in pairs]), *target)
+                for coeff, (_, (idx, val)) in zip(dlogits, pairs):
+                    if coeff != 0.0 and idx.size:
+                        np.add.at(grad, idx, (1.0 / cfg.micro_batch) * coeff * val)
+                batch_losses.append(loss)
+            grad_sum += grad
+            loss_sum += float(np.mean(batch_losses))
+        grad = grad_sum / cfg.grad_accumulation
+        losses.append(loss_sum / cfg.grad_accumulation)
+        if cfg.optimizer == "sgd":
+            params -= lr * grad
+        else:
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9**step)
+            v_hat = v / (1.0 - 0.999**step)
+            params -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return losses
+
+
+EXACTNESS_CONFIGS = {
+    "generate": dict(loss_mode="generate"),
+    "distill_r1": dict(loss_mode="distill", distill_temperature_r=1.0),
+    "distill_r0": dict(loss_mode="distill", distill_temperature_r=0.0),
+    "binary_bce": dict(loss_mode="binary_bce"),
+    "sgd": dict(loss_mode="distill", distill_temperature_r=0.5, optimizer="sgd",
+                learning_rate=0.3),
+}
+
+
+class TestTrainMatchesDenseReference:
+    # 36 visits: fewer than 48 instances (some never visited), or 3.6
+    # epochs over 10 instances.
+    @pytest.mark.parametrize("n_instances", [48, 10])
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CONFIGS))
+    def test_bit_identical_weights_and_losses(self, name, n_instances):
+        rng = np.random.default_rng(21)
+        corpus = [random_instance(rng) for _ in range(n_instances)]
+        cfg = TrainConfig(iterations=6, micro_batch=3, grad_accumulation=2, seed=5,
+                          **EXACTNESS_CONFIGS[name])
+        reference = ToyStudent(n_features=2**12)
+        expected_losses = dense_reference_train(reference, corpus, cfg)
+        student, result = train(ToyStudent(n_features=2**12), corpus, cfg)
+        assert np.array_equal(student.weights, reference.weights)
+        assert result.losses == expected_losses
+        assert result.visited_instances == min(n_instances, 36)
+        assert result.active_features >= np.count_nonzero(student.weights) > 0
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_preset_weights_off_the_visited_pairs_come_back_bit_for_bit(self, optimizer):
+        rng = np.random.default_rng(22)
+        corpus = [random_instance(rng) for _ in range(48)]
+        cfg = TrainConfig(iterations=4, micro_batch=2, grad_accumulation=2, seed=3,
+                          optimizer=optimizer, learning_rate=0.2)
+        visited = np.random.default_rng(cfg.seed).permutation(len(corpus))[:16]
+        student = random_student(seed=8)
+        student.weights[::7] = -0.0
+        touched = np.zeros(student.n_features, dtype=bool)
+        for i in visited:
+            for choice in corpus[i].choices:
+                touched[student.features(corpus[i].question, choice)[0]] = True
+        before = student.weights.copy()
+        train(student, corpus, cfg)
+        assert 0 < touched.sum() < student.n_features
+        assert student.weights[~touched].tobytes() == before[~touched].tobytes()
+        assert not np.array_equal(student.weights[touched], before[touched])
 
 
 class TestInstanceLoss:

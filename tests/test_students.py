@@ -114,3 +114,20 @@ class TestSerialization:
         student.save(a)
         student.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path):
+        class FailsMidWrite(np.ndarray):
+            # save writes the header first, then converts the weights.
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        path = tmp_path / "model.bin"
+        student = ToyStudent(n_features=2**10)
+        student.weights[3] = 0.5
+        student.save(path)
+        before = path.read_bytes()
+        student.weights = np.ones(student.n_features).view(FailsMidWrite)
+        with pytest.raises(OSError, match="disk full"):
+            student.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
