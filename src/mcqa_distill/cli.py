@@ -26,7 +26,7 @@ from .config import (
     templates_from_config,
     write_manifest,
 )
-from .core import FewShotSet
+from .core import FewShotSet, write_json
 from .datasets import (
     Corpus,
     CorpusMeta,
@@ -107,14 +107,6 @@ def _write_corpus(instances, path, source: str, digest: str) -> Corpus:
     return corpus
 
 
-def _write_json(payload: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, ensure_ascii=False)
-        fh.write("\n")
-
-
 def _manifest_path(out: str) -> str:
     return f"{out}.manifest.json"
 
@@ -176,7 +168,7 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
     elapsed = time.perf_counter() - started
 
     _write_corpus(instances, out, f"generate:{gen_cfg.strategy}", digest)
-    _write_json(report.to_dict(), f"{out}.report.json")
+    write_json(report.to_dict(), f"{out}.report.json")
     write_manifest(
         _manifest_path(out),
         cfg,
@@ -216,7 +208,6 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
     digest = config_digest(cfg)
     scoring_cfg = ScoringConfig(
         prompt_token_limit=cfg["scoring"]["prompt_token_limit"],
-        distill_temperature_r=cfg["scoring"]["distill_temperature_r"],
         fallback=cfg["scoring"]["fallback"],
     )
     fs = _load_fewshot(fewshot)
@@ -339,7 +330,7 @@ def eval_cmd(config_path, in_path, model, out):
     accuracy = evaluate_accuracy(student, corpus)
     elapsed = time.perf_counter() - started
 
-    _write_json({"metric": "accuracy", "value": accuracy, "instances": len(corpus)}, out)
+    write_json({"metric": "accuracy", "value": accuracy, "instances": len(corpus)}, out)
     write_manifest(
         _manifest_path(out),
         cfg,
@@ -383,7 +374,7 @@ def stats(config_path, in_path, out, report_path, max_tokens):
         )
     elapsed = time.perf_counter() - started
 
-    _write_json(payload, out)
+    write_json(payload, out)
     write_manifest(
         _manifest_path(out),
         cfg,
@@ -450,7 +441,7 @@ def similarity(config_path, generated, reference, out):
     result = similarity_stats(generated_corpus, reference_corpus, HashedTfEmbedder())
     elapsed = time.perf_counter() - started
 
-    _write_json(result, out)
+    write_json(result, out)
     write_manifest(
         _manifest_path(out),
         cfg,

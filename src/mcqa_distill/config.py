@@ -16,9 +16,9 @@ import hashlib
 import json
 import os
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Dict, Optional
 
+from .core import write_json
 from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet
 
 TEMPLATE_KEYS = (
@@ -53,7 +53,6 @@ DEFAULTS: Dict[str, dict] = {
     },
     "scoring": {
         "prompt_token_limit": 1024,
-        "distill_temperature_r": 1.0,
         "fallback": "one_hot",
     },
     "training": {
@@ -165,8 +164,4 @@ def write_manifest(
         "stage_timings": stage_timings,
         "counts": counts,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1, ensure_ascii=False)
-        fh.write("\n")
+    write_json(manifest, path)

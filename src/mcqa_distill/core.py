@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import math
 import os
 import secrets
@@ -89,6 +90,15 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(payload, path) -> None:
+    """Write ``payload`` as sorted, indented UTF-8 JSON through atomic_write,
+    creating missing parent directories."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with atomic_write(path, encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1, ensure_ascii=False)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

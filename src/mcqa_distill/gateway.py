@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import requests
 
-from .core import ChatMessage
+from .core import ChatMessage, write_json
 
 API_KEY_ENV = "MCQA_API_KEY"
 
@@ -149,9 +149,7 @@ def save_script(script: Mapping[str, CompletionResult], path) -> None:
             for digest, result in script.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_script(path) -> Dict[str, CompletionResult]:
@@ -169,10 +167,11 @@ def load_script(path) -> Dict[str, CompletionResult]:
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
-    Transient failures (connection errors, timeouts, HTTP 5xx) are retried up
-    to ``retry_limit`` times with exponential backoff; anything else fails
-    immediately. ``max_parallel_requests`` is enforced with a semaphore so the
-    backend can be shared across threads.
+    Transient failures (connection errors, timeouts, HTTP 429 and 5xx) are
+    retried up to ``retry_limit`` times with exponential backoff, or after the
+    response's ``Retry-After`` delay when it is given in seconds (RFC 9110
+    §10.2.3); anything else fails immediately. ``max_parallel_requests`` is
+    enforced with a semaphore so the backend can be shared across threads.
     """
 
     def __init__(self, config: BackendConfig, session=None, sleep=time.sleep):
@@ -205,10 +204,13 @@ class HttpBackend:
         body = self._body(req)
         tries = self.config.retry_limit + 1
         last_error: Optional[GatewayError] = None
+        retry_after: Optional[int] = None
         with self._slots:
             for attempt in range(tries):
                 if attempt:
-                    self._sleep(0.25 * 2 ** (attempt - 1))
+                    backoff = 0.25 * 2 ** (attempt - 1)
+                    self._sleep(backoff if retry_after is None else retry_after)
+                    retry_after = None
                 try:
                     response = self._session.post(
                         url,
@@ -222,8 +224,12 @@ class HttpBackend:
                 except requests.RequestException as exc:
                     last_error = TransportError(str(exc))
                     continue
-                if response.status_code >= 500:
+                if response.status_code == 429 or response.status_code >= 500:
                     last_error = TransportError(f"HTTP {response.status_code}")
+                    # Only the delta-seconds form; an HTTP-date backs off.
+                    value = response.headers.get("Retry-After", "").strip()
+                    if value.isascii() and value.isdigit():
+                        retry_after = int(value)
                     continue
                 if response.status_code != 200:
                     raise TransportError(

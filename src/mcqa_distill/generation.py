@@ -6,6 +6,9 @@ lossy (malformed output is rejected and accounted). The decomposed strategy
 builds one instance from three stages (question, positive answer, N sequential
 negatives against a growing forbidden list) and needs no parsing. Paraphrase
 rewrites the seed examples field by field.
+
+Each strategy is one per-attempt function; ``generate`` is the single driver
+that owns the attempt budget, rejection accounting, ids and provenance.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .core import (
+    EMPTY_FIELD,
     FewShotSet,
     McqaInstance,
     Provenance,
@@ -60,7 +64,7 @@ class GenerationConfig:
     shuffle_choices: bool = False
 
     def __post_init__(self):
-        if self.strategy not in ("json", "decompose", "paraphrase"):
+        if self.strategy not in ATTEMPTS:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.temperature <= 0:
             raise ValueError("generation temperature must be > 0")
@@ -96,7 +100,7 @@ class GenerationReport:
 
 
 def attempt_seed(run_seed: int, stage: str, attempt: int) -> int:
-    """Per-attempt shuffle seed; shared with the mock-script fabricators."""
+    """Per-attempt shuffle seed, independent of the attempts run before it."""
     return stable_seed(run_seed, stage, attempt)
 
 
@@ -169,53 +173,22 @@ def parse_json_candidate(raw: str) -> Tuple[Optional[dict], Optional[str]]:
     return {"question": question, "choices": choices, "answer_index": answer}, None
 
 
-def generate_json(
-    fs: FewShotSet,
-    cfg: GenerationConfig,
-    gw,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-) -> Tuple[List[McqaInstance], GenerationReport]:
-    """Repeatedly prompt, parse, and validate until target_count or budget.
+def _ask(gw, cfg: GenerationConfig, messages) -> str:
+    """One teacher request at the generation temperature; the stripped reply."""
+    return gw.complete(
+        CompletionRequest(messages, cfg.temperature, GENERATION_MAX_NEW_TOKENS)
+    ).text.strip()
 
-    Each attempt gets a fresh exemplar shuffle. A run that exhausts its budget
-    returns the partial set; the report accounts every attempt either way.
-    """
-    if cfg.strategy != "json":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'json'")
-    out: List[McqaInstance] = []
-    rejected: Counter = Counter()
-    attempted = 0
-    for attempt in range(cfg.attempt_budget):
-        if len(out) >= cfg.target_count:
-            break
-        attempted += 1
-        messages = build_json_generation_prompt(
-            fs, attempt_seed(cfg.seed, "json", attempt), templates
-        )
-        try:
-            result = gw.complete(
-                CompletionRequest(messages, cfg.temperature, GENERATION_MAX_NEW_TOKENS)
-            )
-        except ScriptMiss:
-            raise
-        except GatewayError:
-            rejected[STAGE_FAILURE] += 1
-            continue
-        fields, reason = parse_json_candidate(result.text)
-        if fields is None:
-            rejected[reason] += 1
-            continue
-        out.append(
-            McqaInstance(
-                id=f"json-{cfg.seed}-{attempt:05d}",
-                topic=fs.topic,
-                question=fields["question"],
-                choices=tuple(fields["choices"]),
-                answer_index=fields["answer_index"],
-                provenance=Provenance("json", cfg.temperature, attempt),
-            )
-        )
-    return out, GenerationReport(attempted, len(out), dict(rejected))
+
+def _json_attempt(fs, cfg, gw, templates, attempt):
+    """One complete object per attempt, on a fresh exemplar shuffle."""
+    messages = build_json_generation_prompt(
+        fs, attempt_seed(cfg.seed, "json", attempt), templates
+    )
+    fields, reason = parse_json_candidate(_ask(gw, cfg, messages))
+    if fields is None:
+        return reason
+    return fields["question"], fields["choices"], fields["answer_index"]
 
 
 def _decomposed_choices(
@@ -238,159 +211,63 @@ def _decomposed_choices(
     choices = [positive]
     forbidden = [positive]
     for _slot in range(cfg.negatives_n):
-        accepted = None
-        candidate = ""
         for _try in range(1 + NEGATIVE_SLOT_RETRIES):
-            messages = build_negative_prompt(fs, question, forbidden, templates)
-            candidate = gw.complete(
-                CompletionRequest(messages, cfg.temperature, GENERATION_MAX_NEW_TOKENS)
-            ).text.strip()
+            candidate = _ask(
+                gw, cfg, build_negative_prompt(fs, question, forbidden, templates)
+            )
             if candidate and canonical_choice(candidate) not in {
                 canonical_choice(c) for c in choices
             }:
-                accepted = candidate
+                choices.append(candidate)
+                forbidden.append(candidate)
                 break
-        if accepted is not None:
-            choices.append(accepted)
-            forbidden.append(accepted)
-        elif candidate and candidate not in forbidden:
-            forbidden.append(candidate)
+        else:
+            if candidate and candidate not in forbidden:
+                forbidden.append(candidate)
     return choices
 
 
-def generate_decomposed(
-    fs: FewShotSet,
-    cfg: GenerationConfig,
-    gw,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-) -> Tuple[List[McqaInstance], GenerationReport]:
-    """Three-stage assembly: question, positive answer, N sequential negatives.
-
-    The positive answer is generated first, so the emitted answer_index is 0
-    unless shuffle_choices remaps it. A gateway failure mid-instance discards
-    only that instance and is counted in the report.
-    """
-    if cfg.strategy != "decompose":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'decompose'")
-    out: List[McqaInstance] = []
-    rejected: Counter = Counter()
-    attempted = 0
-    for attempt in range(cfg.attempt_budget):
-        if len(out) >= cfg.target_count:
-            break
-        attempted += 1
-        try:
-            question = gw.complete(
-                CompletionRequest(
-                    build_question_prompt(
-                        fs, attempt_seed(cfg.seed, "question", attempt), templates
-                    ),
-                    cfg.temperature,
-                    GENERATION_MAX_NEW_TOKENS,
-                )
-            ).text.strip()
-            if not question:
-                rejected["EMPTY_FIELD"] += 1
-                continue
-            positive = gw.complete(
-                CompletionRequest(
-                    build_positive_prompt(fs, question, templates),
-                    cfg.temperature,
-                    GENERATION_MAX_NEW_TOKENS,
-                )
-            ).text.strip()
-            if not positive:
-                rejected["EMPTY_FIELD"] += 1
-                continue
-            choices = _decomposed_choices(fs, cfg, gw, templates, question, positive)
-        except ScriptMiss:
-            raise
-        except GatewayError:
-            rejected[STAGE_FAILURE] += 1
-            continue
-        answer_index = 0
-        if cfg.shuffle_choices:
-            order = list(range(len(choices)))
-            random.Random(attempt_seed(cfg.seed, "shuffle", attempt)).shuffle(order)
-            choices = [choices[i] for i in order]
-            answer_index = order.index(0)
-        codes = validate_parts(question, choices, answer_index)
-        if codes:
-            rejected[codes[0]] += 1
-            continue
-        out.append(
-            McqaInstance(
-                id=f"decompose-{cfg.seed}-{attempt:05d}",
-                topic=fs.topic,
-                question=question,
-                choices=tuple(choices),
-                answer_index=answer_index,
-                provenance=Provenance("decompose", cfg.temperature, attempt),
-            )
-        )
-    return out, GenerationReport(attempted, len(out), dict(rejected))
+def _decompose_attempt(fs, cfg, gw, templates, attempt):
+    """Question, positive answer, then N sequential negatives; the answer
+    index is 0 unless shuffle_choices remaps it."""
+    question_seed = attempt_seed(cfg.seed, "question", attempt)
+    question = _ask(gw, cfg, build_question_prompt(fs, question_seed, templates))
+    if not question:
+        return EMPTY_FIELD
+    positive = _ask(gw, cfg, build_positive_prompt(fs, question, templates))
+    if not positive:
+        return EMPTY_FIELD
+    choices = _decomposed_choices(fs, cfg, gw, templates, question, positive)
+    answer_index = 0
+    if cfg.shuffle_choices:
+        order = list(range(len(choices)))
+        random.Random(attempt_seed(cfg.seed, "shuffle", attempt)).shuffle(order)
+        choices = [choices[i] for i in order]
+        answer_index = order.index(0)
+    return question, choices, answer_index
 
 
-def generate_paraphrase(
-    fs: FewShotSet,
-    cfg: GenerationConfig,
-    gw,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-) -> Tuple[List[McqaInstance], GenerationReport]:
-    """Round-robin over the seed examples, paraphrasing every text field.
+def _paraphrase_attempt(fs, cfg, gw, templates, attempt):
+    """Paraphrase each field of seed example ``attempt mod K`` independently,
+    keeping its answer index. Textual duplicates across the corpus are allowed
+    here (corpus statistics surface them)."""
+    source = fs.examples[attempt % len(fs.examples)]
+    question = _ask(gw, cfg, build_paraphrase_prompt(source.question, templates))
+    choices = [
+        _ask(gw, cfg, build_paraphrase_prompt(choice, templates))
+        for choice in source.choices
+    ]
+    return question, choices, source.answer_index
 
-    The question and each choice are rewritten independently; the answer
-    index is preserved from the source example. Textual duplicates across the
-    corpus are allowed here (corpus statistics surface them).
-    """
-    if cfg.strategy != "paraphrase":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'paraphrase'")
-    out: List[McqaInstance] = []
-    rejected: Counter = Counter()
-    attempted = 0
-    for attempt in range(cfg.attempt_budget):
-        if len(out) >= cfg.target_count:
-            break
-        attempted += 1
-        source = fs.examples[attempt % len(fs.examples)]
-        try:
-            question = gw.complete(
-                CompletionRequest(
-                    build_paraphrase_prompt(source.question, templates),
-                    cfg.temperature,
-                    GENERATION_MAX_NEW_TOKENS,
-                )
-            ).text.strip()
-            choices = [
-                gw.complete(
-                    CompletionRequest(
-                        build_paraphrase_prompt(choice, templates),
-                        cfg.temperature,
-                        GENERATION_MAX_NEW_TOKENS,
-                    )
-                ).text.strip()
-                for choice in source.choices
-            ]
-        except ScriptMiss:
-            raise
-        except GatewayError:
-            rejected[STAGE_FAILURE] += 1
-            continue
-        codes = validate_parts(question, choices, source.answer_index)
-        if codes:
-            rejected[codes[0]] += 1
-            continue
-        out.append(
-            McqaInstance(
-                id=f"paraphrase-{cfg.seed}-{attempt:05d}",
-                topic=fs.topic,
-                question=question,
-                choices=tuple(choices),
-                answer_index=source.answer_index,
-                provenance=Provenance("paraphrase", cfg.temperature, attempt),
-            )
-        )
-    return out, GenerationReport(attempted, len(out), dict(rejected))
+
+# strategy -> attempt(fs, cfg, gw, templates, attempt), which returns
+# (question, choices, answer_index) or a rejection reason and lets gateway
+# errors propagate to the driver.
+ATTEMPTS = {
+    "json": _json_attempt,
+    "decompose": _decompose_attempt,
+    "paraphrase": _paraphrase_attempt,
+}
 
 
 def generate(
@@ -399,10 +276,44 @@ def generate(
     gw,
     templates: PromptTemplateSet = DEFAULT_TEMPLATES,
 ) -> Tuple[List[McqaInstance], GenerationReport]:
-    """Dispatch on cfg.strategy."""
-    runner = {
-        "json": generate_json,
-        "decompose": generate_decomposed,
-        "paraphrase": generate_paraphrase,
-    }[cfg.strategy]
-    return runner(fs, cfg, gw, templates)
+    """Run cfg.strategy's attempt until target_count instances or the budget.
+
+    A gateway failure discards only its attempt and is counted as
+    STAGE_FAILURE; a ScriptMiss is a scripting defect and propagates. A run
+    that exhausts its budget returns the partial set; the report accounts
+    every attempt either way.
+    """
+    attempt_fn = ATTEMPTS[cfg.strategy]
+    out: List[McqaInstance] = []
+    rejected: Counter = Counter()
+    attempted = 0
+    for attempt in range(cfg.attempt_budget):
+        if len(out) >= cfg.target_count:
+            break
+        attempted += 1
+        try:
+            result = attempt_fn(fs, cfg, gw, templates, attempt)
+        except ScriptMiss:
+            raise
+        except GatewayError:
+            rejected[STAGE_FAILURE] += 1
+            continue
+        if isinstance(result, str):
+            rejected[result] += 1
+            continue
+        question, choices, answer_index = result
+        codes = validate_parts(question, choices, answer_index)
+        if codes:
+            rejected[codes[0]] += 1
+            continue
+        out.append(
+            McqaInstance(
+                id=f"{cfg.strategy}-{cfg.seed}-{attempt:05d}",
+                topic=fs.topic,
+                question=question,
+                choices=tuple(choices),
+                answer_index=answer_index,
+                provenance=Provenance(cfg.strategy, cfg.temperature, attempt),
+            )
+        )
+    return out, GenerationReport(attempted, len(out), dict(rejected))

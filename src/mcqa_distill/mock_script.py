@@ -2,9 +2,11 @@
 
 A script covers one planned pipeline run end to end: every prompt the run
 will issue maps to a deterministic fabricated reply, including first-token
-log-probabilities for the scoring stage. The fabricators mirror the
-generation and scoring modules' prompt construction exactly (same seed
-derivation, same exemplar-fitting), so the resulting runs never miss.
+log-probabilities for the scoring stage. A fabricator only plans the reply
+texts of each attempt; the script is recorded by running the generation
+module's own attempt functions against a backend that answers from that plan,
+and scoring replies are keyed by the scoring module's own prompt fitting, so
+the resulting runs never miss.
 """
 
 from __future__ import annotations
@@ -16,20 +18,66 @@ import numpy as np
 from .core import FewShotSet, McqaInstance, Provenance, stable_seed
 from .datasets import simple_token_count
 from .gateway import CompletionResult, request_digest
-from .generation import GenerationConfig, attempt_seed
-from .prompts import (
-    DEFAULT_TEMPLATES,
-    PromptTemplateSet,
-    build_json_generation_prompt,
-    build_negative_prompt,
-    build_paraphrase_prompt,
-    build_positive_prompt,
-    build_question_prompt,
-    format_example_object,
-)
+from .generation import ATTEMPTS, GenerationConfig
+from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet, format_example_object
 from .scoring import ScoringConfig, fit_scoring_prompt
 
 Script = Dict[str, CompletionResult]
+
+
+class _AttemptRecorded(Exception):
+    """Ends an attempt as soon as its last planned reply is recorded."""
+
+
+class _PlanRecorder:
+    """Backend that answers an attempt's requests with its planned replies,
+    in order, and records ``request_digest -> reply`` into ``script``."""
+
+    def __init__(self):
+        self.script: Script = {}
+        self.replies: List[str] = []
+
+    def complete(self, req) -> CompletionResult:
+        if not self.replies:
+            raise ValueError("attempt asked for more replies than its plan holds")
+        reply = CompletionResult(text=self.replies.pop(0))
+        self.script[request_digest(req.messages)] = reply
+        if not self.replies:
+            raise _AttemptRecorded
+        return reply
+
+
+def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg, tok):
+    """Record the script of a run whose attempt ``i`` gets the replies
+    ``plans[i]`` and emits ``expected[i]``, plus scoring replies when asked.
+
+    An attempt stops once its last planned reply is recorded, so no reply is
+    parsed here. An empty plan, or one the attempt does not use up, raises
+    ValueError.
+    """
+    recorder = _PlanRecorder()
+    for attempt, replies in enumerate(plans):
+        recorder.replies = list(replies)
+        try:
+            ATTEMPTS[strategy](fs, cfg, recorder, templates, attempt)
+        except _AttemptRecorded:
+            continue
+        raise ValueError(f"{strategy} attempt {attempt} left planned replies unused")
+    if scoring_cfg is not None:
+        add_scoring_responses(recorder.script, expected, fs, scoring_cfg, tok)
+    return recorder.script, expected
+
+
+def _planned_instance(strategy, fs, cfg, attempt, question, choices, answer_index):
+    """The instance a run emits for ``attempt`` when its replies are as planned."""
+    return McqaInstance(
+        id=f"{strategy}-{cfg.seed}-{attempt:05d}",
+        topic=fs.topic,
+        question=question,
+        choices=tuple(choices),
+        answer_index=answer_index,
+        provenance=Provenance(strategy, cfg.temperature, attempt),
+    )
 
 
 def _fabricated_fields(topic: str, seed: int, attempt: int, num_choices: int = 4):
@@ -85,28 +133,14 @@ def fabricate_json_run(
     Returns the script and the instances the run will emit (useful for
     scripting downstream stages).
     """
-    script: Script = {}
-    expected: List[McqaInstance] = []
-    for attempt in range(cfg.target_count):
-        messages = build_json_generation_prompt(
-            fs, attempt_seed(cfg.seed, "json", attempt), templates
+    expected = [
+        _planned_instance(
+            "json", fs, cfg, attempt, *_fabricated_fields(fs.topic, cfg.seed, attempt)
         )
-        question, choices, answer = _fabricated_fields(fs.topic, cfg.seed, attempt)
-        inst = McqaInstance(
-            id=f"json-{cfg.seed}-{attempt:05d}",
-            topic=fs.topic,
-            question=question,
-            choices=tuple(choices),
-            answer_index=answer,
-            provenance=Provenance("json", cfg.temperature, attempt),
-        )
-        script[request_digest(messages)] = CompletionResult(
-            text=format_example_object(inst)
-        )
-        expected.append(inst)
-    if scoring_cfg is not None:
-        add_scoring_responses(script, expected, fs, scoring_cfg, tok)
-    return script, expected
+        for attempt in range(cfg.target_count)
+    ]
+    plans = [[format_example_object(inst)] for inst in expected]
+    return _record_run("json", fs, cfg, templates, plans, expected, scoring_cfg, tok)
 
 
 def fabricate_decomposed_run(
@@ -116,40 +150,22 @@ def fabricate_decomposed_run(
     templates: PromptTemplateSet = DEFAULT_TEMPLATES,
     tok: Callable[[str], int] = simple_token_count,
 ) -> Tuple[Script, List[McqaInstance]]:
-    """Script a decomposed run with distinct negatives for every slot."""
-    script: Script = {}
-    expected: List[McqaInstance] = []
+    """Script a decomposed run with distinct negatives for every slot.
+
+    ``expected`` holds the choices in generation order (answer first), as a
+    run without shuffle_choices emits them.
+    """
+    expected = []
     for attempt in range(cfg.target_count):
         question = f"Synthetic staged {fs.topic} question {attempt}?"
-        question_prompt = build_question_prompt(
-            fs, attempt_seed(cfg.seed, "question", attempt), templates
-        )
-        script[request_digest(question_prompt)] = CompletionResult(text=question)
-        positive = f"right answer {attempt}"
-        script[request_digest(build_positive_prompt(fs, question, templates))] = (
-            CompletionResult(text=positive)
-        )
-        forbidden = [positive]
-        choices = [positive]
-        for slot in range(cfg.negatives_n):
-            negative = f"wrong answer {attempt}-{slot}"
-            prompt = build_negative_prompt(fs, question, forbidden, templates)
-            script[request_digest(prompt)] = CompletionResult(text=negative)
-            forbidden.append(negative)
-            choices.append(negative)
+        choices = [f"right answer {attempt}"] + [
+            f"wrong answer {attempt}-{slot}" for slot in range(cfg.negatives_n)
+        ]
         expected.append(
-            McqaInstance(
-                id=f"decompose-{cfg.seed}-{attempt:05d}",
-                topic=fs.topic,
-                question=question,
-                choices=tuple(choices),
-                answer_index=0,
-                provenance=Provenance("decompose", cfg.temperature, attempt),
-            )
+            _planned_instance("decompose", fs, cfg, attempt, question, choices, 0)
         )
-    if scoring_cfg is not None:
-        add_scoring_responses(script, expected, fs, scoring_cfg, tok)
-    return script, expected
+    plans = [[inst.question, *inst.choices] for inst in expected]
+    return _record_run("decompose", fs, cfg, templates, plans, expected, scoring_cfg, tok)
 
 
 def fabricate_paraphrase_run(
@@ -159,22 +175,15 @@ def fabricate_paraphrase_run(
     rewrite: Callable[[str], str] = lambda text: f"{text} (reworded)",
 ) -> Tuple[Script, List[McqaInstance]]:
     """Script a paraphrase run; ``rewrite`` fabricates each rewritten field."""
-    script: Script = {}
-    expected: List[McqaInstance] = []
+    expected = []
     for attempt in range(cfg.target_count):
         source = fs.examples[attempt % len(fs.examples)]
-        texts = [source.question, *source.choices]
-        for text in texts:
-            prompt = build_paraphrase_prompt(text, templates)
-            script[request_digest(prompt)] = CompletionResult(text=rewrite(text))
+        question = rewrite(source.question)
+        choices = [rewrite(c) for c in source.choices]
         expected.append(
-            McqaInstance(
-                id=f"paraphrase-{cfg.seed}-{attempt:05d}",
-                topic=fs.topic,
-                question=rewrite(source.question),
-                choices=tuple(rewrite(c) for c in source.choices),
-                answer_index=source.answer_index,
-                provenance=Provenance("paraphrase", cfg.temperature, attempt),
+            _planned_instance(
+                "paraphrase", fs, cfg, attempt, question, choices, source.answer_index
             )
         )
-    return script, expected
+    plans = [[inst.question, *inst.choices] for inst in expected]
+    return _record_run("paraphrase", fs, cfg, templates, plans, expected, None, None)

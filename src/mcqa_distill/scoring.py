@@ -42,14 +42,11 @@ class TieAtZeroTemperature(ValueError):
 @dataclass(frozen=True)
 class ScoringConfig:
     prompt_token_limit: int = 1024
-    distill_temperature_r: float = 1.0
     fallback: str = "one_hot"
 
     def __post_init__(self):
         if self.prompt_token_limit <= 0:
             raise ValueError("prompt_token_limit must be positive")
-        if self.distill_temperature_r < 0:
-            raise ValueError("distillation temperature must be >= 0")
         if self.fallback not in ("one_hot", "skip"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
 

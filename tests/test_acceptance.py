@@ -44,8 +44,7 @@ from mcqa_distill.evaluation import (
 from mcqa_distill.gateway import MockBackend, save_script
 from mcqa_distill.generation import (
     GenerationConfig,
-    generate_decomposed,
-    generate_json,
+    generate,
     parse_json_candidate,
 )
 from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
@@ -223,7 +222,7 @@ def test_parser_fixture_suite():
             )
             for attempt in range(100)
         ]
-        instances, report = generate_json(fs, cfg, SequencedBackend(replies))
+        instances, report = generate(fs, cfg, SequencedBackend(replies))
         assert report.attempted == 100
         assert report.parsed == len(instances) == 52
         assert report.success_rate == pytest.approx(0.52)
@@ -246,7 +245,7 @@ def test_decomposed_pipeline_structure():
         cfg = GenerationConfig(strategy="decompose", target_count=8, negatives_n=5, seed=21)
         script, _ = fabricate_decomposed_run(fs, cfg)
         recorder = _RecordingBackend(MockBackend(script))
-        instances, report = generate_decomposed(fs, cfg, recorder)
+        instances, report = generate(fs, cfg, recorder)
         assert len(instances) == 8
         assert report.parsed == 8
         for inst in instances:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,8 @@ from mcqa_distill.students import ToyStudent
 
 from conftest import SCIENCE_EXAMPLES, make_instance
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+REPO = Path(__file__).resolve().parents[1]
+SRC = str(REPO / "src")
 
 
 def run_cli(*args, expect=0):
@@ -343,3 +345,21 @@ class TestDataCommands:
         proc = run_cli("generate", "--config", bad, "--fewshot", workspace["fewshot"],
                        "--out", workspace["dir"] / "x.jsonl", expect=2)
         assert "not_a_key" in proc.stderr
+
+    def test_scoring_distill_temperature_key_exits_2(self, workspace, corpus_path):
+        bad = workspace["dir"] / "old.ini"
+        bad.write_text("[scoring]\ndistill_temperature_r = 1.0\n")
+        proc = run_cli("score", "--config", bad, "--fewshot", workspace["fewshot"],
+                       "--in", corpus_path, "--out", workspace["dir"] / "s.jsonl",
+                       expect=2)
+        assert "unknown config key [scoring] distill_temperature_r" in proc.stderr
+
+
+def test_mock_pipeline_script_runs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_mock_pipeline.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"^final accuracy on the scored corpus: [01]\.\d{4}$", proc.stdout, re.M)

@@ -1,6 +1,7 @@
 """Identifier mapping and instance validation."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,9 @@ from mcqa_distill.core import (
     identifier_to_index,
     stable_seed,
     validate_instance,
+    write_json,
 )
+from mcqa_distill.config import write_manifest
 
 from conftest import make_instance
 
@@ -148,3 +151,23 @@ class TestOtherTypes:
     def test_stable_seed_is_deterministic_and_split(self):
         assert stable_seed(1, "x", 2) == stable_seed(1, "x", 2)
         assert stable_seed(1, "x", 2) != stable_seed(1, "x", 3)
+
+
+class TestWriteJson:
+    def test_bytes_and_parent_directories(self, tmp_path):
+        payload = {"b": [1, 2], "a": "caf\u00e9"}
+        path = tmp_path / "new" / "dir" / "out.json"
+        write_json(payload, path)
+        expected = json.dumps(payload, sort_keys=True, indent=1, ensure_ascii=False)
+        assert path.read_bytes() == (expected + "\n").encode("utf-8")
+
+    def test_failed_manifest_write_leaves_previous_intact(self, tmp_path):
+        path = tmp_path / "run.manifest.json"
+        write_manifest(path, {"training": {"seed": 0}}, 0, {"train": 0.0}, {"n": 1}, "0")
+        before = path.read_bytes()
+        # "config" sorts before "counts", so part of the manifest is written
+        # before the unserialisable count is reached.
+        with pytest.raises(TypeError):
+            write_manifest(path, {"training": {"seed": 1}}, 1, {}, {"n": object()}, "0")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.manifest.json"]

@@ -70,10 +70,11 @@ class TestMockBackend:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="body"):
+    def __init__(self, status_code=200, payload=None, text="body", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -105,12 +106,12 @@ def ok_payload(text="wood", top_logprobs=None):
     return {"choices": [choice]}
 
 
-def http_backend(responses, retry_limit=2):
+def http_backend(responses, retry_limit=2, sleep=lambda _s: None):
     session = FakeSession(responses)
     backend = HttpBackend(
         BackendConfig(base_url="http://api.test", retry_limit=retry_limit),
         session=session,
-        sleep=lambda _s: None,
+        sleep=sleep,
     )
     return backend, session
 
@@ -155,6 +156,35 @@ class TestHttpBackend:
         with pytest.raises(RequestTimeout):
             backend.complete(req())
         assert len(session.calls) == 2
+
+    def test_429_waits_retry_after_seconds(self):
+        sleeps = []
+        backend, session = http_backend(
+            [FakeResponse(429, headers={"Retry-After": "3"}), FakeResponse(200, ok_payload())],
+            sleep=sleeps.append,
+        )
+        assert backend.complete(req()).text == "wood"
+        assert sleeps == [3]
+        assert len(session.calls) == 2
+
+    @pytest.mark.parametrize(
+        "retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-1", "1.5", "\u00b2"]
+    )
+    def test_429_without_delta_seconds_backs_off(self, retry_after):
+        sleeps = []
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        backend, _ = http_backend(
+            [FakeResponse(429, headers=headers), FakeResponse(200, ok_payload())],
+            sleep=sleeps.append,
+        )
+        assert backend.complete(req()).text == "wood"
+        assert sleeps == [0.25]
+
+    def test_429_thrice_with_retry_limit_2_is_transport_error(self):
+        backend, session = http_backend([FakeResponse(429)] * 3, retry_limit=2)
+        with pytest.raises(TransportError):
+            backend.complete(req())
+        assert len(session.calls) == 3
 
     def test_client_error_fails_fast(self):
         backend, session = http_backend([FakeResponse(401)], retry_limit=3)

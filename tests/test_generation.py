@@ -1,5 +1,7 @@
 """Candidate parsing and the three generation strategies."""
 
+import random
+
 import pytest
 
 from mcqa_distill.core import ANSWER_RANGE, DUPLICATE_CHOICE, EMPTY_FIELD, TOO_FEW_CHOICES
@@ -20,18 +22,17 @@ from mcqa_distill.generation import (
     GenerationConfig,
     attempt_seed,
     generate,
-    generate_decomposed,
-    generate_json,
-    generate_paraphrase,
     parse_json_candidate,
 )
 from mcqa_distill.prompts import (
+    DEFAULT_TEMPLATES,
     build_json_generation_prompt,
     build_negative_prompt,
     build_positive_prompt,
     build_question_prompt,
 )
 from mcqa_distill.mock_script import (
+    _record_run,
     fabricate_decomposed_run,
     fabricate_json_run,
     fabricate_paraphrase_run,
@@ -169,7 +170,7 @@ class TestGenerateJson:
     def test_all_valid_mock_reaches_target(self, science_fewshot):
         cfg = GenerationConfig(strategy="json", target_count=16, seed=3)
         script, expected = fabricate_json_run(science_fewshot, cfg)
-        instances, report = generate_json(science_fewshot, cfg, MockBackend(script))
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 16
         assert report.attempted == 16
         assert report.parsed == 16
@@ -187,7 +188,7 @@ class TestGenerateJson:
                 f'{{"question": "Strict question {attempt}?", '
                 f'"choices": ["a{attempt}", "b{attempt}"], "answer": 1}}'
             )
-        _, report = generate_json(science_fewshot, cfg, MockBackend(script))
+        _, report = generate(science_fewshot, cfg, MockBackend(script))
         assert report.success_rate == 1.0
 
     def test_scripted_52_of_100_success_rate(self, science_fewshot):
@@ -203,7 +204,7 @@ class TestGenerateJson:
             )
             for attempt in range(100)
         ]
-        instances, report = generate_json(
+        instances, report = generate(
             science_fewshot, cfg, SequencedBackend(replies)
         )
         assert report.attempted == 100
@@ -221,7 +222,7 @@ class TestGenerateJson:
                 science_fewshot, attempt_seed(cfg.seed, "json", attempt)
             )
             script[request_digest(messages)] = "no object here"
-        instances, report = generate_json(science_fewshot, cfg, MockBackend(script))
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert instances == []
         assert report.attempted == 10
         assert report.parsed == 0
@@ -240,7 +241,7 @@ class TestGenerateJson:
                 )
 
         cfg = GenerationConfig(strategy="json", target_count=2, seed=0)
-        instances, report = generate_json(science_fewshot, cfg, FlakyBackend())
+        instances, report = generate(science_fewshot, cfg, FlakyBackend())
         assert len(instances) == 2
         assert report.attempted == 3
         assert report.rejected_by_reason == {STAGE_FAILURE: 1}
@@ -248,12 +249,7 @@ class TestGenerateJson:
     def test_script_miss_propagates(self, science_fewshot):
         cfg = GenerationConfig(strategy="json", target_count=1, seed=0)
         with pytest.raises(ScriptMiss):
-            generate_json(science_fewshot, cfg, MockBackend({}))
-
-    def test_wrong_strategy_rejected(self, science_fewshot):
-        cfg = GenerationConfig(strategy="decompose")
-        with pytest.raises(ValueError):
-            generate_json(science_fewshot, cfg, MockBackend({}))
+            generate(science_fewshot, cfg, MockBackend({}))
 
     def test_default_budget_is_twenty_fold(self):
         cfg = GenerationConfig(strategy="json", target_count=1024)
@@ -262,7 +258,7 @@ class TestGenerateJson:
     def test_emitted_instances_carry_provenance(self, science_fewshot):
         cfg = GenerationConfig(strategy="json", target_count=3, seed=5, temperature=2.0)
         script, _ = fabricate_json_run(science_fewshot, cfg)
-        instances, _ = generate_json(science_fewshot, cfg, MockBackend(script))
+        instances, _ = generate(science_fewshot, cfg, MockBackend(script))
         assert all(i.provenance.strategy == "json" for i in instances)
         assert all(i.provenance.gen_temperature == 2.0 for i in instances)
         assert [i.provenance.attempt for i in instances] == [0, 1, 2]
@@ -284,7 +280,7 @@ class TestGenerateDecomposed:
     def test_five_negatives_give_six_choices_answer_first(self, science_fewshot):
         cfg = GenerationConfig(strategy="decompose", target_count=4, negatives_n=5, seed=2)
         script, _ = fabricate_decomposed_run(science_fewshot, cfg)
-        instances, report = generate_decomposed(science_fewshot, cfg, MockBackend(script))
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 4
         assert all(i.num_choices == 6 for i in instances)
         assert all(i.answer_index == 0 for i in instances)
@@ -296,7 +292,7 @@ class TestGenerateDecomposed:
         cfg = GenerationConfig(strategy="decompose", target_count=1, negatives_n=5, seed=2)
         script, _ = fabricate_decomposed_run(science_fewshot, cfg)
         recorder = RecordingBackend(MockBackend(script))
-        generate_decomposed(science_fewshot, cfg, recorder)
+        generate(science_fewshot, cfg, recorder)
         negative_requests = [
             r for r in recorder.requests if "Forbidden Answer :" in r.messages[-1].content
         ]
@@ -334,7 +330,7 @@ class TestGenerateDecomposed:
             prompt = build_negative_prompt(science_fewshot, question, forbidden)
             script[request_digest(prompt)] = CompletionResult(reply)
             forbidden.append(reply.strip())
-        instances, report = generate_decomposed(science_fewshot, cfg, MockBackend(script))
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 1
         assert instances[0].choices == (
             positive, "neg one", "neg two", "neg three", "neg four",
@@ -363,7 +359,7 @@ class TestGenerateDecomposed:
             strategy="decompose", target_count=3, negatives_n=2, seed=6
         )
         script, _ = fabricate_decomposed_run(science_fewshot, cfg_more)
-        instances, report = generate_decomposed(
+        instances, report = generate(
             science_fewshot, cfg, FirstQuestionFails(MockBackend(script))
         )
         assert len(instances) == 2
@@ -375,7 +371,7 @@ class TestGenerateDecomposed:
             strategy="decompose", target_count=6, negatives_n=3, seed=11, shuffle_choices=True
         )
         script, expected = fabricate_decomposed_run(science_fewshot, cfg)
-        instances, _ = generate_decomposed(science_fewshot, cfg, MockBackend(script))
+        instances, _ = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 6
         for inst, plain in zip(instances, expected):
             assert inst.gold_choice == plain.choices[0]
@@ -387,7 +383,7 @@ class TestGenerateParaphrase:
     def test_structure_preserved(self, science_fewshot):
         cfg = GenerationConfig(strategy="paraphrase", target_count=5, seed=0)
         script, _ = fabricate_paraphrase_run(science_fewshot, cfg)
-        instances, report = generate_paraphrase(science_fewshot, cfg, MockBackend(script))
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 5
         for inst, source in zip(instances, science_fewshot.examples):
             assert inst.num_choices == source.num_choices
@@ -396,7 +392,7 @@ class TestGenerateParaphrase:
     def test_round_robin_reuses_each_seed_twice(self, science_fewshot):
         cfg = GenerationConfig(strategy="paraphrase", target_count=10, seed=0)
         script, _ = fabricate_paraphrase_run(science_fewshot, cfg)
-        instances, _ = generate_paraphrase(science_fewshot, cfg, MockBackend(script))
+        instances, _ = generate(science_fewshot, cfg, MockBackend(script))
         questions = [i.question for i in instances]
         assert questions[:5] == questions[5:]
 
@@ -405,7 +401,7 @@ class TestGenerateParaphrase:
         script, _ = fabricate_paraphrase_run(
             science_fewshot, cfg, rewrite=lambda text: text
         )
-        instances, report = generate_paraphrase(science_fewshot, cfg, MockBackend(script))
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert report.parsed == 5
         for inst, source in zip(instances, science_fewshot.examples):
             assert inst.question == source.question
@@ -419,7 +415,35 @@ def test_generate_dispatches_on_strategy(science_fewshot):
     assert all(i.provenance.strategy == "paraphrase" for i in instances)
 
 
+class FaultyBackend:
+    """Fails or garbles a seeded share of requests. Every other reply is a
+    fresh object that parses as an instance and is distinct as a choice."""
+
+    GARBLED = (
+        "",
+        "no object here",
+        "{'question': 'q?', 'choices': ['x', 'X '], 'answer': 0}",
+    )
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.calls = 0
+
+    def complete(self, req):
+        self.calls += 1
+        roll = self.rng.random()
+        if roll < 0.15:
+            raise TransportError("injected failure")
+        if roll < 0.3:
+            return CompletionResult(self.rng.choice(self.GARBLED))
+        n = self.calls
+        return CompletionResult(
+            f"{{'question': 'Q{n}?', 'choices': ['a{n}', 'b{n}'], 'answer': 1}}"
+        )
+
+
 def test_reports_conserve_counts_across_strategies(science_fewshot):
+    seen_reasons = set()
     for strategy, fabricate in [
         ("json", fabricate_json_run),
         ("decompose", fabricate_decomposed_run),
@@ -429,3 +453,41 @@ def test_reports_conserve_counts_across_strategies(science_fewshot):
         script, _ = fabricate(science_fewshot, cfg)
         _, report = generate(science_fewshot, cfg, MockBackend(script))
         assert report.parsed + sum(report.rejected_by_reason.values()) == report.attempted
+        cfg = GenerationConfig(
+            strategy=strategy, target_count=20, max_attempts=60, negatives_n=2, seed=8
+        )
+        for seed in range(3):
+            instances, report = generate(science_fewshot, cfg, FaultyBackend(seed))
+            assert report.parsed == len(instances) > 0
+            assert report.rejected_by_reason
+            assert report.parsed + sum(report.rejected_by_reason.values()) == report.attempted
+            seen_reasons |= set(report.rejected_by_reason)
+    assert {STAGE_FAILURE, NO_OBJECT, DUPLICATE_CHOICE, EMPTY_FIELD} <= seen_reasons
+
+
+@pytest.mark.parametrize(
+    "strategy,fabricate",
+    [
+        ("json", fabricate_json_run),
+        ("decompose", fabricate_decomposed_run),
+        ("paraphrase", fabricate_paraphrase_run),
+    ],
+)
+def test_script_miss_propagates_for_every_strategy(science_fewshot, strategy, fabricate):
+    """A miss on an attempt's last request raises instead of being counted."""
+    cfg = GenerationConfig(strategy=strategy, target_count=2, negatives_n=2, seed=8)
+    script, _ = fabricate(science_fewshot, cfg)
+    del script[list(script)[-1]]
+    with pytest.raises(ScriptMiss):
+        generate(science_fewshot, cfg, MockBackend(script))
+
+
+@pytest.mark.parametrize(
+    "plan", [[], ["Q?", "right", "wrong", "extra"]], ids=["empty", "too_many"]
+)
+def test_fabricator_plan_must_fit_its_attempt(science_fewshot, plan):
+    cfg = GenerationConfig(strategy="decompose", target_count=1, negatives_n=1)
+    with pytest.raises(ValueError):
+        _record_run(
+            "decompose", science_fewshot, cfg, DEFAULT_TEMPLATES, [plan], [], None, None
+        )
