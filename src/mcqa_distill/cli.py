@@ -85,6 +85,14 @@ def _build_backend(backend_cfg: dict):
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
+def _request_width(backend) -> int:
+    """Teacher calls in flight: max_parallel_requests over HTTP; the mock is
+    in-process CPU work, which threads would only slow down."""
+    if isinstance(backend, HttpBackend):
+        return backend.config.max_parallel_requests
+    return 1
+
+
 def _load_fewshot(path: str, topic: str = None) -> FewShotSet:
     fewshot_path = Path(path)
     if not fewshot_path.exists():
@@ -164,7 +172,9 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
     templates = templates_from_config(cfg)
 
     started = time.perf_counter()
-    instances, report = generate(fs, gen_cfg, backend, templates)
+    instances, report = generate(
+        fs, gen_cfg, backend, templates, _request_width(backend)
+    )
     elapsed = time.perf_counter() - started
 
     _write_corpus(instances, out, f"generate:{gen_cfg.strategy}", digest)
@@ -216,7 +226,12 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
 
     started = time.perf_counter()
     scored, counts = score_instances(
-        corpus.instances, fs, scoring_cfg, backend, simple_token_count
+        corpus.instances,
+        fs,
+        scoring_cfg,
+        backend,
+        simple_token_count,
+        _request_width(backend),
     )
     elapsed = time.perf_counter() - started
 

@@ -5,7 +5,8 @@ A backend is anything with ``complete(request) -> CompletionResult``. The HTTP
 backend talks to ``{base_url}/v1/chat/completions`` and extracts the first
 generated token's top log-probabilities when asked; the mock backend replays
 scripted responses keyed by a digest of the exact message sequence, so whole
-pipeline runs are bit-reproducible without a server.
+pipeline runs are bit-reproducible without a server. ``in_order`` is the
+executor both teacher stages run on: bounded concurrency, results in order.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ import math
 import os
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .core import ChatMessage, write_json
 
@@ -170,13 +174,20 @@ class HttpBackend:
     Transient failures (connection errors, timeouts, HTTP 429 and 5xx) are
     retried up to ``retry_limit`` times with exponential backoff, or after the
     response's ``Retry-After`` delay when it is given in seconds (RFC 9110
-    §10.2.3); anything else fails immediately. ``max_parallel_requests`` is
-    enforced with a semaphore so the backend can be shared across threads.
+    §10.2.3), capped at ``request_timeout``; anything else fails immediately.
+    ``max_parallel_requests`` is enforced with a semaphore so the backend can
+    be shared across threads; a request backs off without holding its slot.
     """
 
     def __init__(self, config: BackendConfig, session=None, sleep=time.sleep):
         self.config = config
-        self._session = session or requests.Session()
+        if session is None:
+            # requests keeps 10 connections per host unless told otherwise.
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=config.max_parallel_requests)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
         self._sleep = sleep
         self._slots = threading.Semaphore(config.max_parallel_requests)
 
@@ -202,15 +213,12 @@ class HttpBackend:
     def complete(self, req: CompletionRequest) -> CompletionResult:
         url = self.config.base_url.rstrip("/") + "/v1/chat/completions"
         body = self._body(req)
-        tries = self.config.retry_limit + 1
         last_error: Optional[GatewayError] = None
-        retry_after: Optional[int] = None
-        with self._slots:
-            for attempt in range(tries):
-                if attempt:
-                    backoff = 0.25 * 2 ** (attempt - 1)
-                    self._sleep(backoff if retry_after is None else retry_after)
-                    retry_after = None
+        delay = 0.0
+        for attempt in range(self.config.retry_limit + 1):
+            if attempt:
+                self._sleep(delay)
+            with self._slots:
                 try:
                     response = self._session.post(
                         url,
@@ -219,24 +227,25 @@ class HttpBackend:
                         timeout=self.config.request_timeout,
                     )
                 except requests.Timeout as exc:
-                    last_error = RequestTimeout(str(exc))
-                    continue
+                    response, last_error = None, RequestTimeout(str(exc))
                 except requests.RequestException as exc:
-                    last_error = TransportError(str(exc))
-                    continue
-                if response.status_code == 429 or response.status_code >= 500:
-                    last_error = TransportError(f"HTTP {response.status_code}")
-                    # Only the delta-seconds form; an HTTP-date backs off.
-                    value = response.headers.get("Retry-After", "").strip()
-                    if value.isascii() and value.isdigit():
-                        retry_after = int(value)
-                    continue
-                if response.status_code != 200:
-                    raise TransportError(
-                        f"HTTP {response.status_code}: {response.text[:200]}"
-                    )
-                return self._parse(response)
-        raise last_error if last_error is not None else TransportError("no attempts made")
+                    response, last_error = None, TransportError(str(exc))
+            delay = 0.25 * 2**attempt
+            if response is None:
+                continue
+            if response.status_code == 429 or response.status_code >= 500:
+                last_error = TransportError(f"HTTP {response.status_code}")
+                # Only the delta-seconds form; an HTTP-date backs off.
+                value = response.headers.get("Retry-After", "").strip()
+                if value.isascii() and value.isdigit():
+                    delay = min(int(value), self.config.request_timeout)
+                continue
+            if response.status_code != 200:
+                raise TransportError(
+                    f"HTTP {response.status_code}: {response.text[:200]}"
+                )
+            return self._parse(response)
+        raise last_error
 
     @staticmethod
     def _parse(response) -> CompletionResult:
@@ -294,3 +303,48 @@ def score_identifiers(
         return {i: 0.0 for i in identifiers}
     floor = min(present.values()) - floor_margin
     return {i: present.get(i, floor) for i in identifiers}
+
+
+class _Inline:
+    """The width-1 executor: runs each call on the calling thread at submit."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
+
+
+def in_order(
+    fn: Callable[[int], object],
+    count: int,
+    width: int,
+    room: Optional[Callable[[], int]] = None,
+) -> Iterator:
+    """Yield ``fn(0), ..., fn(count - 1)`` in index order, up to ``width``
+    calls running at once.
+
+    ``room()``, when given, is how many more results the caller can still
+    use; the calls in flight never exceed it, so every call made is one a
+    serial loop would also have made. An exception from ``fn(i)`` is raised
+    where result ``i`` is due, after every earlier result. On any exit
+    (an exception, Ctrl-C or closing the generator) calls not yet started
+    are cancelled and running ones are waited for. Width 1 runs each call
+    inline, with no thread.
+    """
+    pool = ThreadPoolExecutor(width, "teacher") if width > 1 else _Inline()
+    pending: deque = deque()
+    issued = 0
+    try:
+        while True:
+            limit = width if room is None else min(width, room())
+            while issued < count and len(pending) < limit:
+                pending.append(pool.submit(fn, issued))
+                issued += 1
+            if not pending:
+                return
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -8,7 +8,8 @@ negatives against a growing forbidden list) and needs no parsing. Paraphrase
 rewrites the seed examples field by field.
 
 Each strategy is one per-attempt function; ``generate`` is the single driver
-that owns the attempt budget, rejection accounting, ids and provenance.
+that owns the attempt budget, rejection accounting, ids and provenance, and
+runs attempts concurrently while committing them in attempt order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     stable_seed,
     validate_parts,
 )
-from .gateway import CompletionRequest, GatewayError, ScriptMiss
+from .gateway import CompletionRequest, GatewayError, ScriptMiss, in_order
 from .prompts import (
     DEFAULT_TEMPLATES,
     PromptTemplateSet,
@@ -132,17 +133,12 @@ def extract_object_block(raw: str) -> Tuple[Optional[str], Optional[str]]:
     return None, UNBALANCED
 
 
-def parse_json_candidate(raw: str) -> Tuple[Optional[dict], Optional[str]]:
-    """Parse one teacher reply into instance fields, or name the rejection.
-
-    Accepts strict JSON and the single-quoted object style the few-shot
-    prompts demonstrate, and strips any prose around the object. Returns
-    ``({question, choices, answer_index}, None)`` on success, else
-    ``(None, reason)``.
-    """
+def _parse_json_fields(raw: str):
+    """``(question, choices, answer_index)`` from one teacher reply, stripped
+    but not validated, or the rejection reason."""
     block, reason = extract_object_block(raw)
     if block is None:
-        return None, reason
+        return reason
     obj = None
     try:
         obj = json.loads(block)
@@ -150,26 +146,39 @@ def parse_json_candidate(raw: str) -> Tuple[Optional[dict], Optional[str]]:
         try:
             obj = ast.literal_eval(block)
         except (ValueError, SyntaxError, MemoryError, RecursionError):
-            return None, BAD_SYNTAX
+            return BAD_SYNTAX
     if not isinstance(obj, dict):
-        return None, BAD_SYNTAX
+        return BAD_SYNTAX
     for key in ("question", "choices", "answer"):
         if key not in obj:
-            return None, MISSING_KEY
+            return MISSING_KEY
     question, choices, answer = obj["question"], obj["choices"], obj["answer"]
     if not isinstance(question, str):
-        return None, WRONG_TYPE
+        return WRONG_TYPE
     if not isinstance(choices, (list, tuple)) or not all(
         isinstance(c, str) for c in choices
     ):
-        return None, WRONG_TYPE
+        return WRONG_TYPE
     if isinstance(answer, bool) or not isinstance(answer, int):
-        return None, WRONG_TYPE
-    question = question.strip()
-    choices = [c.strip() for c in choices]
-    codes = validate_parts(question, choices, answer)
+        return WRONG_TYPE
+    return question.strip(), [c.strip() for c in choices], answer
+
+
+def parse_json_candidate(raw: str) -> Tuple[Optional[dict], Optional[str]]:
+    """Parse one teacher reply into instance fields, or name the rejection.
+
+    Accepts strict JSON and the single-quoted object style the few-shot
+    prompts demonstrate, and strips any prose around the object. Returns
+    ``({question, choices, answer_index}, None)`` on success, else
+    ``(None, reason)``; validation codes count as reasons.
+    """
+    parsed = _parse_json_fields(raw)
+    if isinstance(parsed, str):
+        return None, parsed
+    codes = validate_parts(*parsed)
     if codes:
         return None, codes[0]
+    question, choices, answer = parsed
     return {"question": question, "choices": choices, "answer_index": answer}, None
 
 
@@ -181,14 +190,12 @@ def _ask(gw, cfg: GenerationConfig, messages) -> str:
 
 
 def _json_attempt(fs, cfg, gw, templates, attempt):
-    """One complete object per attempt, on a fresh exemplar shuffle."""
+    """One complete object per attempt, on a fresh exemplar shuffle; the
+    driver validates it."""
     messages = build_json_generation_prompt(
         fs, attempt_seed(cfg.seed, "json", attempt), templates
     )
-    fields, reason = parse_json_candidate(_ask(gw, cfg, messages))
-    if fields is None:
-        return reason
-    return fields["question"], fields["choices"], fields["answer_index"]
+    return _parse_json_fields(_ask(gw, cfg, messages))
 
 
 def _decomposed_choices(
@@ -275,29 +282,35 @@ def generate(
     cfg: GenerationConfig,
     gw,
     templates: PromptTemplateSet = DEFAULT_TEMPLATES,
+    width: int = 1,
 ) -> Tuple[List[McqaInstance], GenerationReport]:
     """Run cfg.strategy's attempt until target_count instances or the budget.
 
     A gateway failure discards only its attempt and is counted as
     STAGE_FAILURE; a ScriptMiss is a scripting defect and propagates. A run
     that exhausts its budget returns the partial set; the report accounts
-    every attempt either way.
+    every attempt either way. Up to ``width`` attempts run at once, never
+    more than the instances still missing, and results commit in attempt
+    order: instances, report and teacher requests are those of a serial run.
     """
     attempt_fn = ATTEMPTS[cfg.strategy]
-    out: List[McqaInstance] = []
-    rejected: Counter = Counter()
-    attempted = 0
-    for attempt in range(cfg.attempt_budget):
-        if len(out) >= cfg.target_count:
-            break
-        attempted += 1
+
+    def run(attempt):
         try:
-            result = attempt_fn(fs, cfg, gw, templates, attempt)
+            return attempt_fn(fs, cfg, gw, templates, attempt)
         except ScriptMiss:
             raise
         except GatewayError:
-            rejected[STAGE_FAILURE] += 1
-            continue
+            return STAGE_FAILURE
+
+    out: List[McqaInstance] = []
+    rejected: Counter = Counter()
+    attempted = 0
+    results = in_order(
+        run, cfg.attempt_budget, width, lambda: cfg.target_count - len(out)
+    )
+    for attempt, result in enumerate(results):
+        attempted += 1
         if isinstance(result, str):
             rejected[result] += 1
             continue

@@ -20,7 +20,13 @@ from .core import (
     SoftLabel,
     index_to_identifier,
 )
-from .gateway import CompletionRequest, GatewayError, ScriptMiss, score_identifiers
+from .gateway import (
+    CompletionRequest,
+    GatewayError,
+    ScriptMiss,
+    in_order,
+    score_identifiers,
+)
 from .prompts import build_scoring_prompt, scoring_user_block
 
 # Raw-score margin for the one-hot fallback: softening at any temperature <= 1
@@ -163,12 +169,19 @@ def score_instances(
     cfg: ScoringConfig,
     gw,
     tok: Callable[[str], int],
+    width: int = 1,
 ) -> Tuple[List[McqaInstance], Dict[str, int]]:
-    """Score a whole corpus; returns instances plus scored/fallback/skipped counts."""
+    """Score a whole corpus; returns instances plus scored/fallback/skipped counts.
+
+    Up to ``width`` instances are scored at once; results and errors come in
+    instance order, as in a serial run.
+    """
     counts = {SCORED: 0, FALLBACK: 0, SKIPPED: 0}
     out = []
-    for inst in instances:
-        scored, status = _score_one(inst, fs, cfg, gw, tok)
+    results = in_order(
+        lambda i: _score_one(instances[i], fs, cfg, gw, tok), len(instances), width
+    )
+    for scored, status in results:
         counts[status] += 1
         out.append(scored)
     return out, counts

@@ -1,6 +1,8 @@
 """Backends: scripted mock behavior, HTTP retry/parse contracts, identifier scoring."""
 
 import math
+import threading
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from mcqa_distill.gateway import (
     RequestTimeout,
     ScriptMiss,
     TransportError,
+    in_order,
     load_script,
     request_digest,
     save_script,
@@ -201,6 +204,129 @@ class TestHttpBackend:
         backend, _ = http_backend([FakeResponse(200, None)])
         with pytest.raises(ProtocolError):
             backend.complete(req())
+
+
+    def test_retry_after_is_capped_at_request_timeout(self):
+        sleeps = []
+        session = FakeSession(
+            [FakeResponse(429, headers={"Retry-After": "3600"}), FakeResponse(200, ok_payload())]
+        )
+        backend = HttpBackend(
+            BackendConfig(request_timeout=30.0), session=session, sleep=sleeps.append
+        )
+        assert backend.complete(req()).text == "wood"
+        assert sleeps == [30]
+
+    def test_backoff_does_not_hold_the_slot(self):
+        """With one slot, another thread's request completes while the first
+        request waits out its Retry-After."""
+        session = FakeSession(
+            [
+                FakeResponse(429, headers={"Retry-After": "5"}),
+                FakeResponse(200, ok_payload("other")),
+                FakeResponse(200, ok_payload("first")),
+            ]
+        )
+        other_texts = []
+        other = threading.Thread(
+            target=lambda: other_texts.append(backend.complete(req()).text)
+        )
+        done_during_backoff = []
+
+        def sleep(_seconds):
+            other.start()
+            other.join(timeout=5)
+            done_during_backoff.append(not other.is_alive())
+
+        backend = HttpBackend(
+            BackendConfig(max_parallel_requests=1), session=session, sleep=sleep
+        )
+        assert backend.complete(req()).text == "first"
+        other.join(timeout=5)
+        assert not other.is_alive()
+        assert done_during_backoff == [True]
+        assert other_texts == ["other"]
+
+    def test_own_session_pools_one_connection_per_slot(self):
+        backend = HttpBackend(BackendConfig(max_parallel_requests=16))
+        for url in ("http://api.test", "https://api.test"):
+            pool_kw = backend._session.get_adapter(url).poolmanager.connection_pool_kw
+            assert pool_kw["maxsize"] == 16
+
+    def test_injected_session_is_used_as_given(self):
+        session = FakeSession([])
+        backend = HttpBackend(BackendConfig(max_parallel_requests=16), session=session)
+        assert backend._session is session
+
+
+class TestInOrder:
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_results_in_index_order(self, width):
+        def slow_first(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        assert list(in_order(slow_first, 8, width)) == [i * i for i in range(8)]
+
+    def test_earliest_error_surfaces_and_queued_calls_never_start(self):
+        started = []
+        lock = threading.Lock()
+
+        def call(i):
+            with lock:
+                started.append(i)
+            if i == 2:
+                time.sleep(0.05)
+                raise KeyError(i)
+            if i == 3:
+                raise ValueError(i)
+            return i
+
+        seen = []
+        with pytest.raises(KeyError):
+            for value in in_order(call, 100, 4):
+                seen.append(value)
+        assert seen == [0, 1]
+        assert max(started) <= 2 + 3
+        assert len(started) == len(set(started))
+
+    def test_closing_early_cancels_queued_calls(self):
+        """What a Ctrl-C in the caller's loop does: the generator closes, no
+        further call starts and the running ones are waited for."""
+        started = []
+        finished = []
+
+        def call(i):
+            started.append(i)
+            time.sleep(0.01)
+            finished.append(i)
+            return i
+
+        results = in_order(call, 100, 4)
+        assert next(results) == 0
+        results.close()
+        assert sorted(started) == sorted(finished)
+        assert max(started) <= 4
+
+    def test_room_bounds_calls_in_flight(self):
+        in_flight = high = 0
+        lock = threading.Lock()
+
+        def call(i):
+            nonlocal in_flight, high
+            with lock:
+                in_flight += 1
+                high = max(high, in_flight)
+            time.sleep(0.002)
+            with lock:
+                in_flight -= 1
+            return i
+
+        taken = []
+        for value in in_order(call, 50, 8, lambda: 5 - len(taken)):
+            taken.append(value)
+        assert taken == [0, 1, 2, 3, 4]
+        assert 2 <= high <= 5
 
 
 class TestScoreIdentifiers:

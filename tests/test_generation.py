@@ -1,6 +1,10 @@
 """Candidate parsing and the three generation strategies."""
 
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -12,6 +16,7 @@ from mcqa_distill.gateway import (
     TransportError,
     request_digest,
 )
+from mcqa_distill import generation
 from mcqa_distill.generation import (
     BAD_SYNTAX,
     MISSING_KEY,
@@ -491,3 +496,108 @@ def test_fabricator_plan_must_fit_its_attempt(science_fewshot, plan):
         _record_run(
             "decompose", science_fewshot, cfg, DEFAULT_TEMPLATES, [plan], [], None, None
         )
+
+
+class JitteryBackend:
+    """A thread-safe FaultyBackend. Each request's delay, failure and reply
+    are a function of the seed and the request digest, not of the order in
+    which threads send requests. Counts request digests and the most
+    requests in flight at once."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.digests = Counter()
+        self.in_flight = self.in_flight_max = 0
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        digest = request_digest(req.messages)
+        rng = random.Random(f"{self.seed}:{digest}")
+        with self._lock:
+            self.digests[digest] += 1
+            self.in_flight += 1
+            self.in_flight_max = max(self.in_flight_max, self.in_flight)
+        try:
+            time.sleep(rng.uniform(0.0005, 0.002))
+            roll = rng.random()
+            if roll < 0.15:
+                raise TransportError("injected failure")
+            if roll < 0.3:
+                return CompletionResult(rng.choice(FaultyBackend.GARBLED))
+            n = digest[:8]
+            return CompletionResult(
+                f"{{'question': 'Q{n}?', 'choices': ['a{n}', 'b{n}'], 'answer': 1}}"
+            )
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize("strategy", ["json", "decompose", "paraphrase"])
+def test_width_changes_no_output_and_no_request(science_fewshot, strategy, shuffle):
+    cfg = GenerationConfig(
+        strategy=strategy,
+        target_count=12,
+        max_attempts=30,
+        negatives_n=2,
+        seed=5,
+        shuffle_choices=shuffle,
+    )
+    serial_backend = JitteryBackend(seed=3)
+    serial, serial_report = generate(science_fewshot, cfg, serial_backend, width=1)
+    assert serial_backend.in_flight_max == 1
+    assert serial and serial_report.rejected_by_reason
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (2, 4, 8):
+            backend = JitteryBackend(seed=3)
+            instances, report = generate(science_fewshot, cfg, backend, width=width)
+            assert instances == serial
+            assert report.to_dict() == serial_report.to_dict()
+            assert backend.digests == serial_backend.digests
+            assert 2 <= backend.in_flight_max <= width
+    finally:
+        sys.setswitchinterval(switch_interval)
+
+
+def test_budget_bounds_attempts_at_any_width(science_fewshot):
+    """A target the budget cannot reach: every width stops at the budget."""
+    cfg = GenerationConfig(strategy="json", target_count=50, max_attempts=20, seed=1)
+    serial_backend = JitteryBackend(seed=0)
+    serial, serial_report = generate(science_fewshot, cfg, serial_backend)
+    assert serial_report.attempted == 20 and len(serial) < 50
+    backend = JitteryBackend(seed=0)
+    instances, report = generate(science_fewshot, cfg, backend, width=8)
+    assert (instances, report) == (serial, serial_report)
+    assert backend.digests == serial_backend.digests
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_script_miss_surfaces_past_later_attempts_in_flight(
+    science_fewshot, monkeypatch, width
+):
+    """Attempt 3 misses after a delay; later attempts already running or done
+    do not hide it, and none past the window starts."""
+    started = []
+    lock = threading.Lock()
+    real_attempt = generation.ATTEMPTS["json"]
+
+    def attempt(fs, cfg, gw, templates, index):
+        with lock:
+            started.append(index)
+        if index == 3:
+            time.sleep(0.2)
+            raise ScriptMiss("no scripted response for attempt 3")
+        return real_attempt(fs, cfg, gw, templates, index)
+
+    monkeypatch.setitem(generation.ATTEMPTS, "json", attempt)
+    cfg = GenerationConfig(strategy="json", target_count=20, seed=2)
+    with pytest.raises(ScriptMiss, match="attempt 3"):
+        generate(science_fewshot, cfg, JitteryBackend(seed=1), width=width)
+    assert sorted(started) == list(range(max(started) + 1))
+    if width == 1:
+        assert max(started) == 3
+    else:
+        assert 3 < max(started) <= 3 + width - 1

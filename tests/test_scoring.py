@@ -1,6 +1,9 @@
 """Teacher score attachment and temperature softening."""
 
 import math
+import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -258,3 +261,78 @@ class TestScoreInstances:
     def test_margin_is_twenty(self):
         assert ONE_HOT_MARGIN == 20.0
         assert one_hot_scores(1, 3) == (0.0, 20.0, 0.0)
+
+
+class JitteryScorer:
+    """Thread-safe scoring backend: delay and logprobs are a function of the
+    request digest; a request naming a question in ``fail`` raises after
+    ``fail[question]`` seconds. Records the most requests in flight."""
+
+    def __init__(self, fail=None):
+        self.fail = fail or {}
+        self.in_flight = self.in_flight_max = 0
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        digest = request_digest(req.messages)
+        rng = random.Random(digest)
+        with self._lock:
+            self.in_flight += 1
+            self.in_flight_max = max(self.in_flight_max, self.in_flight)
+        try:
+            time.sleep(rng.uniform(0.0005, 0.002))
+            for question, delay in self.fail.items():
+                if question in req.messages[-1].content:
+                    time.sleep(delay)
+                    raise TransportError(f"down for {question}")
+            return CompletionResult(
+                "A", {letter: -rng.uniform(0.1, 5.0) for letter in "ABCD"}
+            )
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def numbered_corpus(n):
+    corpus = [make_instance(f"q{i}", question=f"Question number {i}?") for i in range(n)]
+    corpus[4] = make_instance(
+        "oversize", question="long words " * 600, choices=("a", "b"), answer_index=0
+    )
+    return corpus
+
+
+@pytest.mark.parametrize("fallback", ["one_hot", "skip"])
+def test_score_width_changes_no_output(science_fewshot, fallback):
+    cfg = ScoringConfig(fallback=fallback)
+    corpus = numbered_corpus(24)
+    fail = {"Question number 9?": 0.0} if fallback == "skip" else {}
+    serial_backend = JitteryScorer(fail)
+    serial = score_instances(
+        corpus, science_fewshot, cfg, serial_backend, simple_token_count, width=1
+    )
+    assert serial_backend.in_flight_max == 1
+    if fallback == "one_hot":
+        assert serial[1] == {SCORED: 23, FALLBACK: 1, SKIPPED: 0}
+    else:
+        assert serial[1] == {SCORED: 22, FALLBACK: 0, SKIPPED: 2}
+    backend = JitteryScorer(fail)
+    pooled = score_instances(
+        corpus, science_fewshot, cfg, backend, simple_token_count, width=4
+    )
+    assert pooled == serial
+    assert 2 <= backend.in_flight_max <= 4
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_score_first_failure_in_order_surfaces(science_fewshot, width):
+    """Instance 6 fails slowly, instance 7 at once: 6's error is the one seen."""
+    backend = JitteryScorer({"Question number 6?": 0.1, "Question number 7?": 0.0})
+    with pytest.raises(TransportError, match="Question number 6"):
+        score_instances(
+            numbered_corpus(12),
+            science_fewshot,
+            ScoringConfig(fallback="one_hot"),
+            backend,
+            simple_token_count,
+            width=width,
+        )
