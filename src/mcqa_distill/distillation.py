@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import McqaInstance, SoftLabel, atomic_write
 from .scoring import soften
-from .students import SparseVector
+from .students import SparseVector, instance_logits
 
 PROB_FLOOR = 1e-12
 LOGIT_CLAMP = 30.0
@@ -121,8 +121,7 @@ def predict_probs(student, inst: McqaInstance, r: float) -> SoftLabel:
     """Student probabilities: softmax of the per-choice logits at temperature r."""
     if r <= 0:
         raise ValueError("student temperature must be > 0")
-    logits = [student.forward(inst.question, choice) for choice in inst.choices]
-    return soften(logits, r)
+    return soften(_logits(student, inst.question, inst.choices), r)
 
 
 def teacher_soft_label(inst: McqaInstance, r: float) -> SoftLabel:
@@ -174,13 +173,13 @@ def loss_kernel(
     return ce_loss(target, probs), (probs - target) / (n * temperature)
 
 
-def _forward_logits(student, question: str, choices: Sequence[str]) -> np.ndarray:
-    return np.array([student.forward(question, choice) for choice in choices], dtype=np.float64)
+def _logits(student, question: str, choices: Sequence[str]) -> np.ndarray:
+    return next(instance_logits(student, [(question, choices)]))
 
 
 def instance_loss(student, inst: McqaInstance, mode: str, r: float = 1.0) -> float:
     """Loss of one instance under a mode (binary mode averages its C pairs)."""
-    logits = _forward_logits(student, inst.question, inst.choices)
+    logits = _logits(student, inst.question, inst.choices)
     return loss_kernel(logits, *instance_target(inst, mode, r))[0]
 
 
@@ -201,7 +200,7 @@ def l_distill(student, inst: McqaInstance, r: float) -> float:
 
 def binary_bce_loss(student, question: str, choice: str, label: int) -> float:
     """Sigmoid cross-entropy on one (question, choice) pair, logit clamped to +-30."""
-    logits = _forward_logits(student, question, (choice,))
+    logits = _logits(student, question, (choice,))
     return loss_kernel(logits, np.array([float(label)]), None)[0]
 
 
@@ -219,21 +218,27 @@ class _CompiledInstance:
     temperature: Optional[float]
 
 
-def _compile(student, inst: McqaInstance, mode: str, r: float) -> _CompiledInstance:
-    target, temperature = instance_target(inst, mode, r)
-    features = tuple(student.logit_and_grad(inst.question, choice)[1] for choice in inst.choices)
-    return _CompiledInstance(features, target, temperature)
+def _compile(
+    student, instances: Sequence[McqaInstance], mode: str, r: float
+) -> List[_CompiledInstance]:
+    """Compiled instances in order; targets first, so a bad instance fails
+    as it would visit by visit, then features, read once through the
+    student's ``instance_features``."""
+    targets = [instance_target(inst, mode, r) for inst in instances]
+    features = student.instance_features((inst.question, inst.choices) for inst in instances)
+    return [_CompiledInstance(f, *target) for f, target in zip(features, targets)]
 
 
 def _loss_and_gradient(
-    params: np.ndarray, batch: Sequence[_CompiledInstance]
-) -> Tuple[float, np.ndarray]:
-    """Mean loss and mean gradient over a batch of compiled instances.
+    params: np.ndarray, batch: Sequence[_CompiledInstance], grad: np.ndarray
+) -> float:
+    """Mean loss over a batch of compiled instances; ``grad`` is overwritten
+    with the mean gradient.
 
     Each logit is the dot product of its feature values with the parameters
     they index, so the student is read through ``features`` alone.
     """
-    grad = np.zeros_like(params)
+    grad.fill(0.0)
     scale = 1.0 / len(batch)
     losses = []
     for item in batch:
@@ -245,7 +250,7 @@ def _loss_and_gradient(
             if coeff != 0.0 and idx.size:
                 np.add.at(grad, idx, scale * coeff * val)
         losses.append(loss)
-    return float(np.mean(losses)), grad
+    return float(np.mean(losses))
 
 
 def batch_loss(student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0) -> float:
@@ -260,8 +265,9 @@ def batch_loss_and_gradient(
     """Mean loss and mean parameter gradient over a batch."""
     if not batch:
         raise ValueError("batch must not be empty")
-    compiled = [_compile(student, inst, mode, r) for inst in batch]
-    return _loss_and_gradient(student.params, compiled)
+    grad = np.zeros_like(student.params)
+    loss = _loss_and_gradient(student.params, _compile(student, batch, mode, r), grad)
+    return loss, grad
 
 
 def gradient(student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0) -> np.ndarray:
@@ -286,14 +292,15 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     identical final parameters. Returns (student, TrainResult).
 
     The whole visit order is drawn first. Only the instances it visits are
-    compiled: their pair features are read once through ``logit_and_grad``
-    and their targets computed once. The optimizer then runs on the sorted
-    union of the coordinates those features touch, and the trained values are
-    written back into ``student.params`` at the end. That is exact: a
-    coordinate no visited pair touches has zero gradient at every step, so
-    Adam's m and v stay 0 and its update lr * 0 / (0 + eps) is 0; SGD's is
-    lr * 0. Every remaining float operation happens in the same order as a
-    dense update over all of ``student.params``.
+    compiled: their pair features are read once through
+    ``instance_features`` and their targets computed once. The optimizer
+    then runs on the sorted union of the coordinates those features touch,
+    and the trained values are written back into ``student.params`` at the
+    end. That is exact: a coordinate no visited pair touches has zero
+    gradient at every step, so Adam's m and v stay 0 and its update
+    lr * 0 / (0 + eps) is 0; SGD's is lr * 0. Every remaining float
+    operation happens in the same order as a dense update over all of
+    ``student.params``, written into buffers allocated once per call.
     """
     instances = list(dataset)
     if not instances:
@@ -303,12 +310,10 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
         len(instances), cfg.iterations * cfg.grad_accumulation * cfg.micro_batch, cfg.seed
     )
 
-    # Compiled in first-visit order, so a bad instance fails as it would in
-    # a visit-by-visit loop.
-    compiled = {
-        i: _compile(student, instances[i], cfg.loss_mode, cfg.distill_temperature_r)
-        for i in dict.fromkeys(schedule.tolist())
-    }
+    visited = list(dict.fromkeys(schedule.tolist()))
+    compiled = dict(zip(visited, _compile(
+        student, [instances[i] for i in visited], cfg.loss_mode, cfg.distill_temperature_r
+    )))
     active = np.unique(
         np.concatenate([idx for item in compiled.values() for idx, _ in item.features])
     )
@@ -318,8 +323,8 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
 
     params = student.params
     w = params[active]
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
+    m, v = np.zeros_like(w), np.zeros_like(w)
+    grad_sum, micro_grad, grad, scratch, denom = (np.empty_like(w) for _ in range(5))
     result = TrainResult(
         instance_visits=int(schedule.size),
         visited_instances=len(compiled),
@@ -327,22 +332,29 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     )
     steps = schedule.reshape(cfg.iterations, cfg.grad_accumulation, cfg.micro_batch)
     for step, micro_batches in enumerate(steps, start=1):
-        grad_sum = np.zeros_like(w)
+        grad_sum.fill(0.0)
         loss_sum = 0.0
         for visits in micro_batches:
-            loss, grad = _loss_and_gradient(w, [compiled[i] for i in visits.tolist()])
-            grad_sum += grad
-            loss_sum += loss
-        grad = grad_sum / cfg.grad_accumulation
+            loss_sum += _loss_and_gradient(w, [compiled[i] for i in visits.tolist()], micro_grad)
+            grad_sum += micro_grad
+        np.divide(grad_sum, cfg.grad_accumulation, out=grad)
         result.losses.append(loss_sum / cfg.grad_accumulation)
         if cfg.optimizer == "sgd":
-            w -= lr * grad
-        else:
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1**step)
-            v_hat = v / (1.0 - ADAM_BETA2**step)
-            w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            w -= np.multiply(lr, grad, out=scratch)
+            continue
+        # In place, operand for operand as m = b1*m + (1-b1)*g,
+        # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps).
+        np.multiply(ADAM_BETA1, m, out=m)
+        m += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
+        np.multiply(ADAM_BETA2, v, out=v)
+        np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
+        v += np.multiply(scratch, grad, out=scratch)
+        np.divide(v, 1.0 - ADAM_BETA2**step, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**step, out=scratch)
+        np.multiply(lr, scratch, out=scratch)
+        w -= np.divide(scratch, denom, out=scratch)
     params[active] = w
     return student, result
 

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from .students import instance_logits
 
 EMBED_DIM = 2**16
 
@@ -47,22 +49,23 @@ def _instances(corpus) -> tuple:
     return tuple(getattr(corpus, "instances", corpus))
 
 
+def _logits(student, instances) -> Iterator[np.ndarray]:
+    return instance_logits(student, ((inst.question, inst.choices) for inst in instances))
+
+
 def evaluate_accuracy(student, corpus) -> float:
     """Fraction of instances whose top student logit sits at the gold index.
 
     Ties break toward the lowest index, so a zero-weight student picks
-    choice 0 everywhere.
+    choice 0 everywhere. Logits are computed a featurizer chunk at a time.
     """
     instances = _instances(corpus)
     if not instances:
         raise EmptyCorpus("cannot evaluate an empty corpus")
-    hits = 0
-    for inst in instances:
-        logits = np.array(
-            [student.forward(inst.question, c) for c in inst.choices], dtype=np.float64
-        )
-        if int(np.argmax(logits)) == inst.answer_index:
-            hits += 1
+    hits = sum(
+        int(np.argmax(logits)) == inst.answer_index
+        for inst, logits in zip(instances, _logits(student, instances))
+    )
     return hits / len(instances)
 
 
@@ -75,12 +78,7 @@ def binary_threshold(student, corpus) -> float:
     instances = _instances(corpus)
     if not instances:
         raise EmptyCorpus("cannot compute a threshold over an empty corpus")
-    logits = [
-        student.forward(inst.question, choice)
-        for inst in instances
-        for choice in inst.choices
-    ]
-    return float(np.mean(logits))
+    return float(np.mean(np.concatenate(list(_logits(student, instances)))))
 
 
 def explode_binary_pairs(corpus) -> List[Tuple[str, str, int]]:
@@ -102,8 +100,9 @@ def evaluate_binary_f1(
     if not labeled_pairs:
         raise EmptyCorpus("no labeled pairs to evaluate")
     tp = fp = fn = 0
-    for question, choice, label in labeled_pairs:
-        predicted = int(student.forward(question, choice) > threshold)
+    pair_logits = instance_logits(student, ((q, (c,)) for q, c, _ in labeled_pairs))
+    for (_, _, label), logits in zip(labeled_pairs, pair_logits):
+        predicted = int(logits[0] > threshold)
         if predicted and label:
             tp += 1
         elif predicted and not label:

@@ -342,8 +342,9 @@ def dense_reference_train(student, instances, cfg):
     """The dense trainer ``train`` replaced, kept as its oracle.
 
     Visit by visit it draws the next instance, reads every pair through
-    ``logit_and_grad``, adds the kernel's gradient into a full-size vector
-    and updates every parameter. Returns the per-step losses.
+    ``forward`` and ``features``, adds the kernel's gradient into a
+    full-size vector and updates every parameter. Returns the per-step
+    losses.
     """
     lr = cfg.resolve_learning_rate(student)
     rng = np.random.default_rng(cfg.seed)
@@ -358,7 +359,10 @@ def dense_reference_train(student, instances, cfg):
                 if not order:
                     order = list(rng.permutation(len(instances)))[::-1]
                 inst = instances[order.pop()]
-                pairs = [student.logit_and_grad(inst.question, c) for c in inst.choices]
+                pairs = [
+                    (student.forward(inst.question, c), student.features(inst.question, c))
+                    for c in inst.choices
+                ]
                 target = instance_target(inst, cfg.loss_mode, cfg.distill_temperature_r)
                 loss, dlogits = loss_kernel(np.array([z for z, _ in pairs]), *target)
                 for coeff, (_, (idx, val)) in zip(dlogits, pairs):

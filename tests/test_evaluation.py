@@ -1,9 +1,12 @@
 """Accuracy, binary heuristic with F1, multi-seed aggregation, similarity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mcqa_distill.datasets import Corpus, CorpusMeta
+from mcqa_distill.distillation import TrainConfig, train
 from mcqa_distill.evaluation import (
     EmptyCorpus,
     EvalResult,
@@ -18,7 +21,8 @@ from mcqa_distill.evaluation import (
     write_metric_csv,
     write_summary_csv,
 )
-from mcqa_distill.students import ToyStudent
+from mcqa_distill.students import FEATURIZE_CHUNK, ToyStudent
+from mcqa_distill.synthetic import build_separable_corpus
 
 from conftest import FixedLogitStudent, make_instance
 
@@ -72,6 +76,52 @@ class TestEvaluateAccuracy:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             evaluate_accuracy(ToyStudent(n_features=16), corpus_of())
+
+
+def distinct_instances(count, seed=0):
+    """Instances sharing no question and no choice, 17-word questions."""
+    rng = np.random.default_rng(seed)
+    words = lambda k: " ".join(f"v{n}" for n in rng.integers(0, 1 << 20, size=k))
+    return [
+        make_instance(f"d{k}", question=words(17), choices=[words(3) for _ in range(4)],
+                      answer_index=k % 4)
+        for k in range(count)
+    ]
+
+
+class TestEvaluateStreams:
+    def test_trained_student_accuracy_equals_pair_by_pair_argmax(self):
+        student, _ = train(
+            ToyStudent(n_features=2**12),
+            build_separable_corpus(64, seed=1).instances,
+            TrainConfig(iterations=3, micro_batch=2, grad_accumulation=1, seed=2),
+        )
+        corpus = build_separable_corpus(3 * FEATURIZE_CHUNK + 7, num_choices=5, seed=9)
+        hits = sum(
+            int(np.argmax([student.forward(inst.question, c) for c in inst.choices]))
+            == inst.answer_index
+            for inst in corpus.instances
+        )
+        accuracy = evaluate_accuracy(student, corpus)
+        assert accuracy == hits / len(corpus)
+        assert 0.0 < accuracy < 1.0
+
+    def test_peak_memory_does_not_grow_with_corpus_length(self):
+        student = ToyStudent(n_features=2**12)
+        instances = distinct_instances(8 * FEATURIZE_CHUNK)
+
+        def peak(corpus):
+            tracemalloc.start()
+            try:
+                evaluate_accuracy(student, corpus)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = corpus_of(*instances[:FEATURIZE_CHUNK])
+        eight_chunks = corpus_of(*instances)
+        evaluate_accuracy(student, one_chunk)  # warm lazy imports and caches
+        assert peak(eight_chunks) <= 1.5 * peak(one_chunk)
 
 
 class TestBinaryThreshold:

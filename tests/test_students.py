@@ -1,9 +1,112 @@
 """Hashed-feature reference student."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from mcqa_distill.students import ToyStudent, hashed_pair_features
+from mcqa_distill.students import (
+    FEATURIZE_CHUNK,
+    PAIR_SEPARATOR,
+    ToyStudent,
+    hashed_pair_features,
+    instance_logits,
+)
+
+
+def reference_pair_features(pair, n_features, hash_seed):
+    """The per-pair hashing the instance featurizer replaced, kept as its oracle."""
+    tokens = pair.lower().split()
+    terms = list(tokens)
+    terms.extend(a + "\x1e" + b for a, b in zip(tokens, tokens[1:]))
+    counts = {}
+    for term in terms:
+        idx = zlib.crc32(term.encode("utf-8"), hash_seed) % n_features
+        counts[idx] = counts.get(idx, 0.0) + 1.0
+    if not counts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    val = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    val /= np.sqrt(np.sum(val * val))
+    return idx, val
+
+
+def assert_matches_reference(student, items):
+    features = list(student.instance_features(items))
+    assert len(features) == len(items)
+    for (question, choices), per_choice in zip(items, features):
+        assert len(per_choice) == len(choices)
+        for choice, (idx, val) in zip(choices, per_choice):
+            pair = question + PAIR_SEPARATOR + choice
+            ref_idx, ref_val = reference_pair_features(
+                pair, student.n_features, student.hash_seed
+            )
+            one_idx, one_val = hashed_pair_features(pair, student.n_features, student.hash_seed)
+            for got_idx, got_val in ((idx, val), (one_idx, one_val)):
+                assert got_idx.dtype == np.int64 and got_val.dtype == np.float64
+                assert got_idx.tobytes() == ref_idx.tobytes(), (question, choice)
+                assert got_val.tobytes() == ref_val.tobytes(), (question, choice)
+
+
+def word_items(count, seed):
+    """``count`` (question, choices) items with 1 to 6 choices over a small vocabulary."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{k}" for k in range(30)] + ["ΟΔΟΣ", "Σ", "x\xa0y"]
+
+    def text(words):
+        return " ".join(rng.choice(vocab, size=words))
+
+    return [
+        (text(int(rng.integers(0, 9))),
+         tuple(text(int(rng.integers(0, 4))) for _ in range(int(rng.integers(1, 7)))))
+        for _ in range(count)
+    ]
+
+
+EDGE_ITEMS = {
+    "empty_question": [("", ("copper", "iron wire"))],
+    "empty_choice": [("which metal?", ("", "iron"))],
+    "both_empty": [("", ("",))],
+    "unicode_whitespace": [
+        ("a\xa0b\u2003c\x1cd\x1de\x1ef\x1fg\x85h", ("x\u2003y", "\x85z\xa0", "\x1c"))
+    ],
+    "final_sigma_at_boundary": [("ΠΟΥ ΕΙΝΑΙ Ο ΔΡΟΜΟΣ ΟΔΟΣ", ("ΟΔΟΣ ΑΣ", "Σ", "ΑΣ'"))],
+    "separator_in_question": [("left \ue000 right\ue000", ("\ue000", "x \ue000"))],
+    "repeated_words": [("the the the cat the the", ("the the", "cat cat cat the"))],
+    "one_choice": [("only one choice here", ("alone",))],
+    "six_choices": [("pick one", tuple(f"choice {k} of six" for k in range(6)))],
+}
+
+
+class TestInstanceFeaturizer:
+    @pytest.mark.parametrize("name", sorted(EDGE_ITEMS))
+    @pytest.mark.parametrize("n_features", [16, 2**18])
+    def test_edge_cases_match_per_pair_hashing_byte_for_byte(self, name, n_features):
+        assert_matches_reference(ToyStudent(n_features=n_features), EDGE_ITEMS[name])
+
+    @pytest.mark.parametrize("count", [FEATURIZE_CHUNK - 1, FEATURIZE_CHUNK, FEATURIZE_CHUNK + 1])
+    @pytest.mark.parametrize("n_features", [16, 2**12])
+    def test_corpora_around_the_chunk_size_match(self, count, n_features):
+        # 16 features forces collisions, so counts above 1 and merged terms occur.
+        edge = [item for items in EDGE_ITEMS.values() for item in items]
+        items = word_items(count, seed=count) + edge
+        assert_matches_reference(ToyStudent(n_features=n_features, hash_seed=3), items)
+
+    def test_instance_logits_equal_forward_for_every_student(self):
+        items = word_items(FEATURIZE_CHUNK + 5, seed=1)
+        student = ToyStudent(n_features=2**10)
+        student.weights[:] = np.random.default_rng(4).normal(size=student.n_features)
+
+        class ForwardOnly:
+            forward = staticmethod(student.forward)
+
+        for scorer in (student, ForwardOnly()):
+            logits = list(instance_logits(scorer, iter(items)))
+            assert len(logits) == len(items)
+            for (question, choices), row in zip(items, logits):
+                expected = np.array([student.forward(question, c) for c in choices])
+                assert row.dtype == np.float64
+                assert row.tobytes() == expected.tobytes()
 
 
 class TestFeatures:
@@ -79,14 +182,6 @@ class TestForward:
         alone = student.forward("the question", "candidate one")
         again = student.forward("the question", "candidate one")
         assert alone == again
-
-    def test_logit_and_grad_consistent_with_forward(self):
-        student = ToyStudent(n_features=2**12)
-        rng = np.random.default_rng(2)
-        student.weights[:] = rng.normal(size=student.n_features)
-        logit, (idx, val) = student.logit_and_grad("q?", "c")
-        assert logit == pytest.approx(student.forward("q?", "c"))
-        assert idx.size == val.size
 
 
 class TestSerialization:
