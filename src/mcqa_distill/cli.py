@@ -30,8 +30,6 @@ from .core import FewShotSet, write_json
 from .datasets import (
     Corpus,
     CorpusMeta,
-    MalformedLine,
-    SchemaError,
     compute_stats,
     cumulative_subsets,
     filter_by_tokens,
@@ -41,12 +39,11 @@ from .datasets import (
     write_jsonl,
     IMPORT_FORMATS,
 )
-from .distillation import TrainConfig, train, write_loss_trace
-from .evaluation import EmptyCorpus, HashedTfEmbedder, evaluate_accuracy, similarity_stats
 from .gateway import BackendConfig, GatewayError, HttpBackend, MockBackend, load_script
 from .generation import GenerationConfig, GenerationReport, generate
-from .scoring import ScoringConfig, score_instances
-from .students import ToyStudent
+
+# scoring, students, distillation and evaluation load numpy: each command
+# imports them itself, so a command starts up with only the layers it runs.
 
 
 def fatal_errors(fn):
@@ -58,7 +55,7 @@ def fatal_errors(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except (GatewayError, MalformedLine, SchemaError, EmptyCorpus, OSError, ValueError) as exc:
+        except (GatewayError, OSError, ValueError) as exc:
             click.echo(f"mcqa {fn.__name__}: {exc}", err=True)
             sys.exit(2)
 
@@ -208,6 +205,8 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
 @fatal_errors
 def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, model_name):
     """Attach teacher scores to every instance of a corpus."""
+    from .scoring import ScoringConfig, score_instances
+
     cfg = effective_config(
         config_path,
         {
@@ -263,6 +262,9 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
 @fatal_errors
 def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, lr, distill_r, seed):
     """Train the reference student on a corpus; writes model + loss trace CSV."""
+    from .distillation import TrainConfig, train, write_loss_trace
+    from .students import ToyStudent
+
     cfg = effective_config(
         config_path,
         {
@@ -335,6 +337,9 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
 @fatal_errors
 def eval_cmd(config_path, in_path, model, out):
     """Evaluate a trained model's accuracy on a corpus."""
+    from .evaluation import evaluate_accuracy
+    from .students import ToyStudent
+
     cfg = effective_config(config_path, {})
     corpus = read_jsonl(in_path)
     if not len(corpus):
@@ -374,6 +379,13 @@ def stats(config_path, in_path, out, report_path, max_tokens):
     if report_path:
         with open(report_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict) or not all(
+            isinstance(payload.get(key), int) for key in ("attempted", "parsed")
+        ):
+            raise ValueError(
+                f"{report_path} is not a generation report: "
+                "expected a JSON object with integer 'attempted' and 'parsed'"
+            )
         report = GenerationReport(
             attempted=payload["attempted"],
             parsed=payload["parsed"],
@@ -448,6 +460,8 @@ def subset(config_path, in_path, sizes, seed, out_dir):
 @fatal_errors
 def similarity(config_path, generated, reference, out):
     """Embedding similarity of generated questions against a reference corpus."""
+    from .evaluation import HashedTfEmbedder, similarity_stats
+
     cfg = effective_config(config_path, {})
     generated_corpus = read_jsonl(generated)
     reference_corpus = read_jsonl(reference)

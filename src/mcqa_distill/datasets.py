@@ -15,9 +15,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .core import (
     McqaInstance,
@@ -26,7 +24,9 @@ from .core import (
     validate_instance,
     validate_parts,
 )
-from .generation import GenerationReport
+
+if TYPE_CHECKING:
+    from .generation import GenerationReport
 
 IMPORT_FORMATS = ("arc_csv", "mmlu_csv", "generic_json")
 
@@ -234,6 +234,8 @@ def compute_stats(
     report: Optional[GenerationReport] = None,
 ) -> CorpusStats:
     """Token-length mean and population std over question + all choices."""
+    import numpy as np
+
     lengths = [
         counter(inst.question + " " + " ".join(inst.choices)) for inst in corpus.instances
     ]

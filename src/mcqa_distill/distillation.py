@@ -22,6 +22,7 @@ rescales gradients but not the argmin; pass ``average_over_choices=False`` to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -68,6 +69,10 @@ class TrainConfig:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if self.distill_temperature_r < 0:
             raise ValueError("distillation temperature must be >= 0")
+        if self.learning_rate is not None and not (
+            math.isfinite(self.learning_rate) and self.learning_rate > 0
+        ):
+            raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
 
     def resolve_learning_rate(self, student) -> float:
         if self.learning_rate is not None:

@@ -22,9 +22,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
-import requests
-from requests.adapters import HTTPAdapter
-
 from .core import ChatMessage, write_json
 
 API_KEY_ENV = "MCQA_API_KEY"
@@ -180,6 +177,14 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig, session=None, sleep=time.sleep):
+        # Imported here so that commands which never talk HTTP do not load
+        # requests, and not in ``complete``, whose first call may run on an
+        # ``in_order`` worker thread.
+        import requests
+        from requests.adapters import HTTPAdapter
+
+        self._timeout_error = requests.Timeout
+        self._request_error = requests.RequestException
         self.config = config
         if session is None:
             # requests keeps 10 connections per host unless told otherwise.
@@ -226,9 +231,9 @@ class HttpBackend:
                         headers=self._headers(),
                         timeout=self.config.request_timeout,
                     )
-                except requests.Timeout as exc:
+                except self._timeout_error as exc:
                     response, last_error = None, RequestTimeout(str(exc))
-                except requests.RequestException as exc:
+                except self._request_error as exc:
                     response, last_error = None, TransportError(str(exc))
             delay = 0.25 * 2**attempt
             if response is None:

@@ -26,15 +26,19 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = str(REPO / "src")
 
 
-def run_cli(*args, expect=0):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["SOURCE_DATE_EPOCH"] = "1700000000"
+    return env
+
+
+def run_cli(*args, expect=0):
     proc = subprocess.run(
         [sys.executable, "-m", "mcqa_distill", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
     )
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
@@ -280,6 +284,12 @@ class TestTrainEvalCommands:
         assert 0.0 <= payload["value"] <= 1.0
         assert "accuracy" in proc.stdout
 
+    def test_negative_learning_rate_exits_2(self, workspace, scored_corpus):
+        proc = run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
+                       "--out", workspace["dir"] / "m.bin", "--lr", "-0.5", expect=2)
+        assert "learning_rate must be finite and > 0: -0.5" in proc.stderr
+        assert not (workspace["dir"] / "m.bin").exists()
+
     def test_eval_empty_corpus_exits_2(self, workspace, scored_corpus, tmp_path):
         model = workspace["dir"] / "model.bin"
         run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
@@ -318,6 +328,20 @@ class TestDataCommands:
         assert payload["parse_success_rate"] == 1.0
         assert payload["token_len_mean"] > 0
 
+    @pytest.mark.parametrize(
+        "report",
+        [{"parsed": 3}, [16, 16], {"attempted": "16", "parsed": 16}],
+        ids=["missing-attempted", "json-array", "text-count"],
+    )
+    def test_stats_malformed_report_exits_2(self, workspace, corpus_path, report):
+        report_path = workspace["dir"] / "bad.report.json"
+        report_path.write_text(json.dumps(report))
+        proc = run_cli("stats", "--in", corpus_path, "--out", workspace["dir"] / "s.json",
+                       "--report", report_path, expect=2)
+        assert proc.stderr.startswith("mcqa stats: ")
+        assert "is not a generation report" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_similarity(self, workspace, corpus_path):
         out = workspace["dir"] / "similarity.json"
         proc = run_cli("similarity", "--generated", corpus_path,
@@ -353,6 +377,97 @@ class TestDataCommands:
                        "--in", corpus_path, "--out", workspace["dir"] / "s.jsonl",
                        expect=2)
         assert "unknown config key [scoring] distill_temperature_r" in proc.stderr
+
+
+# Each command imports only the layers it runs: a fresh interpreter runs the
+# command in process, then reports which top-level packages it loaded.
+LOADED_AFTER = """
+import json, sys
+from mcqa_distill import cli
+code = None
+if sys.argv[1:]:
+    try:
+        cli.main(args=sys.argv[1:], prog_name="mcqa")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"exit": code, "loaded": sorted({m.split(".")[0] for m in sys.modules})}))
+"""
+
+
+def loaded_after(*args, expect=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == expect, proc.stdout + proc.stderr
+    return set(result["loaded"])
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize(
+        "args, expect", [((), None), (("--version",), 0), (("train", "--help"), 0)],
+        ids=["import", "version", "train-help"],
+    )
+    def test_start_up_loads_neither_requests_nor_numpy(self, args, expect):
+        loaded = loaded_after(*args, expect=expect)
+        assert "click" in loaded
+        assert not {"requests", "numpy"} & loaded
+
+    def test_mock_generate_loads_neither_requests_nor_numpy(self, workspace):
+        loaded = loaded_after("generate", "--config", workspace["config"],
+                              "--fewshot", workspace["fewshot"],
+                              "--out", workspace["dir"] / "corpus.jsonl", expect=0)
+        assert not {"requests", "numpy"} & loaded
+
+    def test_mock_score_train_eval_do_not_load_requests(self, workspace):
+        d = workspace["dir"]
+        run_cli("generate", "--config", workspace["config"],
+                "--fewshot", workspace["fewshot"], "--out", d / "corpus.jsonl")
+        commands = [
+            ("score", "--config", workspace["config"], "--fewshot", workspace["fewshot"],
+             "--in", d / "corpus.jsonl", "--out", d / "scored.jsonl"),
+            ("train", "--config", workspace["config"], "--in", d / "scored.jsonl",
+             "--out", d / "model.bin", "--iterations", 5),
+            ("eval", "--config", workspace["config"], "--in", d / "scored.jsonl",
+             "--model", d / "model.bin", "--out", d / "eval.json"),
+        ]
+        for args in commands:
+            loaded = loaded_after(*args, expect=0)
+            assert "numpy" in loaded, args[0]
+            assert "requests" not in loaded, args[0]
+
+    def test_http_backend_loads_requests_and_maps_its_timeout(self):
+        program = """
+import sys
+from mcqa_distill.core import ChatMessage
+from mcqa_distill.gateway import (
+    BackendConfig, CompletionRequest, HttpBackend, RequestTimeout,
+)
+assert "requests" not in sys.modules
+
+
+class TimingOut:
+    def post(self, *args, **kwargs):
+        import requests
+        raise requests.Timeout("slow")
+
+
+backend = HttpBackend(BackendConfig(retry_limit=0), session=TimingOut())
+assert "requests" in sys.modules
+req = CompletionRequest((ChatMessage("user", "hi"),), 0.0, 1)
+try:
+    backend.complete(req)
+except RequestTimeout:
+    print("RequestTimeout")
+"""
+        proc = subprocess.run([sys.executable, "-c", program],
+                              capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "RequestTimeout"
 
 
 def test_mock_pipeline_script_runs(tmp_path):

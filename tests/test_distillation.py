@@ -325,6 +325,11 @@ class TestTrain:
         ) == 1e-3
         assert TrainConfig().resolve_learning_rate(object()) == 1e-5
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
     def test_trace_csv(self, tmp_path):
         corpus = build_separable_corpus(8, seed=8)
         _, result = train(
