@@ -22,8 +22,8 @@ from .config import (
     config_digest,
     effective_config,
     now_iso,
+    stage_config,
     stage_duration,
-    templates_from_config,
     write_manifest,
 )
 from .core import FewShotSet, write_json
@@ -40,7 +40,7 @@ from .datasets import (
     IMPORT_FORMATS,
 )
 from .gateway import BackendConfig, GatewayError, HttpBackend, MockBackend, load_script
-from .generation import GenerationConfig, GenerationReport, generate
+from .generation import GenerationReport, generate
 
 # scoring, students, distillation and evaluation load numpy: each command
 # imports them itself, so a command starts up with only the layers it runs.
@@ -56,30 +56,19 @@ def fatal_errors(fn):
         except click.ClickException:
             raise
         except (GatewayError, OSError, ValueError) as exc:
-            click.echo(f"mcqa {fn.__name__}: {exc}", err=True)
+            command = click.get_current_context().info_name
+            click.echo(f"mcqa {command}: {exc}", err=True)
             sys.exit(2)
 
     return wrapper
 
 
-def _build_backend(backend_cfg: dict):
-    kind = backend_cfg["kind"]
-    if kind == "mock":
-        script_path = backend_cfg["script"]
-        if not script_path:
-            raise ValueError("mock backend needs [backend] script = <path>")
-        return MockBackend(load_script(script_path))
-    if kind == "http":
-        return HttpBackend(
-            BackendConfig(
-                base_url=backend_cfg["base_url"],
-                model_name=backend_cfg["model_name"],
-                request_timeout=backend_cfg["request_timeout"],
-                max_parallel_requests=backend_cfg["max_parallel_requests"],
-                retry_limit=backend_cfg["retry_limit"],
-            )
-        )
-    raise ValueError(f"unknown backend kind {kind!r}")
+def _build_backend(config: BackendConfig):
+    if config.kind == "http":
+        return HttpBackend(config)
+    if not config.script:
+        raise ValueError("mock backend needs [backend] script = <path>")
+    return MockBackend(load_script(config.script))
 
 
 def _request_width(backend) -> int:
@@ -154,19 +143,10 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
         },
     )
     digest = config_digest(cfg)
-    gen = cfg["generation"]
-    gen_cfg = GenerationConfig(
-        strategy=gen["strategy"],
-        temperature=gen["temperature"],
-        negatives_n=gen["negatives_n"],
-        target_count=gen["target_count"],
-        seed=gen["seed"],
-        max_attempts=gen["max_attempts"] or None,
-        shuffle_choices=gen["shuffle_choices"],
-    )
+    gen_cfg = stage_config(cfg, "generation")
     fs = _load_fewshot(fewshot, topic)
-    backend = _build_backend(cfg["backend"])
-    templates = templates_from_config(cfg)
+    backend = _build_backend(stage_config(cfg, "backend"))
+    templates = stage_config(cfg, "templates")
 
     started = time.perf_counter()
     instances, report = generate(
@@ -205,7 +185,7 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
 @fatal_errors
 def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, model_name):
     """Attach teacher scores to every instance of a corpus."""
-    from .scoring import ScoringConfig, score_instances
+    from .scoring import score_instances
 
     cfg = effective_config(
         config_path,
@@ -215,12 +195,9 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
         },
     )
     digest = config_digest(cfg)
-    scoring_cfg = ScoringConfig(
-        prompt_token_limit=cfg["scoring"]["prompt_token_limit"],
-        fallback=cfg["scoring"]["fallback"],
-    )
+    scoring_cfg = stage_config(cfg, "scoring")
     fs = _load_fewshot(fewshot)
-    backend = _build_backend(cfg["backend"])
+    backend = _build_backend(stage_config(cfg, "backend"))
     corpus = read_jsonl(in_path)
 
     started = time.perf_counter()
@@ -262,7 +239,7 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
 @fatal_errors
 def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, lr, distill_r, seed):
     """Train the reference student on a corpus; writes model + loss trace CSV."""
-    from .distillation import TrainConfig, train, write_loss_trace
+    from .distillation import train, write_loss_trace
     from .students import ToyStudent
 
     cfg = effective_config(
@@ -281,26 +258,17 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
     )
     digest = config_digest(cfg)
     tr = cfg["training"]
+    train_cfg = stage_config(cfg, "training")
     corpus = read_jsonl(in_path)
     if not len(corpus):
         raise click.UsageError(f"training corpus is empty: {in_path}")
-    if tr["loss_mode"] == "distill":
+    if train_cfg.loss_mode == "distill":
         missing = sum(1 for inst in corpus if inst.teacher_scores is None)
         if missing:
             raise click.UsageError(
                 f"distill loss needs teacher scores on every instance; {missing} missing"
             )
     student = ToyStudent(n_features=tr["n_features"], hash_seed=tr["hash_seed"])
-    train_cfg = TrainConfig(
-        iterations=tr["iterations"],
-        micro_batch=tr["micro_batch"],
-        grad_accumulation=tr["grad_accumulation"],
-        learning_rate=tr["learning_rate"] or None,
-        optimizer=tr["optimizer"],
-        loss_mode=tr["loss_mode"],
-        distill_temperature_r=tr["distill_temperature_r"],
-        seed=tr["seed"],
-    )
 
     started = time.perf_counter()
     _, result = train(student, corpus.instances, train_cfg)
@@ -373,7 +341,7 @@ def eval_cmd(config_path, in_path, model, out):
 @fatal_errors
 def stats(config_path, in_path, out, report_path, max_tokens):
     """Corpus statistics: count, token length mean/std, parse success rate."""
-    cfg = effective_config(config_path, {"datasets": {"max_tokens": max_tokens}})
+    cfg = effective_config(config_path, {})
     corpus = read_jsonl(in_path)
     report = None
     if report_path:
@@ -397,7 +365,7 @@ def stats(config_path, in_path, out, report_path, max_tokens):
     payload = result.to_dict()
     if max_tokens is not None:
         payload["kept_at_max_tokens"] = len(
-            filter_by_tokens(corpus, simple_token_count, cfg["datasets"]["max_tokens"])
+            filter_by_tokens(corpus, simple_token_count, max_tokens)
         )
     elapsed = time.perf_counter() - started
 

@@ -1,11 +1,17 @@
 """Flat key/value configuration with one section per pipeline stage.
 
-Built-in defaults reproduce the reference experiment configuration (teacher
-temperature 2, five negatives, 1024 instances, 500 iterations at batch 4 with
-2-step accumulation), a config file overrides defaults, and command-line
-flags override the file. The fully resolved mapping is digested and stored in
-every run manifest so any manifest's digest can be recomputed from the config
-it embeds.
+Each section's keys are the fields of its stage dataclass, and each default
+is written once, on that field; ``[training]`` also carries the student's
+``n_features`` and ``hash_seed``. The defaults reproduce the reference
+experiment configuration (teacher temperature 2, five negatives, 1024
+instances, 500 iterations at batch 4 with 2-step accumulation), a config
+file overrides defaults, and command-line flags override the file. The fully
+resolved mapping is digested and stored in every run manifest so any
+manifest's digest can be recomputed from the config it embeds.
+
+``ScoringConfig`` and ``TrainConfig`` live here rather than in the numpy-backed
+``scoring`` and ``distillation`` modules, which import them from here, so
+resolving a config loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,73 +20,100 @@ import configparser
 import copy
 import hashlib
 import json
+import math
 import os
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Dict, Optional
 
 from .core import write_json
-from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet
+from .gateway import BackendConfig
+from .generation import GenerationConfig
+from .prompts import PromptTemplateSet
 
-TEMPLATE_KEYS = (
-    "json_system",
-    "decompose_question_system",
-    "decompose_positive_system",
-    "decompose_negative_system",
-    "paraphrase_system",
-    "topic_instruction_pattern",
-)
+DEFAULT_FEATURES = 2**18
+DEFAULT_HASH_SEED = 0
 
-# Sentinels: max_attempts 0 means 20x the target count; learning_rate 0 means
-# the student's recommended rate.
+ENCODER_PARITY_LR = 1e-5
+LOSS_MODES = ("generate", "distill", "binary_bce")
+
+
+@dataclass(frozen=True)
+class ScoringConfig:
+    prompt_token_limit: int = 1024
+    fallback: str = "one_hot"
+
+    def __post_init__(self):
+        if self.prompt_token_limit <= 0:
+            raise ValueError("prompt_token_limit must be positive")
+        if self.fallback not in ("one_hot", "skip"):
+            raise ValueError(f"unknown fallback {self.fallback!r}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    iterations: int = 500
+    micro_batch: int = 4
+    grad_accumulation: int = 2
+    # 0 resolves to the student's recommended rate, falling back to the
+    # encoder-parity value 1e-5.
+    learning_rate: float = 0.0
+    optimizer: str = "adam"
+    loss_mode: str = "generate"
+    distill_temperature_r: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.iterations < 1 or self.micro_batch < 1 or self.grad_accumulation < 1:
+            raise ValueError("iterations, micro_batch and grad_accumulation must be >= 1")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.loss_mode not in LOSS_MODES:
+            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+        if self.distill_temperature_r < 0:
+            raise ValueError("distillation temperature must be >= 0")
+        if self.learning_rate != 0 and not (
+            math.isfinite(self.learning_rate) and self.learning_rate > 0
+        ):
+            raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
+
+    def resolve_learning_rate(self, student) -> float:
+        if self.learning_rate:
+            return self.learning_rate
+        return getattr(student, "recommended_learning_rate", ENCODER_PARITY_LR)
+
+
+SECTIONS = {
+    "backend": BackendConfig,
+    "generation": GenerationConfig,
+    "scoring": ScoringConfig,
+    "training": TrainConfig,
+    "templates": PromptTemplateSet,
+}
+
 DEFAULTS: Dict[str, dict] = {
-    "backend": {
-        "kind": "mock",
-        "script": "",
-        "base_url": "http://localhost:8000",
-        "model_name": "default",
-        "request_timeout": 120.0,
-        "max_parallel_requests": 4,
-        "retry_limit": 2,
-    },
-    "generation": {
-        "strategy": "json",
-        "temperature": 2.0,
-        "negatives_n": 5,
-        "target_count": 1024,
-        "seed": 0,
-        "max_attempts": 0,
-        "shuffle_choices": False,
-    },
-    "scoring": {
-        "prompt_token_limit": 1024,
-        "fallback": "one_hot",
-    },
-    "training": {
-        "iterations": 500,
-        "micro_batch": 4,
-        "grad_accumulation": 2,
-        "learning_rate": 0.0,
-        "optimizer": "adam",
-        "loss_mode": "generate",
-        "distill_temperature_r": 1.0,
-        "seed": 0,
-        "n_features": 2**18,
-        "hash_seed": 0,
-    },
-    "datasets": {
-        "max_tokens": 320,
-    },
-    "templates": {key: getattr(DEFAULT_TEMPLATES, key) for key in TEMPLATE_KEYS},
+    section: {f.name: f.default for f in fields(cls)} for section, cls in SECTIONS.items()
+}
+DEFAULTS["training"].update(n_features=DEFAULT_FEATURES, hash_seed=DEFAULT_HASH_SEED)
+
+
+_KINDS = {
+    bool: "a boolean (1/yes/true/on or 0/no/false/off)",
+    int: "an integer",
+    float: "a number",
 }
 
 
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+def _coerce(section: str, key: str, raw: str, default):
+    try:
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"[{section}] {key} must be {_KINDS[type(default)]}, got {raw!r}"
+        ) from None
     return raw
 
 
@@ -106,7 +139,7 @@ def effective_config(
             for key, raw in entries.items():
                 if key not in effective[section]:
                     raise ValueError(f"unknown config key [{section}] {key}")
-                effective[section][key] = _coerce(raw, DEFAULTS[section][key])
+                effective[section][key] = _coerce(section, key, raw, DEFAULTS[section][key])
     for section, entries in (overrides or {}).items():
         for key, value in entries.items():
             if value is None:
@@ -122,8 +155,10 @@ def config_digest(effective: Dict[str, dict]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def templates_from_config(effective: Dict[str, dict]) -> PromptTemplateSet:
-    return PromptTemplateSet(**{key: effective["templates"][key] for key in TEMPLATE_KEYS})
+def stage_config(effective: Dict[str, dict], section: str):
+    """The stage dataclass of ``section``, built from its resolved keys."""
+    cls = SECTIONS[section]
+    return cls(**{f.name: effective[section][f.name] for f in fields(cls)})
 
 
 def fixed_epoch() -> Optional[int]:

@@ -22,62 +22,26 @@ rescales gradients but not the argmin; pass ``average_over_choices=False`` to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import TrainConfig
 from .core import McqaInstance, SoftLabel, atomic_write
 from .scoring import soften
 from .students import SparseVector, instance_logits
 
 PROB_FLOOR = 1e-12
 LOGIT_CLAMP = 30.0
-ENCODER_PARITY_LR = 1e-5
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-LOSS_MODES = ("generate", "distill", "binary_bce")
-
 
 class MissingTeacherScores(ValueError):
     """Distillation needs teacher_scores on every instance."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    iterations: int = 500
-    micro_batch: int = 4
-    grad_accumulation: int = 2
-    # None resolves to the student's recommended rate, falling back to the
-    # encoder-parity value 1e-5.
-    learning_rate: Optional[float] = None
-    optimizer: str = "adam"
-    loss_mode: str = "generate"
-    distill_temperature_r: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iterations < 1 or self.micro_batch < 1 or self.grad_accumulation < 1:
-            raise ValueError("iterations, micro_batch and grad_accumulation must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if self.distill_temperature_r < 0:
-            raise ValueError("distillation temperature must be >= 0")
-        if self.learning_rate is not None and not (
-            math.isfinite(self.learning_rate) and self.learning_rate > 0
-        ):
-            raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
-
-    def resolve_learning_rate(self, student) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return getattr(student, "recommended_learning_rate", ENCODER_PARITY_LR)
 
 
 @dataclass

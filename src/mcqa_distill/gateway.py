@@ -83,6 +83,8 @@ class CompletionResult:
 
 @dataclass(frozen=True)
 class BackendConfig:
+    kind: str = "mock"
+    script: str = ""
     base_url: str = "http://localhost:8000"
     model_name: str = "default"
     request_timeout: float = 120.0
@@ -90,6 +92,8 @@ class BackendConfig:
     retry_limit: int = 2
 
     def __post_init__(self):
+        if self.kind not in ("mock", "http"):
+            raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.max_parallel_requests < 1:
             raise ValueError("max_parallel_requests must be >= 1")
         if self.retry_limit < 0:

@@ -61,7 +61,8 @@ class GenerationConfig:
     negatives_n: int = 5
     target_count: int = 1024
     seed: int = 0
-    max_attempts: Optional[int] = None
+    # 0 means 20x target_count.
+    max_attempts: int = 0
     shuffle_choices: bool = False
 
     def __post_init__(self):
@@ -73,10 +74,12 @@ class GenerationConfig:
             raise ValueError("negatives_n must be >= 1")
         if self.target_count < 1:
             raise ValueError("target_count must be >= 1")
+        if self.max_attempts < 0:
+            raise ValueError(f"max_attempts must be >= 0: {self.max_attempts}")
 
     @property
     def attempt_budget(self) -> int:
-        return self.max_attempts if self.max_attempts is not None else 20 * self.target_count
+        return self.max_attempts or 20 * self.target_count
 
 
 @dataclass

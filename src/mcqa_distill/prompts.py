@@ -10,7 +10,7 @@ section) when targeting a new domain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Sequence
 
 from .core import ChatMessage, FewShotSet, McqaInstance, index_to_identifier
@@ -41,16 +41,9 @@ class PromptTemplateSet:
     topic_instruction_pattern: str = "create a question about {topic}!"
 
     def __post_init__(self):
-        for name in (
-            "json_system",
-            "decompose_question_system",
-            "decompose_positive_system",
-            "decompose_negative_system",
-            "paraphrase_system",
-            "topic_instruction_pattern",
-        ):
-            if not getattr(self, name).strip():
-                raise ValueError(f"template field {name} must not be empty")
+        for f in fields(self):
+            if not getattr(self, f.name).strip():
+                raise ValueError(f"template field {f.name} must not be empty")
         if self.topic_instruction_pattern.count(TOPIC_SLOT) != 1:
             raise ValueError(
                 f"topic_instruction_pattern must contain {TOPIC_SLOT} exactly once"

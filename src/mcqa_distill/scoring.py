@@ -8,11 +8,12 @@ temperature, with temperature 0 meaning hard labels at the argmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import ScoringConfig
 from .core import (
     ChatMessage,
     FewShotSet,
@@ -43,18 +44,6 @@ SKIPPED = "skipped"
 
 class TieAtZeroTemperature(ValueError):
     """Temperature 0 needs a unique argmax to pick a hard label."""
-
-
-@dataclass(frozen=True)
-class ScoringConfig:
-    prompt_token_limit: int = 1024
-    fallback: str = "one_hot"
-
-    def __post_init__(self):
-        if self.prompt_token_limit <= 0:
-            raise ValueError("prompt_token_limit must be positive")
-        if self.fallback not in ("one_hot", "skip"):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
 
 
 def soften(scores: Sequence[float], r: float) -> SoftLabel:

@@ -16,10 +16,8 @@ from typing import Iterable, Iterator, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from .config import DEFAULT_FEATURES, DEFAULT_HASH_SEED
 from .core import atomic_write
-
-DEFAULT_FEATURES = 2**18
-DEFAULT_HASH_SEED = 0
 
 # Boundary token between question and choice; a private-use codepoint keeps
 # it out of natural text and it survives whitespace tokenization (unlike the

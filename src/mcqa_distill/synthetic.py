@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import FewShotSet, McqaInstance, Provenance, stable_seed
+from .core import McqaInstance, Provenance, stable_seed
 from .datasets import Corpus, CorpusMeta
 from .distillation import TrainConfig, train
 from .evaluation import EvalResult, evaluate_accuracy, multi_seed
@@ -262,10 +262,3 @@ def run_noisy_teacher_experiment(
         results[mode] = multi_seed(run_one, seeds, metric_name=f"accuracy/{mode}")
     return results
 
-
-def fewshot_from_corpus(corpus: Corpus, k: int = 5) -> FewShotSet:
-    """First k instances of a corpus as a few-shot seed set."""
-    if len(corpus) < k:
-        raise ValueError(f"need at least {k} instances, corpus has {len(corpus)}")
-    examples = corpus.instances[:k]
-    return FewShotSet(topic=examples[0].topic, examples=examples)

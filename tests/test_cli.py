@@ -137,6 +137,17 @@ class TestGenerateCommand:
         assert len(read_jsonl(out)) == 2
         assert "exhausted" in proc.stderr
 
+    def test_negative_max_attempts_exits_2(self, workspace):
+        out = workspace["dir"] / "none.jsonl"
+        proc = run_cli(
+            "generate", "--config", workspace["config"],
+            "--fewshot", workspace["fewshot"],
+            "--max-attempts", -3, "--out", out,
+            expect=2,
+        )
+        assert "mcqa generate: max_attempts must be >= 0: -3" in proc.stderr
+        assert not out.exists()
+
     def test_decompose_run_has_six_choices(self, tmp_path):
         fs = science_fewshot_set()
         fewshot_path = tmp_path / "fewshot.jsonl"
@@ -287,7 +298,7 @@ class TestTrainEvalCommands:
     def test_negative_learning_rate_exits_2(self, workspace, scored_corpus):
         proc = run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
                        "--out", workspace["dir"] / "m.bin", "--lr", "-0.5", expect=2)
-        assert "learning_rate must be finite and > 0: -0.5" in proc.stderr
+        assert "mcqa train: learning_rate must be finite and > 0: -0.5" in proc.stderr
         assert not (workspace["dir"] / "m.bin").exists()
 
     def test_eval_empty_corpus_exits_2(self, workspace, scored_corpus, tmp_path):
@@ -368,7 +379,26 @@ class TestDataCommands:
         bad.write_text("[generation]\nnot_a_key = 1\n")
         proc = run_cli("generate", "--config", bad, "--fewshot", workspace["fewshot"],
                        "--out", workspace["dir"] / "x.jsonl", expect=2)
+        assert proc.stderr.startswith("mcqa generate: ")
         assert "not_a_key" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[generation]\nshuffle_choices = ture\n",
+             "[generation] shuffle_choices must be a boolean"),
+            ("[generation]\ntarget_count = many\n",
+             "[generation] target_count must be an integer, got 'many'"),
+        ],
+        ids=["bool", "int"],
+    )
+    def test_mistyped_config_value_exits_2(self, workspace, line, message):
+        bad = workspace["dir"] / "typo.ini"
+        bad.write_text(line)
+        proc = run_cli("generate", "--config", bad, "--fewshot", workspace["fewshot"],
+                       "--out", workspace["dir"] / "x.jsonl", expect=2)
+        assert proc.stderr.startswith(f"mcqa generate: {message}")
+        assert "Traceback" not in proc.stderr
 
     def test_scoring_distill_temperature_key_exits_2(self, workspace, corpus_path):
         bad = workspace["dir"] / "old.ini"

@@ -1,0 +1,181 @@
+"""Layered configuration: dataclass defaults <- config file <- flags."""
+
+from pathlib import Path
+
+import pytest
+
+from mcqa_distill.config import (
+    DEFAULTS,
+    ScoringConfig,
+    TrainConfig,
+    effective_config,
+    stage_config,
+)
+from mcqa_distill.gateway import BackendConfig
+from mcqa_distill.generation import GenerationConfig
+from mcqa_distill.prompts import PromptTemplateSet
+
+# Every key of every section, each set to a value that is not its default.
+EVERY_KEY_INI = """\
+[backend]
+kind = http
+script = teacher.json
+base_url = http://teacher.test:9000
+model_name = tiny-teacher
+request_timeout = 30.5
+max_parallel_requests = 8
+retry_limit = 5
+
+[generation]
+strategy = decompose
+temperature = 0.7
+negatives_n = 3
+target_count = 64
+seed = 7
+max_attempts = 99
+shuffle_choices = yes
+
+[scoring]
+prompt_token_limit = 512
+fallback = skip
+
+[training]
+iterations = 20
+micro_batch = 2
+grad_accumulation = 3
+learning_rate = 0.25
+optimizer = sgd
+loss_mode = distill
+distill_temperature_r = 0.5
+seed = 9
+n_features = 4096
+hash_seed = 3
+
+[templates]
+json_system = J
+decompose_question_system = Q
+decompose_positive_system = P
+decompose_negative_system = N
+paraphrase_system = R
+topic_instruction_pattern = ask about {topic}
+"""
+
+
+def test_defaults_are_the_reference_run():
+    cfg = effective_config()
+    gen = stage_config(cfg, "generation")
+    assert (gen.temperature, gen.negatives_n, gen.target_count) == (2.0, 5, 1024)
+    train = stage_config(cfg, "training")
+    assert (train.iterations, train.micro_batch, train.grad_accumulation) == (500, 4, 2)
+    assert cfg["training"]["n_features"] == 2**18
+    assert cfg["training"]["hash_seed"] == 0
+    scoring = stage_config(cfg, "scoring")
+    assert (scoring.prompt_token_limit, scoring.fallback) == (1024, "one_hot")
+    # The "derive it" zeros, typed as the manifests have always recorded them.
+    assert cfg["generation"]["max_attempts"] == 0
+    assert gen.attempt_budget == 20 * 1024
+    assert cfg["training"]["learning_rate"] == 0.0
+    assert isinstance(cfg["training"]["learning_rate"], float)
+    assert list(cfg) == ["backend", "generation", "scoring", "training", "templates"]
+
+
+def test_every_key_from_file_reaches_its_stage(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(EVERY_KEY_INI)
+    cfg = effective_config(path)
+    for section, entries in DEFAULTS.items():
+        assert cfg[section].keys() == entries.keys()
+        for key, default in entries.items():
+            assert cfg[section][key] != default, f"[{section}] {key} left at default"
+
+    assert stage_config(cfg, "backend") == BackendConfig(
+        kind="http",
+        script="teacher.json",
+        base_url="http://teacher.test:9000",
+        model_name="tiny-teacher",
+        request_timeout=30.5,
+        max_parallel_requests=8,
+        retry_limit=5,
+    )
+    assert stage_config(cfg, "generation") == GenerationConfig(
+        strategy="decompose",
+        temperature=0.7,
+        negatives_n=3,
+        target_count=64,
+        seed=7,
+        max_attempts=99,
+        shuffle_choices=True,
+    )
+    assert stage_config(cfg, "scoring") == ScoringConfig(prompt_token_limit=512, fallback="skip")
+    assert stage_config(cfg, "training") == TrainConfig(
+        iterations=20,
+        micro_batch=2,
+        grad_accumulation=3,
+        learning_rate=0.25,
+        optimizer="sgd",
+        loss_mode="distill",
+        distill_temperature_r=0.5,
+        seed=9,
+    )
+    assert (cfg["training"]["n_features"], cfg["training"]["hash_seed"]) == (4096, 3)
+    assert stage_config(cfg, "templates") == PromptTemplateSet(
+        json_system="J",
+        decompose_question_system="Q",
+        decompose_positive_system="P",
+        decompose_negative_system="N",
+        paraphrase_system="R",
+        topic_instruction_pattern="ask about {topic}",
+    )
+
+
+def test_flag_beats_file_beats_default(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[generation]\ntarget_count = 64\nseed = 3\n")
+    cfg = effective_config(path, {"generation": {"target_count": 8, "seed": None}})
+    assert cfg["generation"]["target_count"] == 8
+    assert cfg["generation"]["seed"] == 3
+    assert cfg["generation"]["temperature"] == 2.0
+    assert effective_config(None, {"generation": {"seed": 4}})["generation"]["seed"] == 4
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("1", True), ("yes", True), ("True", True), ("on", True),
+     ("0", False), ("no", False), ("false", False), ("OFF", False)],
+)
+def test_boolean_words(tmp_path, word, value):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[generation]\nshuffle_choices = {word}\n")
+    assert effective_config(path)["generation"]["shuffle_choices"] is value
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[generation]\nshuffle_choices = ture\n",
+         r"\[generation\] shuffle_choices must be a boolean .*got 'ture'"),
+        ("[training]\niterations = many\n",
+         r"\[training\] iterations must be an integer, got 'many'"),
+        ("[backend]\nrequest_timeout = soon\n",
+         r"\[backend\] request_timeout must be a number, got 'soon'"),
+        ("[datasets]\nmax_tokens = 320\n", r"unknown config section \[datasets\]"),
+        ("[scoring]\nnot_a_key = 1\n", r"unknown config key \[scoring\] not_a_key"),
+    ],
+    ids=["bool", "int", "float", "section", "key"],
+)
+def test_bad_file_values_name_section_and_key(tmp_path, line, message):
+    path = tmp_path / "run.ini"
+    path.write_text(line)
+    with pytest.raises(ValueError, match=message):
+        effective_config(path)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = effective_config(path)
+    assert stage_config(cfg, "backend").kind == "http"
+    assert stage_config(cfg, "training").loss_mode == "distill"
+    assert cfg["training"]["n_features"] == 2**18

@@ -324,8 +324,11 @@ class TestTrain:
             ToyStudent(n_features=16)
         ) == 1e-3
         assert TrainConfig().resolve_learning_rate(object()) == 1e-5
+        assert TrainConfig(learning_rate=0.0).resolve_learning_rate(
+            ToyStudent(n_features=16)
+        ) == 0.5
 
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -0.5])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)

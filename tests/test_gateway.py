@@ -404,3 +404,5 @@ class TestRequestValidation:
             BackendConfig(max_parallel_requests=0)
         with pytest.raises(ValueError):
             BackendConfig(retry_limit=-1)
+        with pytest.raises(ValueError, match="unknown backend kind 'grpc'"):
+            BackendConfig(kind="grpc")

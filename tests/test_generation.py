@@ -259,6 +259,11 @@ class TestGenerateJson:
     def test_default_budget_is_twenty_fold(self):
         cfg = GenerationConfig(strategy="json", target_count=1024)
         assert cfg.attempt_budget == 20480
+        assert GenerationConfig(target_count=1024, max_attempts=0).attempt_budget == 20480
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 0: -3"):
+            GenerationConfig(strategy="json", target_count=4, max_attempts=-3)
 
     def test_emitted_instances_carry_provenance(self, science_fewshot):
         cfg = GenerationConfig(strategy="json", target_count=3, seed=5, temperature=2.0)

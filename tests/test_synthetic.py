@@ -4,7 +4,6 @@ from mcqa_distill.core import validate_instance
 from mcqa_distill.synthetic import (
     build_noisy_teacher_universe,
     build_separable_corpus,
-    fewshot_from_corpus,
 )
 
 
@@ -62,9 +61,3 @@ class TestNoisyTeacherUniverse:
         train_questions = {inst.question for inst in universe.train_true}
         assert not train_questions & {inst.question for inst in universe.heldout}
 
-
-def test_fewshot_from_corpus():
-    corpus = build_separable_corpus(8, seed=9)
-    fs = fewshot_from_corpus(corpus, k=5)
-    assert len(fs) == 5
-    assert fs.topic == corpus.instances[0].topic
