@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -69,9 +70,9 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
-        ids = [inst.id for inst in self.instances]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(inst.id for inst in self.instances)
+        if len(counts) != len(self.instances):
+            dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ValueError(f"duplicate instance ids in corpus: {dupes[:5]}")
 
     def __len__(self) -> int:
@@ -116,28 +117,24 @@ def instance_to_record(inst: McqaInstance) -> dict:
 
 
 def record_to_instance(record: dict) -> McqaInstance:
+    """Decode one corpus record; ``McqaInstance`` converts the scores."""
     for key in ("id", "topic", "question", "choices", "answer"):
         if key not in record:
             raise KeyError(key)
     prov = record.get("provenance", {})
-    inst = McqaInstance(
+    return McqaInstance(
         id=str(record["id"]),
         topic=str(record["topic"]),
         question=str(record["question"]),
-        choices=tuple(str(c) for c in record["choices"]),
+        choices=tuple(map(str, record["choices"])),
         answer_index=int(record["answer"]),
-        teacher_scores=(
-            tuple(float(s) for s in record["teacher_scores"])
-            if record.get("teacher_scores") is not None
-            else None
-        ),
+        teacher_scores=record.get("teacher_scores"),
         provenance=Provenance(
             strategy=prov.get("strategy", "real"),
             gen_temperature=float(prov.get("gen_temperature", 0.0)),
             attempt=int(prov.get("attempt", 0)),
         ),
     )
-    return inst
 
 
 def write_jsonl(corpus: Corpus, path, include_meta: bool = True) -> None:

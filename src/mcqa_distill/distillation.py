@@ -179,7 +179,7 @@ class _CompiledInstance:
 
     ``features`` holds one (index, value) pair per choice, the gradient of
     that choice's logit with respect to the parameter vector the caller
-    trains (the student's own, or a compacted copy of it).
+    trains (the student's own, or a renumbered copy of its active part).
     """
 
     features: Tuple[SparseVector, ...]
@@ -205,20 +205,25 @@ def _loss_and_gradient(
     with the mean gradient.
 
     Each logit is the dot product of its feature values with the parameters
-    they index, so the student is read through ``features`` alone.
+    they index, so the student is read through ``features`` alone. The
+    batch's gradient terms are scattered into ``grad`` by one ``np.add.at``,
+    which adds repeated indices in order: item by item, choice by choice.
     """
     grad.fill(0.0)
     scale = 1.0 / len(batch)
-    losses = []
+    losses, index, terms = [], [], []
     for item in batch:
         logits = np.array(
             [np.dot(params[idx], val) for idx, val in item.features], dtype=np.float64
         )
         loss, dlogits = loss_kernel(logits, item.target, item.temperature)
         for coeff, (idx, val) in zip(dlogits, item.features):
-            if coeff != 0.0 and idx.size:
-                np.add.at(grad, idx, scale * coeff * val)
+            if coeff != 0.0:
+                index.append(idx)
+                terms.append(scale * coeff * val)
         losses.append(loss)
+    if index:
+        np.add.at(grad, np.concatenate(index), np.concatenate(terms))
     return float(np.mean(losses))
 
 
@@ -251,6 +256,30 @@ def _visit_schedule(n_instances: int, visits: int, seed: int) -> np.ndarray:
     return np.concatenate([rng.permutation(n_instances) for _ in range(epochs)])[:visits]
 
 
+def _number_by_first_touch(compiled: dict, size: int) -> Tuple[np.ndarray, List[int]]:
+    """Renumber the coordinates of a ``size``-long parameter vector that the
+    ``compiled`` instances touch as 0, 1, 2, ... in order of first touch,
+    in place and in the dict's order; an instance's fresh coordinates are
+    numbered in sorted order.
+
+    Returns ``active`` (``active[k]`` is the coordinate numbered k) and, per
+    instance, how many coordinates it and the instances before it touch.
+    """
+    rank = np.full(size, -1, dtype=np.int64)
+    fresh, reach = [], []
+    touched = 0
+    for i, item in compiled.items():
+        index = np.concatenate([idx for idx, _ in item.features])
+        new = np.unique(index[rank[index] < 0])
+        rank[new] = np.arange(touched, touched + new.size)
+        touched += new.size
+        fresh.append(new)
+        features = tuple((rank[idx], val) for idx, val in item.features)
+        compiled[i] = replace(item, features=features)
+        reach.append(touched)
+    return np.concatenate(fresh), reach
+
+
 def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     """Run cfg.iterations optimizer steps over the dataset.
 
@@ -262,14 +291,19 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
 
     The whole visit order is drawn first. Only the instances it visits are
     compiled: their pair features are read once through
-    ``instance_features`` and their targets computed once. The optimizer
-    then runs on the sorted union of the coordinates those features touch,
-    and the trained values are written back into ``student.params`` at the
-    end. That is exact: a coordinate no visited pair touches has zero
-    gradient at every step, so Adam's m and v stay 0 and its update
-    lr * 0 / (0 + eps) is 0; SGD's is lr * 0. Every remaining float
-    operation happens in the same order as a dense update over all of
-    ``student.params``, written into buffers allocated once per call.
+    ``instance_features`` and their targets computed once. The coordinates
+    their features touch are then numbered in order of first touch along
+    the visit order, so the coordinates steps 1..t touch are the first
+    ``reach[t]``, and step t runs its gradient accumulation and its
+    optimizer update on that prefix only. The trained values are written
+    back into ``student.params`` at the end. That is exact: past the
+    prefix no step so far has touched a coordinate, so its gradient is
+    +0.0, Adam's m and v are still 0, and both Adam's update
+    lr * 0 / (sqrt(0) + eps) and SGD's lr * 0 are 0, which leaves w bit
+    for bit (-0.0 included); a coordinate no visited pair touches is never
+    in the prefix. Every remaining float operation happens in the same
+    order as a dense update over all of ``student.params``, written into
+    buffers allocated once per call.
     """
     instances = list(dataset)
     if not instances:
@@ -283,24 +317,25 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     compiled = dict(zip(visited, _compile(
         student, [instances[i] for i in visited], cfg.loss_mode, cfg.distill_temperature_r
     )))
-    active = np.unique(
-        np.concatenate([idx for item in compiled.values() for idx, _ in item.features])
-    )
-    for i, item in compiled.items():
-        features = tuple((np.searchsorted(active, idx), val) for idx, val in item.features)
-        compiled[i] = replace(item, features=features)
-
     params = student.params
-    w = params[active]
-    m, v = np.zeros_like(w), np.zeros_like(w)
-    grad_sum, micro_grad, grad, scratch, denom = (np.empty_like(w) for _ in range(5))
+    active, reach_after = _number_by_first_touch(compiled, params.size)
+    # reach[t-1]: coordinates touched by steps 1..t, the running maximum of
+    # each visit's first-touch count, read at the end of each step.
+    after = np.zeros(len(instances), dtype=np.int64)
+    after[visited] = reach_after
+    per_step = cfg.grad_accumulation * cfg.micro_batch
+    reach = np.maximum.accumulate(after[schedule])[per_step - 1 :: per_step].tolist()
+
+    # w, m, v, grad_sum, micro_grad, grad, scratch, denom over all of active.
+    buffers = (params[active], *(np.zeros(active.size) for _ in range(7)))
     result = TrainResult(
         instance_visits=int(schedule.size),
         visited_instances=len(compiled),
         active_features=int(active.size),
     )
     steps = schedule.reshape(cfg.iterations, cfg.grad_accumulation, cfg.micro_batch)
-    for step, micro_batches in enumerate(steps, start=1):
+    for step, (micro_batches, n) in enumerate(zip(steps, reach), start=1):
+        w, m, v, grad_sum, micro_grad, grad, scratch, denom = (b[:n] for b in buffers)
         grad_sum.fill(0.0)
         loss_sum = 0.0
         for visits in micro_batches:
@@ -324,7 +359,7 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
         np.divide(m, 1.0 - ADAM_BETA1**step, out=scratch)
         np.multiply(lr, scratch, out=scratch)
         w -= np.divide(scratch, denom, out=scratch)
-    params[active] = w
+    params[active] = buffers[0]
     return student, result
 
 

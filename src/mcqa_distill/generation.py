@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import json
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -136,6 +137,13 @@ def extract_object_block(raw: str) -> Tuple[Optional[str], Optional[str]]:
     return None, UNBALANCED
 
 
+# CPython's AST builder is not safe to run on several threads at once
+# (3.11.7 raised "SystemError: AST constructor recursion depth mismatch"
+# under ``in_order`` workers), so the single-quoted fallback runs one at a
+# time; the strict ``json.loads`` path needs no lock.
+_LITERAL_EVAL_LOCK = threading.Lock()
+
+
 def _parse_json_fields(raw: str):
     """``(question, choices, answer_index)`` from one teacher reply, stripped
     but not validated, or the rejection reason."""
@@ -147,7 +155,8 @@ def _parse_json_fields(raw: str):
         obj = json.loads(block)
     except (json.JSONDecodeError, ValueError):
         try:
-            obj = ast.literal_eval(block)
+            with _LITERAL_EVAL_LOCK:
+                obj = ast.literal_eval(block)
         except (ValueError, SyntaxError, MemoryError, RecursionError):
             return BAD_SYNTAX
     if not isinstance(obj, dict):

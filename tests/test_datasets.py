@@ -1,6 +1,7 @@
 """Corpus persistence, filtering, subsetting, statistics, importers."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -112,9 +113,43 @@ class TestJsonlRoundTrip:
         with pytest.raises(MalformedLine):
             read_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"answer": "first"}, "invalid literal for int()"),
+            ({"teacher_scores": [0.1, "high", 0.3, 0.4]}, "could not convert string to float"),
+            ({"teacher_scores": [0.1, 0.2, 0.3]}, "invalid instance: SCORE_LENGTH"),
+            ({"teacher_scores": [0.1, float("nan"), 0.3, 0.4]},
+             "invalid instance: SCORE_NONFINITE"),
+            ({"provenance": {"strategy": "oracle"}}, "unknown strategy 'oracle'"),
+        ],
+        ids=["answer", "score", "score_length", "score_nan", "strategy"],
+    )
+    def test_bad_field_is_malformed_line_counting_the_meta_line(self, tmp_path, change, message):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus_of(make_instance("a"), make_instance("b")), path)
+        record = {"id": "c", "topic": "t", "question": "Q?", "choices": ["a", "b", "c", "d"],
+                  "answer": 0, **change}
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(MalformedLine, match=message) as excinfo:
+            read_jsonl(path)
+        assert excinfo.value.line_number == 4
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             corpus_of(make_instance("same"), make_instance("same"))
+
+    def test_duplicate_ids_in_a_large_corpus_reported_quickly(self):
+        instances = [make_instance(f"i{k:05d}") for k in range(19_999)]
+        instances.append(make_instance("i12345"))
+        instances.insert(7, make_instance("i00003"))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as excinfo:
+            Corpus(tuple(instances))
+        elapsed = time.perf_counter() - start
+        assert str(excinfo.value) == "duplicate instance ids in corpus: ['i00003', 'i12345']"
+        assert elapsed < 2.0
 
     def test_written_bytes_deterministic(self, tmp_path):
         corpus = sized_corpus(4)

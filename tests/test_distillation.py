@@ -450,3 +450,70 @@ class TestInstanceLoss:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             instance_loss(FixedLogitStudent({}), make_instance(), "nope")
+
+
+def preset_student(seed):
+    """A student with non-zero weights and a -0.0 at every seventh coordinate."""
+    student = random_student(seed=seed)
+    student.weights[::7] = -0.0
+    return student
+
+
+def pair_coordinates(student, instances):
+    """The coordinates the (question, choice) pairs of ``instances`` touch."""
+    return {
+        int(k)
+        for inst in instances
+        for choice in inst.choices
+        for k in student.features(inst.question, choice)[0]
+    }
+
+
+class TestPrefixTrainMatchesDenseReference:
+    """``train`` runs each step on the coordinates touched so far; the dense
+    oracle runs every step on all of them."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_preset_weights_with_first_touches_at_every_step(self, optimizer):
+        rng = np.random.default_rng(23)
+        corpus = [random_instance(rng) for _ in range(40)]
+        cfg = TrainConfig(iterations=8, micro_batch=2, grad_accumulation=2, seed=4,
+                          loss_mode="distill", optimizer=optimizer, learning_rate=0.2)
+        # 32 visits over 40 instances: every visit is a first visit, and
+        # every step touches coordinates no earlier step touched.
+        order = np.random.default_rng(cfg.seed).permutation(len(corpus))[:32]
+        reach = [
+            len(pair_coordinates(ToyStudent(n_features=2**12), [corpus[i] for i in order[:end]]))
+            for end in range(4, 33, 4)
+        ]
+        assert all(a < b for a, b in zip(reach, reach[1:]))
+        reference, student = preset_student(9), preset_student(9)
+        expected_losses = dense_reference_train(reference, corpus, cfg)
+        _, result = train(student, corpus, cfg)
+        assert student.weights.tobytes() == reference.weights.tobytes()
+        assert result.losses == expected_losses
+        assert result.active_features == reach[-1]
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_last_step_is_the_first_to_touch_some_coordinates(self, optimizer):
+        rng = np.random.default_rng(24)
+        corpus = [random_instance(rng) for _ in range(12)]
+        cfg = TrainConfig(iterations=3, micro_batch=2, grad_accumulation=2, seed=6,
+                          loss_mode="generate", optimizer=optimizer, learning_rate=0.2)
+        # 12 visits are one shuffle of the 12 instances; its last instance
+        # is visited by the last step only.
+        last = int(np.random.default_rng(cfg.seed).permutation(len(corpus))[-1])
+        corpus[last] = make_instance(
+            "last", question="zeta eta theta iota kappa",
+            choices=("lambda mu", "nu xi", "omicron pi", "rho sigma"), answer_index=2,
+        )
+        probe = ToyStudent(n_features=2**12)
+        others = corpus[:last] + corpus[last + 1:]
+        fresh = sorted(pair_coordinates(probe, [corpus[last]]) - pair_coordinates(probe, others))
+        assert fresh
+        reference, student = preset_student(10), preset_student(10)
+        expected_losses = dense_reference_train(reference, corpus, cfg)
+        _, result = train(student, corpus, cfg)
+        assert student.weights.tobytes() == reference.weights.tobytes()
+        assert result.losses == expected_losses
+        assert np.any(student.weights[fresh] != preset_student(10).weights[fresh])

@@ -1,5 +1,6 @@
 """Candidate parsing and the three generation strategies."""
 
+import ast
 import random
 import sys
 import threading
@@ -606,3 +607,32 @@ def test_script_miss_surfaces_past_later_attempts_in_flight(
         assert max(started) == 3
     else:
         assert 3 < max(started) <= 3 + width - 1
+
+
+def test_single_quoted_fallback_parses_one_reply_at_a_time(science_fewshot, monkeypatch):
+    """CPython's AST builder is not thread-safe, so the literal_eval fallback
+    for single-quoted replies never runs on two workers at once."""
+    cfg = GenerationConfig(strategy="json", target_count=12, max_attempts=30, seed=5)
+    serial, serial_report = generate(science_fewshot, cfg, JitteryBackend(seed=3), width=1)
+    real_literal_eval = ast.literal_eval
+    lock = threading.Lock()
+    calls = {"now": 0, "max": 0, "total": 0}
+
+    def literal_eval(node):
+        with lock:
+            calls["now"] += 1
+            calls["max"] = max(calls["max"], calls["now"])
+            calls["total"] += 1
+        try:
+            time.sleep(0.005)
+            return real_literal_eval(node)
+        finally:
+            with lock:
+                calls["now"] -= 1
+
+    monkeypatch.setattr(generation.ast, "literal_eval", literal_eval)
+    instances, report = generate(science_fewshot, cfg, JitteryBackend(seed=3), width=4)
+    assert instances == serial
+    assert report.to_dict() == serial_report.to_dict()
+    assert calls["total"] >= len(serial) > 0
+    assert calls["max"] == 1
