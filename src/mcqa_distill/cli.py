@@ -23,7 +23,6 @@ from .config import (
     effective_config,
     now_iso,
     stage_config,
-    stage_duration,
     write_manifest,
 )
 from .core import FewShotSet, write_json
@@ -101,10 +100,6 @@ def _write_corpus(instances, path, source: str, digest: str) -> Corpus:
     return corpus
 
 
-def _manifest_path(out: str) -> str:
-    return f"{out}.manifest.json"
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="mcqa")
 def main():
@@ -157,12 +152,8 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
     _write_corpus(instances, out, f"generate:{gen_cfg.strategy}", digest)
     write_json(report.to_dict(), f"{out}.report.json")
     write_manifest(
-        _manifest_path(out),
-        cfg,
-        gen_cfg.seed,
-        {"generate": stage_duration(elapsed)},
+        out, cfg, gen_cfg.seed, {"generate": elapsed},
         {"attempted": report.attempted, "parsed": report.parsed, "target": gen_cfg.target_count},
-        __version__,
     )
     click.echo(
         f"generated {len(instances)}/{gen_cfg.target_count} instances "
@@ -212,14 +203,7 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
     elapsed = time.perf_counter() - started
 
     _write_corpus(scored, out, f"score:{in_path}", digest)
-    write_manifest(
-        _manifest_path(out),
-        cfg,
-        0,
-        {"score": stage_duration(elapsed)},
-        counts,
-        __version__,
-    )
+    write_manifest(out, cfg, 0, {"score": elapsed}, counts)
     click.echo(
         f"scored={counts['scored']} fallback={counts['fallback']} skipped={counts['skipped']}"
     )
@@ -278,10 +262,7 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
     student.save(out)
     write_loss_trace(result, f"{out}.trace.csv")
     write_manifest(
-        _manifest_path(out),
-        cfg,
-        train_cfg.seed,
-        {"train": stage_duration(elapsed)},
+        out, cfg, train_cfg.seed, {"train": elapsed},
         {
             "instances": len(corpus),
             "iterations": train_cfg.iterations,
@@ -289,7 +270,6 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
             "visited_instances": result.visited_instances,
             "active_features": result.active_features,
         },
-        __version__,
     )
     click.echo(
         f"trained {train_cfg.iterations} steps ({result.instance_visits} instance visits), "
@@ -319,14 +299,7 @@ def eval_cmd(config_path, in_path, model, out):
     elapsed = time.perf_counter() - started
 
     write_json({"metric": "accuracy", "value": accuracy, "instances": len(corpus)}, out)
-    write_manifest(
-        _manifest_path(out),
-        cfg,
-        0,
-        {"eval": stage_duration(elapsed)},
-        {"instances": len(corpus)},
-        __version__,
-    )
+    write_manifest(out, cfg, 0, {"eval": elapsed}, {"instances": len(corpus)})
     click.echo(f"accuracy {accuracy:.4f} over {len(corpus)} instances")
 
 
@@ -370,14 +343,7 @@ def stats(config_path, in_path, out, report_path, max_tokens):
     elapsed = time.perf_counter() - started
 
     write_json(payload, out)
-    write_manifest(
-        _manifest_path(out),
-        cfg,
-        0,
-        {"stats": stage_duration(elapsed)},
-        {"instances": result.count},
-        __version__,
-    )
+    write_manifest(out, cfg, 0, {"stats": elapsed}, {"instances": result.count})
     click.echo(
         f"{result.count} instances, token length {result.token_len_mean:.1f} "
         f"+- {result.token_len_std:.1f}"
@@ -409,14 +375,7 @@ def subset(config_path, in_path, sizes, seed, out_dir):
         path = out_root / f"subset_{size}.jsonl"
         _write_corpus(sub.instances, path, f"subset:{size}:{in_path}", digest)
         counts[f"subset_{size}"] = size
-    write_manifest(
-        str(out_root / "subsets.manifest.json"),
-        cfg,
-        seed,
-        {"subset": stage_duration(elapsed)},
-        counts,
-        __version__,
-    )
+    write_manifest(out_root / "subsets", cfg, seed, {"subset": elapsed}, counts)
     click.echo(f"wrote {len(subsets)} subsets to {out_root}")
 
 
@@ -440,12 +399,8 @@ def similarity(config_path, generated, reference, out):
 
     write_json(result, out)
     write_manifest(
-        _manifest_path(out),
-        cfg,
-        0,
-        {"similarity": stage_duration(elapsed)},
+        out, cfg, 0, {"similarity": elapsed},
         {"generated": len(generated_corpus), "reference": len(reference_corpus)},
-        __version__,
     )
     click.echo(
         f"avg_of_max {result['avg_of_max']:.4f}, max_of_max {result['max_of_max']:.4f}"
@@ -469,14 +424,7 @@ def import_cmd(config_path, in_path, fmt, topic, out):
     elapsed = time.perf_counter() - started
 
     _write_corpus(corpus.instances, out, f"import:{fmt}:{in_path}", digest)
-    write_manifest(
-        _manifest_path(out),
-        cfg,
-        0,
-        {"import": stage_duration(elapsed)},
-        {"instances": len(corpus)},
-        __version__,
-    )
+    write_manifest(out, cfg, 0, {"import": elapsed}, {"instances": len(corpus)})
     click.echo(f"imported {len(corpus)} instances from {in_path}")
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Dict, Optional
 
+from . import __version__
 from .core import write_json
 from .gateway import BackendConfig
 from .generation import GenerationConfig
@@ -184,19 +185,21 @@ def stage_duration(elapsed_seconds: float) -> float:
 
 
 def write_manifest(
-    path,
+    out,
     effective: Dict[str, dict],
     seed: int,
-    stage_timings: Dict[str, float],
+    timings: Dict[str, float],
     counts: Dict[str, int],
-    tool_version: str,
 ) -> None:
+    """Write ``<out>.manifest.json`` for the artifact ``out``: the tool
+    version, the seed, the resolved config and its digest, the stage
+    timings (raw seconds, passed through ``stage_duration``) and counts."""
     manifest = {
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "seed": seed,
         "config_digest": config_digest(effective),
         "config": effective,
-        "stage_timings": stage_timings,
+        "stage_timings": {stage: stage_duration(sec) for stage, sec in timings.items()},
         "counts": counts,
     }
-    write_json(manifest, path)
+    write_json(manifest, f"{out}.manifest.json")

@@ -116,19 +116,35 @@ def instance_to_record(inst: McqaInstance) -> dict:
     return record
 
 
+def _require(ok: bool, key: str, kind: str, value) -> None:
+    if not ok:
+        raise TypeError(f"{key} must be {kind}, got {type(value).__name__}")
+
+
 def record_to_instance(record: dict) -> McqaInstance:
-    """Decode one corpus record; ``McqaInstance`` converts the scores."""
+    """Decode one corpus record; ``McqaInstance`` converts the scores.
+
+    A field of the wrong JSON type raises TypeError rather than being
+    coerced: ``choices`` must be a list, ``teacher_scores`` a list or null,
+    ``answer`` neither a float nor a boolean, ``provenance`` an object.
+    """
     for key in ("id", "topic", "question", "choices", "answer"):
         if key not in record:
             raise KeyError(key)
+    choices, answer = record["choices"], record["answer"]
+    scores = record.get("teacher_scores")
     prov = record.get("provenance", {})
+    _require(isinstance(choices, list), "choices", "a list", choices)
+    _require(scores is None or isinstance(scores, list), "teacher_scores", "a list or null", scores)
+    _require(not isinstance(answer, (bool, float)), "answer", "an integer", answer)
+    _require(isinstance(prov, dict), "provenance", "an object", prov)
     return McqaInstance(
         id=str(record["id"]),
         topic=str(record["topic"]),
         question=str(record["question"]),
-        choices=tuple(map(str, record["choices"])),
-        answer_index=int(record["answer"]),
-        teacher_scores=record.get("teacher_scores"),
+        choices=tuple(map(str, choices)),
+        answer_index=int(answer),
+        teacher_scores=scores,
         provenance=Provenance(
             strategy=prov.get("strategy", "real"),
             gen_temperature=float(prov.get("gen_temperature", 0.0)),

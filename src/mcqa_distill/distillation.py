@@ -16,8 +16,7 @@ to those logits out. The scalar losses, the batch gradient and ``train`` all
 call it.
 
 The cross-entropy carries a 1/C factor (C = number of choices). That factor
-rescales gradients but not the argmin; pass ``average_over_choices=False`` to
-``ce_loss`` to drop it.
+rescales gradients but not the argmin.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def _probs(label) -> np.ndarray:
     return np.asarray(label, dtype=np.float64)
 
 
-def ce_loss(target, pred, average_over_choices: bool = True) -> float:
+def ce_loss(target, pred) -> float:
     """Cross-entropy -(1/C) * sum(p * log(p_hat)), with 0 * log(0) = 0.
 
     Predicted probabilities are floored at 1e-12 before the log so the loss
@@ -83,20 +82,7 @@ def ce_loss(target, pred, average_over_choices: bool = True) -> float:
         raise ValueError(f"length mismatch: target {p.shape} vs pred {q.shape}")
     logq = np.log(np.maximum(q, PROB_FLOOR))
     total = -float(np.sum(np.where(p > 0, p * logq, 0.0)))
-    return total / p.size if average_over_choices else total
-
-
-def predict_probs(student, inst: McqaInstance, r: float) -> SoftLabel:
-    """Student probabilities: softmax of the per-choice logits at temperature r."""
-    if r <= 0:
-        raise ValueError("student temperature must be > 0")
-    return soften(_logits(student, inst.question, inst.choices), r)
-
-
-def teacher_soft_label(inst: McqaInstance, r: float) -> SoftLabel:
-    if inst.teacher_scores is None:
-        raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
-    return soften(inst.teacher_scores, r)
+    return total / p.size
 
 
 def instance_target(
@@ -111,7 +97,9 @@ def instance_target(
     if mode == "generate":
         return _probs(one_hot(inst.answer_index, inst.num_choices)), 1.0
     if mode == "distill":
-        return _probs(teacher_soft_label(inst, r)), (r if r > 0 else 1.0)
+        if inst.teacher_scores is None:
+            raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
+        return _probs(soften(inst.teacher_scores, r)), (r if r > 0 else 1.0)
     if mode == "binary_bce":
         return _probs(one_hot(inst.answer_index, inst.num_choices)), None
     raise ValueError(f"unknown loss mode {mode!r}")
@@ -142,13 +130,9 @@ def loss_kernel(
     return ce_loss(target, probs), (probs - target) / (n * temperature)
 
 
-def _logits(student, question: str, choices: Sequence[str]) -> np.ndarray:
-    return next(instance_logits(student, [(question, choices)]))
-
-
 def instance_loss(student, inst: McqaInstance, mode: str, r: float = 1.0) -> float:
     """Loss of one instance under a mode (binary mode averages its C pairs)."""
-    logits = _logits(student, inst.question, inst.choices)
+    logits = next(instance_logits(student, [(inst.question, inst.choices)]))
     return loss_kernel(logits, *instance_target(inst, mode, r))[0]
 
 
@@ -165,12 +149,6 @@ def l_distill(student, inst: McqaInstance, r: float) -> float:
     which equals l_generate on the relabeled instance exactly.
     """
     return instance_loss(student, inst, "distill", r)
-
-
-def binary_bce_loss(student, question: str, choice: str, label: int) -> float:
-    """Sigmoid cross-entropy on one (question, choice) pair, logit clamped to +-30."""
-    logits = _logits(student, question, (choice,))
-    return loss_kernel(logits, np.array([float(label)]), None)[0]
 
 
 @dataclass(frozen=True)
@@ -227,12 +205,6 @@ def _loss_and_gradient(
     return float(np.mean(losses))
 
 
-def batch_loss(student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0) -> float:
-    if not batch:
-        raise ValueError("batch must not be empty")
-    return float(np.mean([instance_loss(student, inst, mode, r) for inst in batch]))
-
-
 def batch_loss_and_gradient(
     student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0
 ) -> Tuple[float, np.ndarray]:
@@ -242,11 +214,6 @@ def batch_loss_and_gradient(
     grad = np.zeros_like(student.params)
     loss = _loss_and_gradient(student.params, _compile(student, batch, mode, r), grad)
     return loss, grad
-
-
-def gradient(student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0) -> np.ndarray:
-    """Mean per-instance loss gradient with respect to the student parameters."""
-    return batch_loss_and_gradient(student, batch, mode, r)[1]
 
 
 def _visit_schedule(n_instances: int, visits: int, seed: int) -> np.ndarray:

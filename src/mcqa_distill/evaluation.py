@@ -10,6 +10,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .core import atomic_write
 from .students import instance_logits
 
 EMBED_DIM = 2**16
@@ -174,16 +175,18 @@ def similarity_stats(generated, reference, embedder) -> Dict[str, float]:
 
 
 def write_metric_csv(result: EvalResult, seeds: Sequence[int], path) -> None:
-    """Per-seed rows as CSV (metric, seed, value)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Per-seed rows as CSV (metric, seed, value), moved into place once fully
+    written."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("metric,seed,value\n")
         for seed, value in zip(seeds, result.per_seed):
             fh.write(f"{result.metric_name},{seed},{value!r}\n")
 
 
 def write_summary_csv(results: Sequence[EvalResult], path) -> None:
-    """Summary rows as CSV (metric, mean, std)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Summary rows as CSV (metric, mean, std), moved into place once fully
+    written."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("metric,mean,std\n")
         for result in results:
             fh.write(f"{result.metric_name},{result.mean!r},{result.std!r}\n")

@@ -31,6 +31,9 @@ API_KEY_ENV = "MCQA_API_KEY"
 # strictly below present ones while the downstream softmax stays defined.
 MISSING_LOGPROB_MARGIN = 10.0
 
+# Format version of the mock script files ``save_script`` writes.
+SCRIPT_VERSION = 1
+
 
 class GatewayError(Exception):
     """Base class for backend failures."""
@@ -145,7 +148,7 @@ class MockBackend:
 def save_script(script: Mapping[str, CompletionResult], path) -> None:
     """Write a mock script to JSON (digest -> {text, first_token_logprobs})."""
     payload = {
-        "version": 1,
+        "version": SCRIPT_VERSION,
         "responses": {
             digest: {
                 "text": result.text,
@@ -158,15 +161,29 @@ def save_script(script: Mapping[str, CompletionResult], path) -> None:
 
 
 def load_script(path) -> Dict[str, CompletionResult]:
+    """Read a mock script written by ``save_script``.
+
+    A file of any other shape or version raises ValueError naming ``path``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return {
-        digest: CompletionResult(
-            text=entry["text"],
-            first_token_logprobs=entry.get("first_token_logprobs"),
-        )
-        for digest, entry in payload["responses"].items()
-    }
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("responses"), dict):
+        raise ValueError(f"{path}: not a mock script: expected an object with 'responses'")
+    if payload.get("version") != SCRIPT_VERSION:
+        raise ValueError(f"{path}: unsupported mock script version {payload.get('version')!r}")
+    script = {}
+    for digest, entry in payload["responses"].items():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("text"), str)
+            and isinstance(entry.get("first_token_logprobs"), (dict, type(None)))
+        ):
+            raise ValueError(f"{path}: response {digest} is not a text with optional logprobs")
+        script[digest] = CompletionResult(entry["text"], entry.get("first_token_logprobs"))
+    return script
 
 
 class HttpBackend:

@@ -140,18 +140,6 @@ def _score_one(
     return replace(inst, teacher_scores=scores), SCORED
 
 
-def score_instance(
-    inst: McqaInstance,
-    fs: FewShotSet,
-    cfg: ScoringConfig,
-    gw,
-    tok: Callable[[str], int],
-) -> McqaInstance:
-    """Return the instance with teacher_scores attached (question, choices and
-    answer_index are never altered)."""
-    return _score_one(inst, fs, cfg, gw, tok)[0]
-
-
 def score_instances(
     instances: Sequence[McqaInstance],
     fs: FewShotSet,
@@ -161,6 +149,9 @@ def score_instances(
     width: int = 1,
 ) -> Tuple[List[McqaInstance], Dict[str, int]]:
     """Score a whole corpus; returns instances plus scored/fallback/skipped counts.
+
+    Only ``teacher_scores`` is attached; question, choices and answer_index
+    are never altered.
 
     Up to ``width`` instances are scored at once; results and errors come in
     instance order, as in a serial run.

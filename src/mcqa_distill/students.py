@@ -49,8 +49,9 @@ class StudentScorer(Protocol):
     ``params`` is that choice's logit, equal to ``forward``. Training reads
     these once per distinct visited instance, before the first step, treats
     the logit as linear in ``params``, and updates ``params`` in place only
-    after the last step. ``ToyStudent`` is the only student and satisfies
-    this exactly.
+    after the last step. ``ToyStudent`` is the only student; its ``forward``
+    reads its one pair through ``instance_features``, so the two agree by
+    construction.
     """
 
     @property
@@ -101,22 +102,12 @@ def _count_and_normalize(hashes: np.ndarray, lengths: np.ndarray) -> List[Sparse
     return [(idx[a:b], val[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def hashed_pair_features(pair: str, n_features: int, hash_seed: int) -> SparseVector:
-    """L2-normalized counts of hashed word unigrams and bigrams.
-
-    ``pair`` is the already-joined question/choice string. Hashing uses crc32
-    with a fixed start value, so feature indices are stable across processes.
-    """
-    tokens = _tokens(pair)
-    hashes = _hash_terms(tokens + _bigrams(tokens), n_features, hash_seed)
-    return _count_and_normalize(hashes, np.array([hashes.size]))[0]
-
-
 def _featurize_chunk(
     items: Sequence[Item], n_features: int, hash_seed: int
 ) -> List[Tuple[SparseVector, ...]]:
-    """Per-choice features of every item, equal to ``hashed_pair_features``
-    of ``question + PAIR_SEPARATOR + choice``.
+    """Per-choice features of every item: the L2-normalized counts of the
+    hashed word unigrams and bigrams of the lowercased, whitespace-split
+    ``question + PAIR_SEPARATOR + choice``, in first-occurrence order.
 
     Because the separator is whitespace-padded, a pair's tokens are the
     question's, the separator, then the choice's; its terms are all
@@ -199,12 +190,8 @@ class ToyStudent:
     def params(self) -> np.ndarray:
         return self.weights
 
-    def features(self, question: str, choice: str) -> SparseVector:
-        pair = question + PAIR_SEPARATOR + choice
-        return hashed_pair_features(pair, self.n_features, self.hash_seed)
-
     def forward(self, question: str, choice: str) -> float:
-        idx, val = self.features(question, choice)
+        ((idx, val),) = next(self.instance_features([(question, (choice,))]))
         return float(np.dot(self.weights[idx], val))
 
     def instance_features(self, items: Iterable[Item]) -> Iterator[Tuple[SparseVector, ...]]:

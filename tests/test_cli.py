@@ -148,6 +148,24 @@ class TestGenerateCommand:
         assert "mcqa generate: max_attempts must be >= 0: -3" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", "[1]", '{"version": 1, "responses": {"abc": {"first_token_logprobs": null}}}',
+         '{"version": 2, "responses": {}}', "not json"],
+        ids=["empty_object", "list", "entry_without_text", "version_2", "not_json"],
+    )
+    def test_malformed_script_exits_2_naming_path(self, workspace, text):
+        workspace["script"].write_text(text)
+        out = workspace["dir"] / "c.jsonl"
+        proc = run_cli(
+            "generate", "--config", workspace["config"],
+            "--fewshot", workspace["fewshot"], "--out", out,
+            expect=2,
+        )
+        assert f"mcqa generate: {workspace['script']}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_decompose_run_has_six_choices(self, tmp_path):
         fs = science_fewshot_set()
         fewshot_path = tmp_path / "fewshot.jsonl"

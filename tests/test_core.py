@@ -163,11 +163,11 @@ class TestWriteJson:
 
     def test_failed_manifest_write_leaves_previous_intact(self, tmp_path):
         path = tmp_path / "run.manifest.json"
-        write_manifest(path, {"training": {"seed": 0}}, 0, {"train": 0.0}, {"n": 1}, "0")
+        write_manifest(tmp_path / "run", {"training": {"seed": 0}}, 0, {"train": 0.0}, {"n": 1})
         before = path.read_bytes()
         # "config" sorts before "counts", so part of the manifest is written
         # before the unserialisable count is reached.
         with pytest.raises(TypeError):
-            write_manifest(path, {"training": {"seed": 1}}, 1, {}, {"n": object()}, "0")
+            write_manifest(tmp_path / "run", {"training": {"seed": 1}}, 1, {}, {"n": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run.manifest.json"]

@@ -122,8 +122,15 @@ class TestJsonlRoundTrip:
             ({"teacher_scores": [0.1, float("nan"), 0.3, 0.4]},
              "invalid instance: SCORE_NONFINITE"),
             ({"provenance": {"strategy": "oracle"}}, "unknown strategy 'oracle'"),
+            ({"choices": "oil"}, "choices must be a list, got str"),
+            ({"teacher_scores": "12"}, "teacher_scores must be a list or null, got str"),
+            ({"answer": 1.7}, "answer must be an integer, got float"),
+            ({"answer": True}, "answer must be an integer, got bool"),
+            ({"provenance": "json"}, "provenance must be an object, got str"),
         ],
-        ids=["answer", "score", "score_length", "score_nan", "strategy"],
+        ids=["answer", "score", "score_length", "score_nan", "strategy",
+             "choices_string", "scores_string", "answer_float", "answer_bool",
+             "provenance_string"],
     )
     def test_bad_field_is_malformed_line_counting_the_meta_line(self, tmp_path, change, message):
         path = tmp_path / "corpus.jsonl"

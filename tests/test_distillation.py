@@ -9,26 +9,24 @@ from mcqa_distill.core import SoftLabel
 from mcqa_distill.distillation import (
     MissingTeacherScores,
     TrainConfig,
-    batch_loss,
     batch_loss_and_gradient,
-    binary_bce_loss,
     ce_loss,
-    gradient,
     instance_loss,
     instance_target,
     l_distill,
     l_generate,
     loss_kernel,
     one_hot,
-    predict_probs,
     train,
     write_loss_trace,
 )
 from mcqa_distill.evaluation import evaluate_accuracy
-from mcqa_distill.students import ToyStudent
+from mcqa_distill.scoring import soften
+from mcqa_distill.students import PAIR_SEPARATOR, ToyStudent, instance_logits
 from mcqa_distill.synthetic import build_separable_corpus
 
 from conftest import FixedLogitStudent, make_instance
+from test_students import reference_pair_features
 
 
 def random_student(n_features=2**12, scale=0.05, seed=0):
@@ -86,15 +84,15 @@ class TestCeLoss:
         with pytest.raises(ValueError):
             ce_loss(one_hot(0, 3), one_hot(0, 4))
 
-    def test_factor_can_be_dropped(self):
-        scaled = ce_loss(one_hot(0, 4), SoftLabel((0.25,) * 4))
-        raw = ce_loss(one_hot(0, 4), SoftLabel((0.25,) * 4), average_over_choices=False)
-        assert raw == pytest.approx(4 * scaled)
+
+def student_probs(student, inst, r):
+    """Softmax of the student's logits for ``inst`` at temperature r."""
+    return soften(next(instance_logits(student, [(inst.question, inst.choices)])), r)
 
 
-class TestPredictProbs:
+class TestStudentProbs:
     def test_zero_weight_student_is_uniform(self):
-        probs = predict_probs(ToyStudent(n_features=2**10), make_instance(), 1.0).probs
+        probs = student_probs(ToyStudent(n_features=2**10), make_instance(), 1.0).probs
         assert probs == (0.25, 0.25, 0.25, 0.25)
 
     def test_shift_invariance_of_logits(self):
@@ -103,8 +101,8 @@ class TestPredictProbs:
         shifted = FixedLogitStudent(
             {(inst.question, c): float(i) + 11.5 for i, c in enumerate(inst.choices)}
         )
-        left = predict_probs(base, inst, 1.0).probs
-        right = predict_probs(shifted, inst, 1.0).probs
+        left = student_probs(base, inst, 1.0).probs
+        right = student_probs(shifted, inst, 1.0).probs
         assert left == pytest.approx(right, abs=1e-12)
 
     def test_hand_set_logits(self):
@@ -112,11 +110,7 @@ class TestPredictProbs:
         student = FixedLogitStudent(
             {(inst.question, "yes"): math.log(2), (inst.question, "no"): 0.0}
         )
-        assert predict_probs(student, inst, 1.0).probs == pytest.approx((2 / 3, 1 / 3))
-
-    def test_zero_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            predict_probs(ToyStudent(n_features=16), make_instance(), 0.0)
+        assert student_probs(student, inst, 1.0).probs == pytest.approx((2 / 3, 1 / 3))
 
 
 class TestLGenerate:
@@ -176,18 +170,24 @@ class TestLDistill:
         assert l_distill(student, inst, r) == pytest.approx(expected, abs=1e-12)
 
 
+def pair_bce(student, question, choice, label):
+    """The kernel's sigmoid cross-entropy on one (question, choice) pair."""
+    logits = next(instance_logits(student, [(question, (choice,))]))
+    return loss_kernel(logits, np.array([float(label)]), None)[0]
+
+
 class TestBinaryBce:
     def test_zero_logit_label_one_is_log_two(self):
         student = FixedLogitStudent({})
-        assert binary_bce_loss(student, "q", "c", 1) == pytest.approx(math.log(2))
+        assert pair_bce(student, "q", "c", 1) == pytest.approx(math.log(2))
 
     def test_saturated_correct_is_negligible(self):
         student = FixedLogitStudent({("q", "c"): 30.0})
-        assert binary_bce_loss(student, "q", "c", 1) < 1e-12
+        assert pair_bce(student, "q", "c", 1) < 1e-12
 
     def test_saturated_wrong_is_clamped_near_thirty(self):
         student = FixedLogitStudent({("q", "c"): -3000.0})
-        value = binary_bce_loss(student, "q", "c", 1)
+        value = pair_bce(student, "q", "c", 1)
         oracle = float(np.logaddexp(0.0, 30.0))  # clamp holds the logit at -30
         assert value == pytest.approx(oracle, abs=1e-12)
         assert value == pytest.approx(30.0, abs=1e-9)
@@ -203,9 +203,9 @@ def probe_coordinates(grad, rng, count=8):
 def central_difference(student, batch, mode, r, coordinate, step=1e-5):
     original = student.weights[coordinate]
     student.weights[coordinate] = original + step
-    upper = batch_loss(student, batch, mode, r)
+    upper = batch_loss_and_gradient(student, batch, mode, r)[0]
     student.weights[coordinate] = original - step
-    lower = batch_loss(student, batch, mode, r)
+    lower = batch_loss_and_gradient(student, batch, mode, r)[0]
     student.weights[coordinate] = original
     return (upper - lower) / (2 * step)
 
@@ -220,7 +220,7 @@ class TestGradient:
         rng = np.random.default_rng(99)
         student = random_student(seed=5)
         batch = [random_instance(rng)]
-        grad = gradient(student, batch, mode, r)
+        grad = batch_loss_and_gradient(student, batch, mode, r)[1]
         for coordinate in probe_coordinates(grad, rng):
             numeric = central_difference(student, batch, mode, r, coordinate)
             analytic = grad[coordinate]
@@ -233,17 +233,17 @@ class TestGradient:
         inst = make_instance(choices=("same", "Same", "SAME ", "sAmE"), answer_index=0)
         # Case-folding collapses all four to identical features; the duplicate
         # validation is irrelevant to the gradient computation itself.
-        grad = gradient(student, [inst], "generate")
+        grad = batch_loss_and_gradient(student, [inst], "generate")[1]
         assert np.all(grad == 0.0)
 
     def test_batch_gradient_is_mean_of_instance_gradients(self):
         rng = np.random.default_rng(3)
         student = random_student(seed=11)
         first, second = random_instance(rng), random_instance(rng)
-        combined = gradient(student, [first, second], "distill", 1.0)
+        combined = batch_loss_and_gradient(student, [first, second], "distill", 1.0)[1]
         averaged = 0.5 * (
-            gradient(student, [first], "distill", 1.0)
-            + gradient(student, [second], "distill", 1.0)
+            batch_loss_and_gradient(student, [first], "distill", 1.0)[1]
+            + batch_loss_and_gradient(student, [second], "distill", 1.0)[1]
         )
         assert np.allclose(combined, averaged, atol=1e-15)
 
@@ -258,7 +258,7 @@ class TestGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            gradient(ToyStudent(n_features=16), [], "generate")
+            batch_loss_and_gradient(ToyStudent(n_features=16), [], "generate")
 
 
 class TestTrain:
@@ -346,13 +346,20 @@ class TestTrain:
         assert lines[1].startswith("1,")
 
 
+def pair_features(student, question, choice):
+    """The oracle's features of one (question, choice) pair of ``student``."""
+    return reference_pair_features(
+        question + PAIR_SEPARATOR + choice, student.n_features, student.hash_seed
+    )
+
+
 def dense_reference_train(student, instances, cfg):
     """The dense trainer ``train`` replaced, kept as its oracle.
 
     Visit by visit it draws the next instance, reads every pair through
-    ``forward`` and ``features``, adds the kernel's gradient into a
-    full-size vector and updates every parameter. Returns the per-step
-    losses.
+    ``forward`` and the per-pair oracle ``reference_pair_features``, adds
+    the kernel's gradient into a full-size vector and updates every
+    parameter. Returns the per-step losses.
     """
     lr = cfg.resolve_learning_rate(student)
     rng = np.random.default_rng(cfg.seed)
@@ -368,7 +375,7 @@ def dense_reference_train(student, instances, cfg):
                     order = list(rng.permutation(len(instances)))[::-1]
                 inst = instances[order.pop()]
                 pairs = [
-                    (student.forward(inst.question, c), student.features(inst.question, c))
+                    (student.forward(inst.question, c), pair_features(student, inst.question, c))
                     for c in inst.choices
                 ]
                 target = instance_target(inst, cfg.loss_mode, cfg.distill_temperature_r)
@@ -432,7 +439,7 @@ class TestTrainMatchesDenseReference:
         touched = np.zeros(student.n_features, dtype=bool)
         for i in visited:
             for choice in corpus[i].choices:
-                touched[student.features(corpus[i].question, choice)[0]] = True
+                touched[pair_features(student, corpus[i].question, choice)[0]] = True
         before = student.weights.copy()
         train(student, corpus, cfg)
         assert 0 < touched.sum() < student.n_features
@@ -465,7 +472,7 @@ def pair_coordinates(student, instances):
         int(k)
         for inst in instances
         for choice in inst.choices
-        for k in student.features(inst.question, choice)[0]
+        for k in pair_features(student, inst.question, choice)[0]
     }
 
 

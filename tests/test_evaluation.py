@@ -305,3 +305,14 @@ class TestCsvExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "metric,mean,std"
         assert lines[1].startswith("accuracy,0.6")
+
+    def test_failed_summary_write_leaves_previous_file_intact(self, tmp_path):
+        ok = EvalResult.from_values("accuracy", [0.5, 0.7])
+        path = tmp_path / "summary.csv"
+        write_summary_csv([EvalResult.from_values("f1", [0.25])], path)
+        before = path.read_bytes()
+        # The first row is written before the second result fails.
+        with pytest.raises(AttributeError):
+            write_summary_csv([ok, object()], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]

@@ -26,7 +26,6 @@ from mcqa_distill.scoring import (
     TieAtZeroTemperature,
     fit_scoring_prompt,
     one_hot_scores,
-    score_instance,
     score_instances,
     soften,
 )
@@ -156,6 +155,11 @@ def scripted_for(inst, fs, cfg, result):
     return MockBackend({request_digest(messages): result})
 
 
+def score_one(inst, fs, cfg, backend, tok):
+    """``inst`` scored as a corpus of one."""
+    return score_instances([inst], fs, cfg, backend, tok)[0][0]
+
+
 class TestScoreInstance:
     def test_reference_distribution(self, science_fewshot):
         inst = make_instance()
@@ -163,7 +167,7 @@ class TestScoreInstance:
         backend = scripted_for(
             inst, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        scored = score_instance(inst, science_fewshot, cfg, backend, simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
         assert scored.teacher_scores == (-1.047, -1.542, -1.546, -1.505)
         probs = soften(scored.teacher_scores, 1.0).probs
         assert probs == pytest.approx([0.351, 0.214, 0.213, 0.222], abs=5e-4)
@@ -174,7 +178,7 @@ class TestScoreInstance:
         backend = scripted_for(
             inst, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        scored = score_instance(inst, science_fewshot, cfg, backend, simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
         assert (scored.id, scored.question, scored.choices, scored.answer_index) == (
             inst.id, inst.question, inst.choices, inst.answer_index,
         )
@@ -186,13 +190,13 @@ class TestScoreInstance:
         cfg = ScoringConfig()
         logprobs = {ch: -float(i + 1) for i, ch in enumerate("ABCDEF")}
         backend = scripted_for(inst, science_fewshot, cfg, CompletionResult("A", logprobs))
-        scored = score_instance(inst, science_fewshot, cfg, backend, simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
         assert len(scored.teacher_scores) == 6
 
     def test_one_hot_fallback_when_over_limit(self, science_fewshot):
         inst = make_instance(answer_index=2)
         cfg = ScoringConfig(prompt_token_limit=1, fallback="one_hot")
-        scored = score_instance(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
         assert scored.teacher_scores == one_hot_scores(2, 4)
         probs = soften(scored.teacher_scores, 1.0).probs
         expected = [0.0, 0.0, 1.0, 0.0]
@@ -201,7 +205,7 @@ class TestScoreInstance:
     def test_skip_fallback_leaves_scores_absent(self, science_fewshot):
         inst = make_instance(teacher_scores=(1.0, 2.0, 3.0, 4.0))
         cfg = ScoringConfig(prompt_token_limit=1, fallback="skip")
-        scored = score_instance(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
         assert scored.teacher_scores is None
 
     def test_rescoring_is_idempotent(self, science_fewshot):
@@ -210,8 +214,8 @@ class TestScoreInstance:
         backend = scripted_for(
             inst, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        once = score_instance(inst, science_fewshot, cfg, backend, simple_token_count)
-        twice = score_instance(once, science_fewshot, cfg, backend, simple_token_count)
+        once = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
+        twice = score_one(once, science_fewshot, cfg, backend, simple_token_count)
         assert once == twice
 
     def test_no_logprob_backend_raises(self, science_fewshot):
@@ -219,7 +223,7 @@ class TestScoreInstance:
         cfg = ScoringConfig()
         backend = scripted_for(inst, science_fewshot, cfg, CompletionResult("A", None))
         with pytest.raises(NoLogprobSupport):
-            score_instance(inst, science_fewshot, cfg, backend, simple_token_count)
+            score_one(inst, science_fewshot, cfg, backend, simple_token_count)
 
     def test_gateway_error_with_skip_keeps_instance_unscored(self, science_fewshot):
         class Exploding:
@@ -228,7 +232,7 @@ class TestScoreInstance:
 
         inst = make_instance()
         cfg = ScoringConfig(fallback="skip")
-        scored = score_instance(inst, science_fewshot, cfg, Exploding(), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, Exploding(), simple_token_count)
         assert scored.teacher_scores is None
 
     def test_gateway_error_without_skip_propagates(self, science_fewshot):
@@ -238,7 +242,7 @@ class TestScoreInstance:
 
         cfg = ScoringConfig(fallback="one_hot")
         with pytest.raises(TransportError):
-            score_instance(make_instance(), science_fewshot, cfg, Exploding(), simple_token_count)
+            score_one(make_instance(), science_fewshot, cfg, Exploding(), simple_token_count)
 
 
 class TestScoreInstances:

@@ -9,7 +9,6 @@ from mcqa_distill.students import (
     FEATURIZE_CHUNK,
     PAIR_SEPARATOR,
     ToyStudent,
-    hashed_pair_features,
     instance_logits,
 )
 
@@ -41,11 +40,9 @@ def assert_matches_reference(student, items):
             ref_idx, ref_val = reference_pair_features(
                 pair, student.n_features, student.hash_seed
             )
-            one_idx, one_val = hashed_pair_features(pair, student.n_features, student.hash_seed)
-            for got_idx, got_val in ((idx, val), (one_idx, one_val)):
-                assert got_idx.dtype == np.int64 and got_val.dtype == np.float64
-                assert got_idx.tobytes() == ref_idx.tobytes(), (question, choice)
-                assert got_val.tobytes() == ref_val.tobytes(), (question, choice)
+            assert idx.dtype == np.int64 and val.dtype == np.float64
+            assert idx.tobytes() == ref_idx.tobytes(), (question, choice)
+            assert val.tobytes() == ref_val.tobytes(), (question, choice)
 
 
 def word_items(count, seed):
@@ -109,54 +106,55 @@ class TestInstanceFeaturizer:
                 assert row.tobytes() == expected.tobytes()
 
 
+def pair_features(student, question, choice):
+    """The student's features of one (question, choice) pair."""
+    ((idx, val),) = next(student.instance_features([(question, (choice,))]))
+    return idx, val
+
+
 class TestFeatures:
     def test_unit_norm_for_nonempty_text(self):
         student = ToyStudent(n_features=2**12)
-        _, val = student.features("which metal?", "copper wire")
+        _, val = pair_features(student, "which metal?", "copper wire")
         assert np.linalg.norm(val) == pytest.approx(1.0)
 
     def test_deterministic_across_instances(self):
         a = ToyStudent(n_features=2**12)
         b = ToyStudent(n_features=2**12)
-        fa = a.features("a question", "a choice")
-        fb = b.features("a question", "a choice")
+        fa = pair_features(a, "a question", "a choice")
+        fb = pair_features(b, "a question", "a choice")
         assert np.array_equal(fa[0], fb[0])
         assert np.array_equal(fa[1], fb[1])
 
     def test_hash_seed_changes_indices(self):
         a = ToyStudent(n_features=2**12, hash_seed=0)
         b = ToyStudent(n_features=2**12, hash_seed=1)
-        ia, _ = a.features("a question", "a choice")
-        ib, _ = b.features("a question", "a choice")
+        ia, _ = pair_features(a, "a question", "a choice")
+        ib, _ = pair_features(b, "a question", "a choice")
         assert not np.array_equal(np.sort(ia), np.sort(ib))
 
     def test_bigrams_make_order_matter(self):
         student = ToyStudent(n_features=2**14)
-        one = student.features("alpha beta", "x")
-        two = student.features("beta alpha", "x")
+        one = pair_features(student, "alpha beta", "x")
+        two = pair_features(student, "beta alpha", "x")
         assert not np.array_equal(np.sort(one[0]), np.sort(two[0]))
 
     def test_case_folding(self):
         student = ToyStudent(n_features=2**12)
-        lower = student.features("copper wire", "a")
-        upper = student.features("Copper WIRE", "a")
+        lower = pair_features(student, "copper wire", "a")
+        upper = pair_features(student, "Copper WIRE", "a")
         assert np.array_equal(np.sort(lower[0]), np.sort(upper[0]))
-
-    def test_empty_text_yields_no_features(self):
-        idx, val = hashed_pair_features("", 2**10, 0)
-        assert idx.size == 0
-        assert val.size == 0
 
     def test_empty_pair_keeps_boundary_token(self):
         student = ToyStudent(n_features=2**10)
-        idx, val = student.features("", "")
+        idx, val = pair_features(student, "", "")
         assert idx.size == 1  # the boundary token alone
         assert np.linalg.norm(val) == pytest.approx(1.0)
 
     def test_boundary_distinguishes_question_from_choice(self):
         student = ToyStudent(n_features=2**12)
-        left = student.features("alpha beta", "gamma")
-        right = student.features("alpha", "beta gamma")
+        left = pair_features(student, "alpha beta", "gamma")
+        right = pair_features(student, "alpha", "beta gamma")
         assert not np.array_equal(np.sort(left[0]), np.sort(right[0]))
 
 
@@ -169,7 +167,7 @@ class TestForward:
         student = ToyStudent(n_features=2**12)
         rng = np.random.default_rng(0)
         student.weights[:] = rng.normal(size=student.n_features)
-        idx, val = student.features("what is it?", "a thing")
+        idx, val = pair_features(student, "what is it?", "a thing")
         assert student.forward("what is it?", "a thing") == pytest.approx(
             float(np.dot(student.weights[idx], val))
         )
