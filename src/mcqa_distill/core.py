@@ -129,9 +129,7 @@ class McqaInstance:
     def __post_init__(self):
         object.__setattr__(self, "choices", tuple(self.choices))
         if self.teacher_scores is not None:
-            object.__setattr__(
-                self, "teacher_scores", tuple(float(s) for s in self.teacher_scores)
-            )
+            object.__setattr__(self, "teacher_scores", tuple(map(float, self.teacher_scores)))
 
     @property
     def num_choices(self) -> int:
@@ -209,27 +207,24 @@ def validate_parts(
     teacher_scores: Optional[Sequence[float]] = None,
 ) -> list:
     """Check the McqaInstance invariants over raw parts; return violation codes."""
+    texts = [str(c).strip() for c in choices]
     codes = []
-    if not str(question).strip():
-        codes.append(EMPTY_FIELD)
-    if any(not str(c).strip() for c in choices):
+    if not str(question).strip() or not all(texts):
         codes.append(EMPTY_FIELD)
     if len(choices) < MIN_CHOICES:
         codes.append(TOO_FEW_CHOICES)
     if len(choices) > MAX_CHOICES:
         codes.append(TOO_MANY_CHOICES)
-    canon = [canonical_choice(str(c)) for c in choices]
-    if len(set(canon)) != len(canon):
+    if len(set(map(canonical_choice, texts))) != len(texts):
         codes.append(DUPLICATE_CHOICE)
     if not 0 <= answer_index < len(choices):
         codes.append(ANSWER_RANGE)
     if teacher_scores is not None:
         if len(teacher_scores) != len(choices):
             codes.append(SCORE_LENGTH)
-        if any(not math.isfinite(float(s)) for s in teacher_scores):
+        if not all(map(math.isfinite, teacher_scores)):
             codes.append(SCORE_NONFINITE)
-    # De-duplicate while keeping first-seen order (EMPTY_FIELD can fire twice).
-    return list(dict.fromkeys(codes))
+    return codes
 
 
 def validate_instance(inst: McqaInstance) -> list:

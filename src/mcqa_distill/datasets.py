@@ -3,8 +3,11 @@ subsetting, and corpus statistics.
 
 Corpora are JSON Lines: append-friendly during long generation runs, with
 line-level fault isolation. An optional leading meta record carries source,
-creation time and config digest; files without it load with empty meta, so
-plain instance-per-line files from other tools import unchanged.
+creation time and config digest as strings; files without it load with empty
+meta. Each line is decoded strictly: every field must already have its exact
+JSON type (see ``_decode_instance``) and nothing is coerced, so an
+instance-per-line file from another tool imports unchanged only if its fields
+are typed that way; any other line is a ``MalformedLine`` naming its number.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
@@ -22,7 +25,6 @@ from .core import (
     McqaInstance,
     Provenance,
     identifier_to_index,
-    validate_instance,
     validate_parts,
 )
 
@@ -108,48 +110,88 @@ def instance_to_record(inst: McqaInstance) -> dict:
     }
     if inst.teacher_scores is not None:
         record["teacher_scores"] = list(inst.teacher_scores)
-    record["provenance"] = {
-        "strategy": inst.provenance.strategy,
-        "gen_temperature": inst.provenance.gen_temperature,
-        "attempt": inst.provenance.attempt,
-    }
+    record["provenance"] = dict(vars(inst.provenance))  # fields in declaration order
     return record
 
 
-def _require(ok: bool, key: str, kind: str, value) -> None:
-    if not ok:
-        raise TypeError(f"{key} must be {kind}, got {type(value).__name__}")
+# Exact JSON types per field (json.loads makes no subclasses, and a bool is
+# not an int here), with the words an error names them by.
+_STRINGS = frozenset({str})
+_NUMBERS = frozenset({int, float})
+_INSTANCE_FIELDS = (
+    ("id", _STRINGS, "a string"),
+    ("topic", _STRINGS, "a string"),
+    ("question", _STRINGS, "a string"),
+    ("choices", frozenset({list}), "a list"),
+    ("answer", frozenset({int}), "an integer"),
+)
+_PROVENANCE_FIELDS = (
+    ("strategy", _STRINGS, "a string"),
+    ("gen_temperature", _NUMBERS, "a number"),
+    ("attempt", frozenset({int}), "an integer"),
+)
+_MISSING = object()
 
 
-def record_to_instance(record: dict) -> McqaInstance:
-    """Decode one corpus record; ``McqaInstance`` converts the scores.
+def _field_error(number: int, key: str, value, kind: str) -> MalformedLine:
+    if value is _MISSING:
+        return MalformedLine(number, f"missing field {key!r}")
+    return MalformedLine(number, f"{key} must be {kind}, got {type(value).__name__}")
 
-    A field of the wrong JSON type raises TypeError rather than being
-    coerced: ``choices`` must be a list, ``teacher_scores`` a list or null,
-    ``answer`` neither a float nor a boolean, ``provenance`` an object.
-    """
-    for key in ("id", "topic", "question", "choices", "answer"):
-        if key not in record:
-            raise KeyError(key)
-    choices, answer = record["choices"], record["answer"]
+
+def _item_error(number: int, key: str, values: list, types: frozenset, kind: str) -> MalformedLine:
+    i = next(i for i, value in enumerate(values) if type(value) not in types)
+    return _field_error(number, f"{key}[{i}]", values[i], kind)
+
+
+def _decode_meta(meta) -> CorpusMeta:
+    """The leading meta record: an object whose present fields are strings."""
+    if type(meta) is not dict:
+        raise _field_error(1, "meta", meta, "an object")
+    names = [f.name for f in fields(CorpusMeta) if f.name in meta]
+    for name in names:
+        if type(meta[name]) is not str:
+            raise _field_error(1, f"meta.{name}", meta[name], "a string")
+    return CorpusMeta(**{name: meta[name] for name in names})
+
+
+def _decode_instance(number: int, record) -> McqaInstance:
+    """Decode one corpus record: check each field's exact JSON type (the
+    tables above; ``teacher_scores`` is absent, null or a list of numbers),
+    then the instance invariants once. Nothing is coerced: a value of any
+    other type is a MalformedLine naming the field."""
+    if type(record) is not dict:
+        raise _field_error(number, "record", record, "a JSON object")
+    for key, types, kind in _INSTANCE_FIELDS:
+        value = record.get(key, _MISSING)
+        if type(value) not in types:
+            raise _field_error(number, key, value, kind)
+    choices = record["choices"]
+    if not _STRINGS.issuperset(map(type, choices)):
+        raise _item_error(number, "choices", choices, _STRINGS, "a string")
     scores = record.get("teacher_scores")
+    if scores is not None:
+        if type(scores) is not list:
+            raise _field_error(number, "teacher_scores", scores, "a list or null")
+        if not _NUMBERS.issuperset(map(type, scores)):
+            raise _item_error(number, "teacher_scores", scores, _NUMBERS, "a number")
     prov = record.get("provenance", {})
-    _require(isinstance(choices, list), "choices", "a list", choices)
-    _require(scores is None or isinstance(scores, list), "teacher_scores", "a list or null", scores)
-    _require(not isinstance(answer, (bool, float)), "answer", "an integer", answer)
-    _require(isinstance(prov, dict), "provenance", "an object", prov)
-    return McqaInstance(
-        id=str(record["id"]),
-        topic=str(record["topic"]),
-        question=str(record["question"]),
-        choices=tuple(map(str, choices)),
-        answer_index=int(answer),
-        teacher_scores=scores,
-        provenance=Provenance(
-            strategy=prov.get("strategy", "real"),
-            gen_temperature=float(prov.get("gen_temperature", 0.0)),
-            attempt=int(prov.get("attempt", 0)),
-        ),
+    if type(prov) is not dict:
+        raise _field_error(number, "provenance", prov, "an object")
+    for key, types, kind in _PROVENANCE_FIELDS:
+        if key in prov and type(prov[key]) not in types:
+            raise _field_error(number, f"provenance.{key}", prov[key], kind)
+    try:
+        provenance = Provenance(
+            prov.get("strategy", "real"),
+            float(prov.get("gen_temperature", 0.0)),
+            prov.get("attempt", 0),
+        )
+    except ValueError as exc:
+        raise MalformedLine(number, str(exc)) from None
+    return _checked_instance(
+        MalformedLine, number, record["id"], record["topic"], record["question"],
+        choices, record["answer"], scores, provenance,
     )
 
 
@@ -158,20 +200,17 @@ def write_jsonl(corpus: Corpus, path, include_meta: bool = True) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         if include_meta:
-            meta = {
-                "meta": {
-                    "source": corpus.meta.source,
-                    "created_at": corpus.meta.created_at,
-                    "config_digest": corpus.meta.config_digest,
-                }
-            }
-            fh.write(json.dumps(meta, ensure_ascii=False) + "\n")
+            fh.write(json.dumps({"meta": vars(corpus.meta)}, ensure_ascii=False) + "\n")
         for inst in corpus.instances:
             fh.write(json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n")
 
 
 def read_jsonl(path) -> Corpus:
-    """Inverse of write_jsonl; read(write(c)) == c. Raises MalformedLine."""
+    """Inverse of write_jsonl; read(write(c)) == c. Raises MalformedLine.
+
+    Each line is decoded as it is read (``_decode_instance``); no raw record
+    is kept.
+    """
     path = Path(path)
     meta = CorpusMeta()
     instances: List[McqaInstance] = []
@@ -182,26 +221,15 @@ def read_jsonl(path) -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad syntax, or an integer past the digit limit
                 raise MalformedLine(number, f"invalid JSON: {exc}") from exc
-            if number == 1 and isinstance(record, dict) and set(record) == {"meta"}:
-                m = record["meta"]
-                meta = CorpusMeta(
-                    source=m.get("source", ""),
-                    created_at=m.get("created_at", ""),
-                    config_digest=m.get("config_digest", ""),
-                )
-                continue
-            try:
-                inst = record_to_instance(record)
-            except KeyError as exc:
-                raise MalformedLine(number, f"missing field {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise MalformedLine(number, str(exc)) from exc
-            codes = validate_instance(inst)
-            if codes:
-                raise MalformedLine(number, f"invalid instance: {', '.join(codes)}")
-            instances.append(inst)
+            if number == 1 and type(record) is dict and record.keys() == {"meta"}:
+                meta = _decode_meta(record["meta"])
+            else:
+                try:
+                    instances.append(_decode_instance(number, record))
+                except OverflowError as exc:  # an integer number beyond float range
+                    raise MalformedLine(number, str(exc)) from None
     return Corpus(tuple(instances), meta)
 
 
@@ -285,25 +313,13 @@ def _answer_key_to_index(key: str, num_choices: int, row_number: int) -> int:
     return index
 
 
-def _checked_instance(
-    row_number: int,
-    instance_id: str,
-    topic: str,
-    question: str,
-    choices: Sequence[str],
-    answer_index: int,
-) -> McqaInstance:
-    codes = validate_parts(question, choices, answer_index)
+def _checked_instance(error: type, number: int, *parts) -> McqaInstance:
+    """``McqaInstance(*parts)`` from parts of the right types; raises
+    ``error(number, ...)`` if they break an instance invariant."""
+    codes = validate_parts(*parts[2:6])  # question, choices, answer, scores
     if codes:
-        raise SchemaError(row_number, f"invalid instance: {', '.join(codes)}")
-    return McqaInstance(
-        id=instance_id,
-        topic=topic,
-        question=question,
-        choices=tuple(choices),
-        answer_index=answer_index,
-        provenance=Provenance("real", 0.0, 0),
-    )
+        raise error(number, f"invalid instance: {', '.join(codes)}")
+    return McqaInstance(*parts)
 
 
 def _import_arc_csv(path: Path, topic: str) -> List[McqaInstance]:
@@ -325,7 +341,8 @@ def _import_arc_csv(path: Path, topic: str) -> List[McqaInstance]:
             instance_id = (row.get("id") or f"arc-{number:05d}").strip()
             instances.append(
                 _checked_instance(
-                    number, instance_id, topic, row["question"].strip(), choices, answer
+                    SchemaError, number, instance_id, topic, row["question"].strip(), choices,
+                    answer,
                 )
             )
     return instances
@@ -345,6 +362,7 @@ def _import_mmlu_csv(path: Path, topic: str) -> List[McqaInstance]:
             answer = _answer_key_to_index(key, len(choices), number)
             instances.append(
                 _checked_instance(
+                    SchemaError,
                     number,
                     f"mmlu-{number:05d}",
                     topic,

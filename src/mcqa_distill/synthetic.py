@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import McqaInstance, Provenance, stable_seed
+from .core import McqaInstance, stable_seed
 from .datasets import Corpus, CorpusMeta
 from .distillation import TrainConfig, train
 from .evaluation import EvalResult, evaluate_accuracy, multi_seed
@@ -27,25 +27,6 @@ from .students import ToyStudent
 EXPERIMENT_FEATURES = 2**14
 
 NOISE_CALIBRATION_STEPS = 30
-
-
-def _make_instance(
-    instance_id: str,
-    topic: str,
-    question: str,
-    choice_texts: Sequence[str],
-    answer_index: int,
-    teacher_scores=None,
-) -> McqaInstance:
-    return McqaInstance(
-        id=instance_id,
-        topic=topic,
-        question=question,
-        choices=tuple(choice_texts),
-        answer_index=answer_index,
-        teacher_scores=teacher_scores,
-        provenance=Provenance("real", 0.0, 0),
-    )
 
 
 def build_separable_corpus(
@@ -70,7 +51,7 @@ def build_separable_corpus(
             seen.add(text)
             choices.append(text)
         instances.append(
-            _make_instance(
+            McqaInstance(
                 f"sep-{seed}-{i:05d}",
                 "synthetic",
                 f"which entry is marked in batch {i}?",
@@ -175,7 +156,7 @@ def build_noisy_teacher_universe(
             answer = int(order[0])
             i = len(instances)
             instances.append(
-                _make_instance(
+                McqaInstance(
                     f"{tag}-{seed}-{i:05d}",
                     "synthetic",
                     f"which {tag} group ranks highest in trial {i}?",

@@ -371,6 +371,14 @@ class TestDataCommands:
         assert "is not a generation report" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("meta", [5, {"source": 5}], ids=["number", "source_number"])
+    def test_stats_malformed_meta_exits_2(self, tmp_path, meta):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"meta": meta}) + "\n")
+        proc = run_cli("stats", "--in", corpus, "--out", tmp_path / "s.json", expect=2)
+        assert proc.stderr.startswith("mcqa stats: line 1: meta")
+        assert "Traceback" not in proc.stderr
+
     def test_similarity(self, workspace, corpus_path):
         out = workspace["dir"] / "similarity.json"
         proc = run_cli("similarity", "--generated", corpus_path,

@@ -5,8 +5,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcqa_distill.core import Provenance
+from mcqa_distill.core import STRATEGIES, McqaInstance, Provenance, canonical_choice
 from mcqa_distill.datasets import (
     Corpus,
     CorpusMeta,
@@ -23,6 +24,42 @@ from mcqa_distill.datasets import (
 from mcqa_distill.generation import GenerationReport
 
 from conftest import make_instance
+
+
+# Any text but lone surrogates, which UTF-8 cannot encode.
+texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+teacher_scores = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def instances(draw, instance_id):
+    choices = draw(
+        st.lists(texts.filter(str.strip), min_size=2, max_size=6, unique_by=canonical_choice)
+    )
+    scores = st.lists(teacher_scores, min_size=len(choices), max_size=len(choices))
+    return McqaInstance(
+        id=instance_id,
+        topic=draw(texts),
+        question=draw(texts.filter(str.strip)),
+        choices=choices,
+        answer_index=draw(st.integers(0, len(choices) - 1)),
+        teacher_scores=draw(st.none() | scores),
+        provenance=Provenance(
+            draw(st.sampled_from(STRATEGIES)),
+            draw(st.floats(allow_nan=False)),
+            draw(st.integers()),
+        ),
+    )
+
+
+@st.composite
+def corpora(draw):
+    ids = draw(st.lists(texts, max_size=5, unique=True))
+    meta = CorpusMeta(draw(texts), draw(texts), draw(texts))
+    return Corpus(tuple(draw(instances(i)) for i in ids), meta)
 
 
 def corpus_of(*instances, meta=None):
@@ -67,6 +104,18 @@ class TestJsonlRoundTrip:
         path = tmp_path / "corpus.jsonl"
         write_jsonl(original, path)
         assert read_jsonl(path) == original
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_round_trip_property(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        write_jsonl(corpus, path)
+        written = path.read_bytes()
+        loaded = read_jsonl(path)
+        assert loaded == corpus
+        # Equality cannot see the sign of -0.0; the rewritten bytes can.
+        write_jsonl(loaded, path)
+        assert path.read_bytes() == written
 
     def test_provenance_preserved_bit_exactly(self, tmp_path):
         inst = make_instance("prov")
@@ -116,8 +165,9 @@ class TestJsonlRoundTrip:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ({"answer": "first"}, "invalid literal for int()"),
-            ({"teacher_scores": [0.1, "high", 0.3, 0.4]}, "could not convert string to float"),
+            ({"answer": "first"}, "answer must be an integer, got str"),
+            ({"teacher_scores": [0.1, "high", 0.3, 0.4]},
+             r"teacher_scores\[1\] must be a number, got str"),
             ({"teacher_scores": [0.1, 0.2, 0.3]}, "invalid instance: SCORE_LENGTH"),
             ({"teacher_scores": [0.1, float("nan"), 0.3, 0.4]},
              "invalid instance: SCORE_NONFINITE"),
@@ -127,10 +177,23 @@ class TestJsonlRoundTrip:
             ({"answer": 1.7}, "answer must be an integer, got float"),
             ({"answer": True}, "answer must be an integer, got bool"),
             ({"provenance": "json"}, "provenance must be an object, got str"),
+            ({"question": ["Why", "not"]}, "question must be a string, got list"),
+            ({"choices": [1, 2.5, None, True]}, r"choices\[0\] must be a string, got int"),
+            ({"teacher_scores": ["1", "2"]}, r"teacher_scores\[0\] must be a number, got str"),
+            ({"teacher_scores": [True, False]},
+             r"teacher_scores\[0\] must be a number, got bool"),
+            ({"answer": "2"}, "answer must be an integer, got str"),
+            ({"provenance": {"attempt": 2.9}}, "provenance.attempt must be an integer, got float"),
+            ({"provenance": {"gen_temperature": True}},
+             "provenance.gen_temperature must be a number, got bool"),
+            ({"id": 7}, "id must be a string, got int"),
+            ({"teacher_scores": [10**400, 0, 0, 0]}, "int too large to convert to float"),
         ],
         ids=["answer", "score", "score_length", "score_nan", "strategy",
              "choices_string", "scores_string", "answer_float", "answer_bool",
-             "provenance_string"],
+             "provenance_string", "question_list", "choices_mixed", "scores_strings",
+             "scores_bools", "answer_digit_string", "attempt_float", "temperature_bool",
+             "id_int", "score_beyond_float"],
     )
     def test_bad_field_is_malformed_line_counting_the_meta_line(self, tmp_path, change, message):
         path = tmp_path / "corpus.jsonl"
@@ -142,6 +205,36 @@ class TestJsonlRoundTrip:
         with pytest.raises(MalformedLine, match=message) as excinfo:
             read_jsonl(path)
         assert excinfo.value.line_number == 4
+
+    @pytest.mark.parametrize("line,kind", [("5", "int"), ("[1, 2]", "list")],
+                             ids=["number", "array"])
+    def test_non_object_line_is_malformed_line(self, tmp_path, line, kind):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus_of(make_instance("a")), path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        message = f"record must be a JSON object, got {kind}$"
+        with pytest.raises(MalformedLine, match=message) as excinfo:
+            read_jsonl(path)
+        assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "meta,message",
+        [
+            (5, "meta must be an object, got int"),
+            (["a"], "meta must be an object, got list"),
+            ({"source": 5}, "meta.source must be a string, got int"),
+            ({"created_at": None}, "meta.created_at must be a string, got NoneType"),
+        ],
+        ids=["number", "array", "source_number", "created_at_null"],
+    )
+    def test_bad_meta_record_is_malformed_line_1(self, tmp_path, meta, message):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus_of(make_instance("a")), path, include_meta=False)
+        path.write_text(json.dumps({"meta": meta}) + "\n" + path.read_text())
+        with pytest.raises(MalformedLine, match=message) as excinfo:
+            read_jsonl(path)
+        assert excinfo.value.line_number == 1
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
