@@ -14,6 +14,7 @@ summary CSVs next to the printed table.
 Usage: python scripts/noisy_teacher_experiment.py [outdir]
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -32,7 +33,10 @@ SEEDS = (1, 2, 3, 4, 5)
 
 
 def main():
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else REPO / "runs" / "noisy_teacher"
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", nargs="?", type=Path, default=REPO / "runs" / "noisy_teacher",
+                        help="output directory (default: runs/noisy_teacher in the repository)")
+    outdir = parser.parse_args().outdir
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = time.perf_counter()

@@ -8,6 +8,7 @@ is reproducible byte for byte (SOURCE_DATE_EPOCH is pinned).
 Usage: python scripts/run_mock_pipeline.py [workdir]
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -59,7 +60,10 @@ def cli(workdir, env, *args):
 
 
 def main():
-    workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else REPO / "runs" / "mock_demo"
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workdir", nargs="?", type=Path, default=REPO / "runs" / "mock_demo",
+                        help="output directory (default: runs/mock_demo in the repository)")
+    workdir = parser.parse_args().workdir
     workdir.mkdir(parents=True, exist_ok=True)
 
     examples = tuple(

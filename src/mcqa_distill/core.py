@@ -112,6 +112,10 @@ class Provenance:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not 0 <= self.gen_temperature < math.inf:  # also false for NaN
+            raise ValueError(f"gen_temperature must be finite and >= 0: {self.gen_temperature}")
+        if self.attempt < 0:
+            raise ValueError(f"attempt must be >= 0: {self.attempt}")
 
 
 @dataclass(frozen=True)

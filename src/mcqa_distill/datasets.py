@@ -209,11 +209,13 @@ def read_jsonl(path) -> Corpus:
     """Inverse of write_jsonl; read(write(c)) == c. Raises MalformedLine.
 
     Each line is decoded as it is read (``_decode_instance``); no raw record
-    is kept.
+    is kept. A repeated id is a MalformedLine naming the line it first
+    appeared on.
     """
     path = Path(path)
     meta = CorpusMeta()
     instances: List[McqaInstance] = []
+    first_line: Dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -227,9 +229,13 @@ def read_jsonl(path) -> Corpus:
                 meta = _decode_meta(record["meta"])
             else:
                 try:
-                    instances.append(_decode_instance(number, record))
+                    inst = _decode_instance(number, record)
                 except OverflowError as exc:  # an integer number beyond float range
                     raise MalformedLine(number, str(exc)) from None
+                seen = first_line.setdefault(inst.id, number)
+                if seen != number:
+                    raise MalformedLine(number, f"duplicate id {inst.id!r}, first on line {seen}")
+                instances.append(inst)
     return Corpus(tuple(instances), meta)
 
 

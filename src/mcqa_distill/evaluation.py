@@ -1,12 +1,12 @@
-"""Student evaluation: MCQA accuracy, the binary-classification heuristic
-with F1, multi-seed aggregation, and embedding-similarity statistics.
+"""Student evaluation: MCQA accuracy (what ``mcqa eval`` reports), multi-seed
+aggregation, and embedding-similarity statistics.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -50,10 +50,6 @@ def _instances(corpus) -> tuple:
     return tuple(getattr(corpus, "instances", corpus))
 
 
-def _logits(student, instances) -> Iterator[np.ndarray]:
-    return instance_logits(student, ((inst.question, inst.choices) for inst in instances))
-
-
 def evaluate_accuracy(student, corpus) -> float:
     """Fraction of instances whose top student logit sits at the gold index.
 
@@ -63,55 +59,11 @@ def evaluate_accuracy(student, corpus) -> float:
     instances = _instances(corpus)
     if not instances:
         raise EmptyCorpus("cannot evaluate an empty corpus")
+    logits = instance_logits(student, ((inst.question, inst.choices) for inst in instances))
     hits = sum(
-        int(np.argmax(logits)) == inst.answer_index
-        for inst, logits in zip(instances, _logits(student, instances))
+        int(np.argmax(row)) == inst.answer_index for inst, row in zip(instances, logits)
     )
     return hits / len(instances)
-
-
-def binary_threshold(student, corpus) -> float:
-    """Mean student logit over every (question, choice) pair in the corpus.
-
-    The heuristic's decision threshold; compute it on whatever calibration
-    corpus the caller designates.
-    """
-    instances = _instances(corpus)
-    if not instances:
-        raise EmptyCorpus("cannot compute a threshold over an empty corpus")
-    return float(np.mean(np.concatenate(list(_logits(student, instances)))))
-
-
-def explode_binary_pairs(corpus) -> List[Tuple[str, str, int]]:
-    """(question, choice, label) pairs; label 1 iff the choice is the gold one."""
-    return [
-        (inst.question, choice, int(i == inst.answer_index))
-        for inst in _instances(corpus)
-        for i, choice in enumerate(inst.choices)
-    ]
-
-
-def evaluate_binary_f1(
-    student, labeled_pairs: Sequence[Tuple[str, str, int]], threshold: float
-) -> float:
-    """Binary F1 with 'correct' predicted iff the pair logit exceeds the threshold.
-
-    Returns 0 when the 2TP + FP + FN denominator is zero.
-    """
-    if not labeled_pairs:
-        raise EmptyCorpus("no labeled pairs to evaluate")
-    tp = fp = fn = 0
-    pair_logits = instance_logits(student, ((q, (c,)) for q, c, _ in labeled_pairs))
-    for (_, _, label), logits in zip(labeled_pairs, pair_logits):
-        predicted = int(logits[0] > threshold)
-        if predicted and label:
-            tp += 1
-        elif predicted and not label:
-            fp += 1
-        elif not predicted and label:
-            fn += 1
-    denominator = 2 * tp + fp + fn
-    return 2 * tp / denominator if denominator else 0.0
 
 
 def multi_seed(

@@ -146,7 +146,12 @@ _LITERAL_EVAL_LOCK = threading.Lock()
 
 def _parse_json_fields(raw: str):
     """``(question, choices, answer_index)`` from one teacher reply, stripped
-    but not validated, or the rejection reason."""
+    but not yet validated (``generate`` runs ``validate_parts`` on them), or
+    the rejection reason.
+
+    Accepts strict JSON and the single-quoted object style the few-shot
+    prompts demonstrate, and ignores any prose around the object.
+    """
     block, reason = extract_object_block(raw)
     if block is None:
         return reason
@@ -174,24 +179,6 @@ def _parse_json_fields(raw: str):
     if isinstance(answer, bool) or not isinstance(answer, int):
         return WRONG_TYPE
     return question.strip(), [c.strip() for c in choices], answer
-
-
-def parse_json_candidate(raw: str) -> Tuple[Optional[dict], Optional[str]]:
-    """Parse one teacher reply into instance fields, or name the rejection.
-
-    Accepts strict JSON and the single-quoted object style the few-shot
-    prompts demonstrate, and strips any prose around the object. Returns
-    ``({question, choices, answer_index}, None)`` on success, else
-    ``(None, reason)``; validation codes count as reasons.
-    """
-    parsed = _parse_json_fields(raw)
-    if isinstance(parsed, str):
-        return None, parsed
-    codes = validate_parts(*parsed)
-    if codes:
-        return None, codes[0]
-    question, choices, answer = parsed
-    return {"question": question, "choices": choices, "answer_index": answer}, None
 
 
 def _ask(gw, cfg: GenerationConfig, messages) -> str:

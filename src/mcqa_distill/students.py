@@ -1,10 +1,15 @@
-"""The trainable student contract and a hashed-feature linear reference.
+"""The student contract and a hashed-feature linear reference.
 
-The student maps a (question, choice) text pair to one scalar logit. Training
-needs each pair's logit as a sparse linear function of the parameter vector,
-which ``instance_features`` supplies; ``ToyStudent`` is a desk-scale stand-in
-built on the hashing trick (Weinberger et al. 2009). ``instance_logits`` is
-the one place per-instance logits come from, for any student.
+A student scores each (question, choice) text pair with one scalar logit.
+It offers two things: a parameter vector ``params`` and
+``instance_features``, which yields, for each (question, choices) item in
+order, one sparse (index, value) vector per choice whose dot product with
+``params`` is that choice's logit, so the logit is linear in ``params``.
+Training reads these features once per distinct visited instance, before its
+first step, and writes ``params`` in place only after its last step.
+``ToyStudent`` is a desk-scale student built on the hashing trick
+(Weinberger et al. 2009). ``instance_logits`` is the one place per-instance
+logits come from.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import zlib
 from itertools import islice, repeat
-from typing import Iterable, Iterator, List, Protocol, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,29 +42,6 @@ MODEL_VERSION = 1
 SparseVector = Tuple[np.ndarray, np.ndarray]
 # A question and its choices: what the featurizer and ``instance_logits`` read.
 Item = Tuple[str, Sequence[str]]
-
-
-class StudentScorer(Protocol):
-    """What training and evaluation require of a student.
-
-    Evaluation needs only ``forward``; ``instance_logits`` scores a student
-    that has nothing else pair by pair. Training also needs
-    ``instance_features``: for each (question, choices) item, in order, one
-    sparse (index, value) vector per choice whose dot product with
-    ``params`` is that choice's logit, equal to ``forward``. Training reads
-    these once per distinct visited instance, before the first step, treats
-    the logit as linear in ``params``, and updates ``params`` in place only
-    after the last step. ``ToyStudent`` is the only student; its ``forward``
-    reads its one pair through ``instance_features``, so the two agree by
-    construction.
-    """
-
-    @property
-    def params(self) -> np.ndarray: ...
-
-    def forward(self, question: str, choice: str) -> float: ...
-
-    def instance_features(self, items: Iterable[Item]) -> Iterator[Tuple[SparseVector, ...]]: ...
 
 
 def _tokens(text: str) -> list:
@@ -152,19 +134,10 @@ def _featurize_chunk(
 
 
 def instance_logits(student, items: Iterable[Item]) -> Iterator[np.ndarray]:
-    """Each item's per-choice logits, in order, as float64 arrays.
-
-    A student with ``instance_features`` is read through it, chunk by chunk;
-    any other is scored pair by pair through ``forward``. Either way a
-    logit is the value ``forward`` returns.
-    """
-    featurize = getattr(student, "instance_features", None)
-    if featurize is None:
-        for question, choices in items:
-            yield np.array([student.forward(question, c) for c in choices], dtype=np.float64)
-        return
+    """Each item's per-choice logits, in order, as float64 arrays: the dot
+    product of ``params`` with each choice's ``instance_features`` vector."""
     params = student.params
-    for features in featurize(items):
+    for features in student.instance_features(items):
         yield np.array([np.dot(params[idx], val) for idx, val in features], dtype=np.float64)
 
 
@@ -189,10 +162,6 @@ class ToyStudent:
     @property
     def params(self) -> np.ndarray:
         return self.weights
-
-    def forward(self, question: str, choice: str) -> float:
-        ((idx, val),) = next(self.instance_features([(question, (choice,))]))
-        return float(np.dot(self.weights[idx], val))
 
     def instance_features(self, items: Iterable[Item]) -> Iterator[Tuple[SparseVector, ...]]:
         """Per-choice features of each (question, choices) item, hashed

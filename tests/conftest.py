@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mcqa_distill.core import FewShotSet, McqaInstance
@@ -77,14 +78,25 @@ def science_fewshot():
 
 
 class FixedLogitStudent:
-    """Test double scoring (question, choice) pairs from a lookup table."""
+    """Test double scoring (question, choice) pairs from a lookup table.
+
+    ``params`` holds the table's logits, then ``default``; each pair's
+    feature vector is the single unit coordinate of its entry, so every
+    logit equals its table value bit for bit.
+    """
 
     def __init__(self, table, default=0.0):
-        self.table = dict(table)
-        self.default = default
+        table = dict(table)
+        self.slots = {pair: k for k, pair in enumerate(table)}
+        self.params = np.array([*table.values(), default], dtype=np.float64)
 
-    def forward(self, question, choice):
-        return self.table.get((question, choice), self.default)
+    def instance_features(self, items):
+        one = np.array([1.0])
+        for question, choices in items:
+            yield tuple(
+                (np.array([self.slots.get((question, c), len(self.slots))]), one)
+                for c in choices
+            )
 
 
 @pytest.fixture

@@ -36,16 +36,8 @@ from mcqa_distill.distillation import (
     one_hot,
     train,
 )
-from mcqa_distill.evaluation import (
-    binary_threshold,
-    evaluate_binary_f1,
-)
 from mcqa_distill.gateway import MockBackend, save_script
-from mcqa_distill.generation import (
-    GenerationConfig,
-    generate,
-    parse_json_candidate,
-)
+from mcqa_distill.generation import GenerationConfig, generate
 from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
 from mcqa_distill.scoring import ScoringConfig, soften
 from mcqa_distill.students import ToyStudent
@@ -55,8 +47,8 @@ from mcqa_distill.synthetic import (
     run_noisy_teacher_experiment,
 )
 
-from conftest import SCIENCE_EXAMPLES, FixedLogitStudent, make_instance
-from test_generation import PARSER_FIXTURES, SequencedBackend
+from conftest import SCIENCE_EXAMPLES, make_instance
+from test_generation import PARSER_FIXTURES, SequencedBackend, judge_reply
 
 
 @contextmanager
@@ -203,11 +195,11 @@ def test_parser_fixture_suite():
         assert len(accepted) >= 3  # strict, single-quoted, prose-wrapped styles
         assert {"NO_OBJECT", "UNBALANCED", "BAD_SYNTAX", "MISSING_KEY", "WRONG_TYPE"} <= rejected_reasons
         for _, raw, expected in PARSER_FIXTURES:
-            fields, reason = parse_json_candidate(raw)
+            judged = judge_reply(raw)
             if expected == "ok":
-                assert fields is not None and reason is None
+                assert isinstance(judged, tuple)
             else:
-                assert fields is None and reason == expected
+                assert judged == expected
 
         fs = science_fewshot_set()
         cfg = GenerationConfig(strategy="json", target_count=1000, max_attempts=100, seed=0)
@@ -347,33 +339,6 @@ def test_dataset_mechanics(tmp_path):
         path = tmp_path / "round_trip.jsonl"
         write_jsonl(corpus, path)
         assert read_jsonl(path) == corpus
-
-
-def test_binary_extension():
-    with criterion("binary extension", 1.0):
-        inst = make_instance(choices=("a", "b", "c", "d"), answer_index=0)
-        student = FixedLogitStudent(
-            {
-                (inst.question, "a"): 2.0,
-                (inst.question, "b"): 0.0,
-                (inst.question, "c"): 1.0,
-                (inst.question, "d"): -1.0,
-            }
-        )
-        assert binary_threshold(student, Corpus((inst,), CorpusMeta())) == 0.5
-
-        pairs = [("q", "tp1", 1), ("q", "tp2", 1), ("q", "fp", 0), ("q", "fn", 1)]
-        table = {("q", "tp1"): 1.0, ("q", "tp2"): 1.0, ("q", "fp"): 1.0, ("q", "fn"): -1.0}
-        assert evaluate_binary_f1(FixedLogitStudent(table), pairs, 0.0) == pytest.approx(2 / 3)
-
-        separable = [("q", f"pos{k}", 1) for k in range(6)] + [
-            ("q", f"neg{k}", 0) for k in range(10)
-        ]
-        separated = {("q", f"pos{k}"): 3.0 for k in range(6)}
-        separated.update({("q", f"neg{k}"): -3.0 for k in range(10)})
-        student = FixedLogitStudent(separated)
-        threshold = float(np.mean(list(separated.values())))
-        assert evaluate_binary_f1(student, separable, threshold) == 1.0
 
 
 def _run_pipeline(run_dir, src_root):

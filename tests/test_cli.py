@@ -534,3 +534,25 @@ def test_mock_pipeline_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.search(r"^final accuracy on the scored corpus: [01]\.\d{4}$", proc.stdout, re.M)
+
+
+@pytest.mark.parametrize("script", ["run_mock_pipeline.py", "noisy_teacher_experiment.py"])
+def test_script_help_writes_nothing(tmp_path, script):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), "--help"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(f"usage: {script}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("script", ["run_mock_pipeline.py", "noisy_teacher_experiment.py"])
+def test_script_unknown_option_exits_2(tmp_path, script):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), "--no-such-option"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "unrecognized arguments: --no-such-option" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -17,6 +17,7 @@ from mcqa_distill.core import (
     ChatMessage,
     FewShotSet,
     IdentifierRangeError,
+    Provenance,
     index_to_identifier,
     identifier_to_index,
     stable_seed,
@@ -151,6 +152,26 @@ class TestOtherTypes:
     def test_stable_seed_is_deterministic_and_split(self):
         assert stable_seed(1, "x", 2) == stable_seed(1, "x", 2)
         assert stable_seed(1, "x", 2) != stable_seed(1, "x", 3)
+
+
+class TestProvenance:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gen_temperature": float("nan")}, "gen_temperature must be finite and >= 0: nan"),
+            ({"gen_temperature": float("inf")}, "gen_temperature must be finite and >= 0: inf"),
+            ({"gen_temperature": -0.5}, "gen_temperature must be finite and >= 0: -0.5"),
+            ({"attempt": -1}, "attempt must be >= 0: -1"),
+        ],
+        ids=["temperature_nan", "temperature_inf", "temperature_negative", "attempt_negative"],
+    )
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Provenance("json", **kwargs)
+
+    def test_lower_bounds_accepted(self):
+        assert Provenance("json", 0.0, 0).attempt == 0
+        assert Provenance("json", -0.0, 0).gen_temperature == 0.0
 
 
 class TestWriteJson:

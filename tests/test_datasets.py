@@ -17,6 +17,7 @@ from mcqa_distill.datasets import (
     cumulative_subsets,
     filter_by_tokens,
     import_benchmark,
+    instance_to_record,
     read_jsonl,
     simple_token_count,
     write_jsonl,
@@ -49,8 +50,8 @@ def instances(draw, instance_id):
         teacher_scores=draw(st.none() | scores),
         provenance=Provenance(
             draw(st.sampled_from(STRATEGIES)),
-            draw(st.floats(allow_nan=False)),
-            draw(st.integers()),
+            draw(st.floats(min_value=-0.0, allow_infinity=False)),
+            draw(st.integers(min_value=0)),
         ),
     )
 
@@ -188,12 +189,20 @@ class TestJsonlRoundTrip:
              "provenance.gen_temperature must be a number, got bool"),
             ({"id": 7}, "id must be a string, got int"),
             ({"teacher_scores": [10**400, 0, 0, 0]}, "int too large to convert to float"),
+            ({"provenance": {"gen_temperature": float("nan"), "attempt": -3}},
+             "gen_temperature must be finite and >= 0: nan"),
+            ({"provenance": {"gen_temperature": float("inf")}},
+             "gen_temperature must be finite and >= 0: inf"),
+            ({"provenance": {"gen_temperature": -0.5}},
+             "gen_temperature must be finite and >= 0: -0.5"),
+            ({"provenance": {"attempt": -3}}, "attempt must be >= 0: -3"),
         ],
         ids=["answer", "score", "score_length", "score_nan", "strategy",
              "choices_string", "scores_string", "answer_float", "answer_bool",
              "provenance_string", "question_list", "choices_mixed", "scores_strings",
              "scores_bools", "answer_digit_string", "attempt_float", "temperature_bool",
-             "id_int", "score_beyond_float"],
+             "id_int", "score_beyond_float", "temperature_nan", "temperature_inf",
+             "temperature_negative", "attempt_negative"],
     )
     def test_bad_field_is_malformed_line_counting_the_meta_line(self, tmp_path, change, message):
         path = tmp_path / "corpus.jsonl"
@@ -205,6 +214,15 @@ class TestJsonlRoundTrip:
         with pytest.raises(MalformedLine, match=message) as excinfo:
             read_jsonl(path)
         assert excinfo.value.line_number == 4
+
+    def test_duplicate_id_is_malformed_line_naming_its_first_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus_of(make_instance("x"), make_instance("y")), path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + json.dumps(instance_to_record(make_instance("x"))) + "\n")
+        with pytest.raises(MalformedLine, match="duplicate id 'x', first on line 2$") as excinfo:
+            read_jsonl(path)
+        assert excinfo.value.line_number == 5
 
     @pytest.mark.parametrize("line,kind", [("5", "int"), ("[1, 2]", "list")],
                              ids=["number", "array"])

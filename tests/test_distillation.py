@@ -356,10 +356,11 @@ def pair_features(student, question, choice):
 def dense_reference_train(student, instances, cfg):
     """The dense trainer ``train`` replaced, kept as its oracle.
 
-    Visit by visit it draws the next instance, reads every pair through
-    ``forward`` and the per-pair oracle ``reference_pair_features``, adds
-    the kernel's gradient into a full-size vector and updates every
-    parameter. Returns the per-step losses.
+    Visit by visit it draws the next instance, reads every pair's features
+    from the per-pair oracle ``reference_pair_features`` and its logit as
+    their dot product with ``params``, adds the kernel's gradient into a
+    full-size vector and updates every parameter. Returns the per-step
+    losses.
     """
     lr = cfg.resolve_learning_rate(student)
     rng = np.random.default_rng(cfg.seed)
@@ -374,13 +375,11 @@ def dense_reference_train(student, instances, cfg):
                 if not order:
                     order = list(rng.permutation(len(instances)))[::-1]
                 inst = instances[order.pop()]
-                pairs = [
-                    (student.forward(inst.question, c), pair_features(student, inst.question, c))
-                    for c in inst.choices
-                ]
+                pairs = [pair_features(student, inst.question, c) for c in inst.choices]
+                logits = np.array([np.dot(params[idx], val) for idx, val in pairs])
                 target = instance_target(inst, cfg.loss_mode, cfg.distill_temperature_r)
-                loss, dlogits = loss_kernel(np.array([z for z, _ in pairs]), *target)
-                for coeff, (_, (idx, val)) in zip(dlogits, pairs):
+                loss, dlogits = loss_kernel(logits, *target)
+                for coeff, (idx, val) in zip(dlogits, pairs):
                     if coeff != 0.0 and idx.size:
                         np.add.at(grad, idx, (1.0 / cfg.micro_batch) * coeff * val)
                 batch_losses.append(loss)

@@ -1,4 +1,4 @@
-"""Accuracy, binary heuristic with F1, multi-seed aggregation, similarity."""
+"""Accuracy, multi-seed aggregation, similarity."""
 
 import tracemalloc
 
@@ -12,10 +12,7 @@ from mcqa_distill.evaluation import (
     EvalResult,
     HashedTfEmbedder,
     SeedPipelineError,
-    binary_threshold,
     evaluate_accuracy,
-    evaluate_binary_f1,
-    explode_binary_pairs,
     multi_seed,
     similarity_stats,
     write_metric_csv,
@@ -25,6 +22,7 @@ from mcqa_distill.students import FEATURIZE_CHUNK, ToyStudent
 from mcqa_distill.synthetic import build_separable_corpus
 
 from conftest import FixedLogitStudent, make_instance
+from test_students import reference_logit
 
 
 def corpus_of(*instances):
@@ -98,7 +96,7 @@ class TestEvaluateStreams:
         )
         corpus = build_separable_corpus(3 * FEATURIZE_CHUNK + 7, num_choices=5, seed=9)
         hits = sum(
-            int(np.argmax([student.forward(inst.question, c) for c in inst.choices]))
+            int(np.argmax([reference_logit(student, inst.question, c) for c in inst.choices]))
             == inst.answer_index
             for inst in corpus.instances
         )
@@ -122,73 +120,6 @@ class TestEvaluateStreams:
         eight_chunks = corpus_of(*instances)
         evaluate_accuracy(student, one_chunk)  # warm lazy imports and caches
         assert peak(eight_chunks) <= 1.5 * peak(one_chunk)
-
-
-class TestBinaryThreshold:
-    def test_hand_computed_mean(self):
-        inst = make_instance(choices=("a", "b", "c", "d"), answer_index=0)
-        table = {
-            (inst.question, "a"): 2.0,
-            (inst.question, "b"): 0.0,
-            (inst.question, "c"): 1.0,
-            (inst.question, "d"): -1.0,
-        }
-        assert binary_threshold(FixedLogitStudent(table), corpus_of(inst)) == 0.5
-
-    def test_constant_logits(self):
-        inst = make_instance()
-        assert binary_threshold(FixedLogitStudent({}, default=3.25), corpus_of(inst)) == 3.25
-
-    def test_duplicating_the_corpus_keeps_the_mean(self):
-        one = make_instance("one", question="q1?")
-        two = make_instance("two", question="q1?")
-        student = FixedLogitStudent(
-            {("q1?", c): float(j) for j, c in enumerate(one.choices)}
-        )
-        assert binary_threshold(student, corpus_of(one)) == binary_threshold(
-            student, corpus_of(one, two)
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyCorpus):
-            binary_threshold(ToyStudent(n_features=16), corpus_of())
-
-
-class TestBinaryF1:
-    def test_two_tp_one_fp_one_fn(self):
-        pairs = [("q", "tp1", 1), ("q", "tp2", 1), ("q", "fp", 0), ("q", "fn", 1)]
-        table = {("q", "tp1"): 1.0, ("q", "tp2"): 1.0, ("q", "fp"): 1.0, ("q", "fn"): -1.0}
-        f1 = evaluate_binary_f1(FixedLogitStudent(table), pairs, threshold=0.0)
-        assert f1 == pytest.approx(2 / 3)
-
-    def test_perfect_separation(self):
-        pairs = [("q", f"pos{k}", 1) for k in range(4)] + [
-            ("q", f"neg{k}", 0) for k in range(8)
-        ]
-        table = {("q", f"pos{k}"): 2.0 for k in range(4)}
-        table.update({("q", f"neg{k}"): -2.0 for k in range(8)})
-        student = FixedLogitStudent(table)
-        threshold = float(np.mean(list(table.values())))
-        assert evaluate_binary_f1(student, pairs, threshold) == 1.0
-
-    def test_all_negative_predictions_on_positive_labels(self):
-        pairs = [("q", f"c{k}", 1) for k in range(3)]
-        student = FixedLogitStudent({}, default=-1.0)
-        assert evaluate_binary_f1(student, pairs, threshold=0.0) == 0.0
-
-    def test_swapping_equal_pairs_is_symmetric(self):
-        pairs = [("q", "a", 1), ("q", "b", 0), ("q", "c", 1)]
-        table = {("q", "a"): 1.0, ("q", "b"): 1.0, ("q", "c"): -1.0}
-        student = FixedLogitStudent(table)
-        forward = evaluate_binary_f1(student, pairs, 0.0)
-        swapped = evaluate_binary_f1(student, [pairs[2], pairs[1], pairs[0]], 0.0)
-        assert forward == swapped
-
-    def test_explode_binary_pairs_labels(self):
-        inst = make_instance(answer_index=2)
-        pairs = explode_binary_pairs(corpus_of(inst))
-        assert [label for _, _, label in pairs] == [0, 0, 1, 0]
-        assert all(question == inst.question for question, _, _ in pairs)
 
 
 class TestMultiSeed:

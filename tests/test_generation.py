@@ -9,7 +9,13 @@ from collections import Counter
 
 import pytest
 
-from mcqa_distill.core import ANSWER_RANGE, DUPLICATE_CHOICE, EMPTY_FIELD, TOO_FEW_CHOICES
+from mcqa_distill.core import (
+    ANSWER_RANGE,
+    DUPLICATE_CHOICE,
+    EMPTY_FIELD,
+    TOO_FEW_CHOICES,
+    validate_parts,
+)
 from mcqa_distill.gateway import (
     CompletionResult,
     MockBackend,
@@ -28,7 +34,6 @@ from mcqa_distill.generation import (
     GenerationConfig,
     attempt_seed,
     generate,
-    parse_json_candidate,
 )
 from mcqa_distill.prompts import (
     DEFAULT_TEMPLATES,
@@ -121,42 +126,46 @@ PARSER_FIXTURES = [
 ]
 
 
+def judge_reply(raw):
+    """What json generation makes of one reply: ``_parse_json_fields`` then
+    ``validate_parts``. The fields, or the first rejection reason."""
+    parsed = generation._parse_json_fields(raw)
+    if isinstance(parsed, str):
+        return parsed
+    codes = validate_parts(*parsed)
+    return codes[0] if codes else parsed
+
+
 class TestParseJsonCandidate:
     @pytest.mark.parametrize(
         "name,raw,expected", PARSER_FIXTURES, ids=[f[0] for f in PARSER_FIXTURES]
     )
     def test_fixture(self, name, raw, expected):
-        fields, reason = parse_json_candidate(raw)
+        judged = judge_reply(raw)
         if expected == "ok":
-            assert reason is None
-            assert fields is not None
+            assert isinstance(judged, tuple)
         else:
-            assert fields is None
-            assert reason == expected
+            assert judged == expected
 
     def test_single_quoted_and_strict_parse_identically(self):
-        left, _ = parse_json_candidate(VALID_SINGLE_QUOTED)
-        right, _ = parse_json_candidate(VALID_STRICT)
-        assert left == right
-        assert left == {
-            "question": "Which energy resource is non-renewable?",
-            "choices": ["oil", "solar", "water", "wind"],
-            "answer_index": 0,
-        }
+        left = judge_reply(VALID_SINGLE_QUOTED)
+        assert left == judge_reply(VALID_STRICT)
+        assert left == (
+            "Which energy resource is non-renewable?",
+            ["oil", "solar", "water", "wind"],
+            0,
+        )
 
     def test_prose_wrapped_extracts_hand_isolated_block(self):
         wrapped = f"Of course. {VALID_STRICT} Let me know if you need more."
-        fields, _ = parse_json_candidate(wrapped)
-        by_hand, _ = parse_json_candidate(VALID_STRICT)
-        assert fields == by_hand
+        assert judge_reply(wrapped) == judge_reply(VALID_STRICT)
 
     def test_whitespace_is_stripped_from_fields(self):
-        fields, reason = parse_json_candidate(
+        question, choices, _ = judge_reply(
             "{'question': ' Which one? ', 'choices': [' a ', 'b'], 'answer': 1}"
         )
-        assert reason is None
-        assert fields["question"] == "Which one?"
-        assert fields["choices"] == ["a", "b"]
+        assert question == "Which one?"
+        assert choices == ["a", "b"]
 
 
 class SequencedBackend:

@@ -30,6 +30,14 @@ def reference_pair_features(pair, n_features, hash_seed):
     return idx, val
 
 
+def reference_logit(student, question, choice):
+    """One pair's logit: ``params`` dotted with the oracle's features."""
+    idx, val = reference_pair_features(
+        question + PAIR_SEPARATOR + choice, student.n_features, student.hash_seed
+    )
+    return np.dot(student.params[idx], val)
+
+
 def assert_matches_reference(student, items):
     features = list(student.instance_features(items))
     assert len(features) == len(items)
@@ -89,21 +97,16 @@ class TestInstanceFeaturizer:
         items = word_items(count, seed=count) + edge
         assert_matches_reference(ToyStudent(n_features=n_features, hash_seed=3), items)
 
-    def test_instance_logits_equal_forward_for_every_student(self):
+    def test_instance_logits_equal_params_dot_reference_features(self):
         items = word_items(FEATURIZE_CHUNK + 5, seed=1)
         student = ToyStudent(n_features=2**10)
         student.weights[:] = np.random.default_rng(4).normal(size=student.n_features)
-
-        class ForwardOnly:
-            forward = staticmethod(student.forward)
-
-        for scorer in (student, ForwardOnly()):
-            logits = list(instance_logits(scorer, iter(items)))
-            assert len(logits) == len(items)
-            for (question, choices), row in zip(items, logits):
-                expected = np.array([student.forward(question, c) for c in choices])
-                assert row.dtype == np.float64
-                assert row.tobytes() == expected.tobytes()
+        logits = list(instance_logits(student, iter(items)))
+        assert len(logits) == len(items)
+        for (question, choices), row in zip(items, logits):
+            expected = np.array([reference_logit(student, question, c) for c in choices])
+            assert row.dtype == np.float64
+            assert row.tobytes() == expected.tobytes()
 
 
 def pair_features(student, question, choice):
@@ -158,28 +161,31 @@ class TestFeatures:
         assert not np.array_equal(np.sort(left[0]), np.sort(right[0]))
 
 
-class TestForward:
+def logits_of(student, question, choices):
+    """The student's logits for one (question, choices) item."""
+    return next(instance_logits(student, [(question, choices)]))
+
+
+class TestLogits:
     def test_zero_weights_score_zero(self):
         student = ToyStudent(n_features=2**12)
-        assert student.forward("q", "c") == 0.0
+        assert logits_of(student, "q", ("c",)).tolist() == [0.0]
 
-    def test_forward_matches_manual_dot(self):
+    def test_logits_match_reference_dot(self):
         student = ToyStudent(n_features=2**12)
         rng = np.random.default_rng(0)
         student.weights[:] = rng.normal(size=student.n_features)
-        idx, val = pair_features(student, "what is it?", "a thing")
-        assert student.forward("what is it?", "a thing") == pytest.approx(
-            float(np.dot(student.weights[idx], val))
-        )
+        (logit,) = logits_of(student, "what is it?", ("a thing",))
+        assert logit == reference_logit(student, "what is it?", "a thing")
 
     def test_choice_scoring_is_independent_per_choice(self):
         """Scoring a choice does not depend on sibling choices."""
         student = ToyStudent(n_features=2**12)
         rng = np.random.default_rng(1)
         student.weights[:] = rng.normal(size=student.n_features)
-        alone = student.forward("the question", "candidate one")
-        again = student.forward("the question", "candidate one")
-        assert alone == again
+        (alone,) = logits_of(student, "the question", ("candidate one",))
+        among = logits_of(student, "the question", ("candidate two", "candidate one", "x"))
+        assert alone == among[1]
 
 
 class TestSerialization:
