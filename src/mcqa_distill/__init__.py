@@ -8,7 +8,6 @@ from .core import (  # noqa: F401
     FewShotSet,
     McqaInstance,
     Provenance,
-    SoftLabel,
     index_to_identifier,
     identifier_to_index,
     validate_instance,

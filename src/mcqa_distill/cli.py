@@ -40,9 +40,10 @@ from .datasets import (
 )
 from .gateway import BackendConfig, GatewayError, HttpBackend, MockBackend, load_script
 from .generation import GenerationReport, generate
+from .scoring import score_instances
 
-# scoring, students, distillation and evaluation load numpy: each command
-# imports them itself, so a command starts up with only the layers it runs.
+# students, distillation and evaluation load numpy: each command imports them
+# itself, so a command starts up with only the layers it runs.
 
 
 def fatal_errors(fn):
@@ -176,8 +177,6 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
 @fatal_errors
 def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, model_name):
     """Attach teacher scores to every instance of a corpus."""
-    from .scoring import score_instances
-
     cfg = effective_config(
         config_path,
         {

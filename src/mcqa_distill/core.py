@@ -164,33 +164,6 @@ class FewShotSet:
 
 
 @dataclass(frozen=True)
-class SoftLabel:
-    """A probability vector over the choices of one instance."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if not probs:
-            raise ValueError("soft label must not be empty")
-        if any(p < 0 or not math.isfinite(p) for p in probs):
-            raise ValueError(f"soft label entries must be finite and >= 0: {probs}")
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"soft label sums to {total}, expected 1")
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __iter__(self):
-        return iter(self.probs)
-
-    def argmax(self) -> int:
-        return max(range(len(self.probs)), key=self.probs.__getitem__)
-
-
-@dataclass(frozen=True)
 class ChatMessage:
     """One turn of a chat prompt."""
 

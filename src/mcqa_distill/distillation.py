@@ -4,16 +4,18 @@ Three loss modes:
 
 * ``generate``: cross-entropy against the one-hot generated label.
 * ``distill``: cross-entropy against teacher scores softened at temperature
-  r, with the student's softmax at the same temperature; r = 0 degenerates to
-  hard teacher-argmax labels with the student at temperature 1 (a labeling
-  change, not a student change, so the loss stays differentiable).
+  r (``soften``, which turns the raw scores ``scoring`` stored into a
+  probability vector), with the student's softmax at the same temperature;
+  r = 0 degenerates to hard teacher-argmax labels with the student at
+  temperature 1 (a labeling change, not a student change, so the loss stays
+  differentiable).
 * ``binary_bce``: per-pair sigmoid cross-entropy where a pair is labeled 1
   iff the choice is the gold one.
 
 Every mode reduces to one kernel, ``loss_kernel``: an instance's per-choice
 logits and its target vector in, its loss and the loss gradient with respect
 to those logits out. The scalar losses, the batch gradient and ``train`` all
-call it.
+call it. A target, like every label distribution here, is a float64 array.
 
 The cross-entropy carries a 1/C factor (C = number of choices). That factor
 rescales gradients but not the argmin.
@@ -27,9 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import TrainConfig
-from .core import McqaInstance, SoftLabel, atomic_write
-from .scoring import soften
-from .students import SparseVector, instance_logits
+from .core import McqaInstance, atomic_write
+from .students import SparseVector, feature_logits, instance_logits
 
 PROB_FLOOR = 1e-12
 LOGIT_CLAMP = 30.0
@@ -41,6 +42,10 @@ ADAM_EPS = 1e-8
 
 class MissingTeacherScores(ValueError):
     """Distillation needs teacher_scores on every instance."""
+
+
+class TieAtZeroTemperature(ValueError):
+    """Temperature 0 needs a unique argmax to pick a hard label."""
 
 
 @dataclass
@@ -58,16 +63,34 @@ class TrainResult:
     active_features: int = 0
 
 
-def one_hot(index: int, length: int) -> SoftLabel:
-    probs = [0.0] * length
+def one_hot(index: int, length: int) -> np.ndarray:
+    probs = np.zeros(length, dtype=np.float64)
     probs[index] = 1.0
-    return SoftLabel(tuple(probs))
+    return probs
 
 
-def _probs(label) -> np.ndarray:
-    if isinstance(label, SoftLabel):
-        return np.asarray(label.probs, dtype=np.float64)
-    return np.asarray(label, dtype=np.float64)
+def soften(scores: Sequence[float], r: float) -> np.ndarray:
+    """Softmax of scores at temperature r; r = 0 returns a hard one-hot label.
+
+    Computed with max-subtraction so that large raw scores (generation runs
+    at temperature 2, missing-identifier floors sit ~10 below the rest) never
+    overflow.
+    """
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("scores must be a non-empty vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("scores must be finite")
+    if r < 0:
+        raise ValueError("temperature must be >= 0")
+    if r == 0:
+        top = arr.max()
+        if int((arr == top).sum()) != 1:
+            raise TieAtZeroTemperature(f"argmax tie at temperature 0: {list(arr)}")
+        return one_hot(int(arr.argmax()), arr.size)
+    shifted = (arr - arr.max()) / r
+    weights = np.exp(shifted)
+    return weights / weights.sum()
 
 
 def ce_loss(target, pred) -> float:
@@ -76,8 +99,8 @@ def ce_loss(target, pred) -> float:
     Predicted probabilities are floored at 1e-12 before the log so the loss
     stays finite for degenerate predictions.
     """
-    p = _probs(target)
-    q = _probs(pred)
+    p = np.asarray(target, dtype=np.float64)
+    q = np.asarray(pred, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: target {p.shape} vs pred {q.shape}")
     logq = np.log(np.maximum(q, PROB_FLOOR))
@@ -95,13 +118,13 @@ def instance_target(
     with the student at temperature 1.
     """
     if mode == "generate":
-        return _probs(one_hot(inst.answer_index, inst.num_choices)), 1.0
+        return one_hot(inst.answer_index, inst.num_choices), 1.0
     if mode == "distill":
         if inst.teacher_scores is None:
             raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
-        return _probs(soften(inst.teacher_scores, r)), (r if r > 0 else 1.0)
+        return soften(inst.teacher_scores, r), (r if r > 0 else 1.0)
     if mode == "binary_bce":
-        return _probs(one_hot(inst.answer_index, inst.num_choices)), None
+        return one_hot(inst.answer_index, inst.num_choices), None
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
@@ -126,7 +149,7 @@ def loss_kernel(
             0.0, clamped
         )
         return float(np.mean(per_pair)), (sig - target) * active / n
-    probs = _probs(soften(logits, temperature))
+    probs = soften(logits, temperature)
     return ce_loss(target, probs), (probs - target) / (n * temperature)
 
 
@@ -191,9 +214,7 @@ def _loss_and_gradient(
     scale = 1.0 / len(batch)
     losses, index, terms = [], [], []
     for item in batch:
-        logits = np.array(
-            [np.dot(params[idx], val) for idx, val in item.features], dtype=np.float64
-        )
+        logits = feature_logits(params, item.features)
         loss, dlogits = loss_kernel(logits, item.target, item.temperature)
         for coeff, (idx, val) in zip(dlogits, item.features):
             if coeff != 0.0:

@@ -4,14 +4,13 @@ aggregation, and embedding-similarity statistics.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from .core import atomic_write
-from .students import instance_logits
+from .students import SparseVector, _count_and_normalize, _hash_terms, instance_logits
 
 EMBED_DIM = 2**16
 
@@ -89,9 +88,11 @@ def multi_seed(
 class HashedTfEmbedder:
     """Deterministic dependency-free embedder: L2-normalized hashed term counts.
 
-    Satisfies the embedder contract (fixed dimension, unit norm for non-empty
-    text); swap in a sentence-embedding endpoint for production-grade
-    similarity numbers.
+    A text's terms are its lowercased, whitespace-split tokens, each hashed
+    to crc32(term, hash_seed) mod ``dim`` (the students' term hash). Satisfies
+    the embedder contract (fixed dimension, unit norm for non-empty text,
+    zero for empty text, held sparse); swap in a sentence-embedding endpoint
+    for production-grade similarity numbers.
     """
 
     def __init__(self, dim: int = EMBED_DIM, hash_seed: int = 0):
@@ -100,14 +101,12 @@ class HashedTfEmbedder:
         self.dim = dim
         self.hash_seed = hash_seed
 
-    def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for term in text.lower().split():
-            vec[zlib.crc32(term.encode("utf-8"), self.hash_seed) % self.dim] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+    def embed_sparse(self, texts: Sequence[str]) -> List[SparseVector]:
+        """Each text's embedding as a sparse (index, value) vector, in order."""
+        tokens = [text.lower().split() for text in texts]
+        terms = [term for row in tokens for term in row]
+        lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
+        return _count_and_normalize(_hash_terms(terms, self.dim, self.hash_seed), lengths)
 
 
 def similarity_stats(generated, reference, embedder) -> Dict[str, float]:
@@ -115,14 +114,31 @@ def similarity_stats(generated, reference, embedder) -> Dict[str, float]:
 
     Questions only, choices excluded. Returns the mean of the per-question
     maxima and their overall maximum.
+
+    Embeddings stay sparse: the reference entries are sorted by index once,
+    and each generated row sums its products with the entries sharing its
+    indices per reference row, so memory grows with the number of terms,
+    not with ``dim`` times the corpus size.
     """
     generated_instances = _instances(generated)
     reference_instances = _instances(reference)
     if not generated_instances or not reference_instances:
         raise EmptyCorpus("similarity needs non-empty corpora on both sides")
-    gen = np.stack([embedder.embed(inst.question) for inst in generated_instances])
-    ref = np.stack([embedder.embed(inst.question) for inst in reference_instances])
-    best = (gen @ ref.T).max(axis=1)
+    gen = embedder.embed_sparse([inst.question for inst in generated_instances])
+    ref = embedder.embed_sparse([inst.question for inst in reference_instances])
+    ref_idx = np.concatenate([idx for idx, _ in ref])
+    ref_val = np.concatenate([val for _, val in ref])
+    ref_row = np.repeat(np.arange(len(ref)), [idx.size for idx, _ in ref])
+    order = np.argsort(ref_idx, kind="stable")
+    ref_idx, ref_val, ref_row = ref_idx[order], ref_val[order], ref_row[order]
+    best = np.empty(len(gen), dtype=np.float64)
+    for k, (idx, val) in enumerate(gen):
+        lo = np.searchsorted(ref_idx, idx, "left")
+        counts = np.searchsorted(ref_idx, idx, "right") - lo
+        # Positions of every matching reference entry, term by term.
+        pos = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        products = np.repeat(val, counts) * ref_val[pos]
+        best[k] = np.bincount(ref_row[pos], weights=products, minlength=len(ref)).max()
     return {"avg_of_max": float(best.mean()), "max_of_max": float(best.max())}
 
 

@@ -8,8 +8,10 @@ negatives against a growing forbidden list) and needs no parsing. Paraphrase
 rewrites the seed examples field by field.
 
 Each strategy is one per-attempt function; ``generate`` is the single driver
-that owns the attempt budget, rejection accounting, ids and provenance, and
-runs attempts concurrently while committing them in attempt order.
+that owns the attempt budget and rejection accounting, and runs attempts
+concurrently while committing them in attempt order. ``attempt_instance``
+gives an attempt's instance its id and provenance, for ``generate`` and for
+the mock script fabricators alike.
 """
 
 from __future__ import annotations
@@ -276,6 +278,23 @@ ATTEMPTS = {
 }
 
 
+def attempt_instance(
+    strategy: str, fs: FewShotSet, cfg: GenerationConfig, attempt: int, fields
+) -> McqaInstance:
+    """The instance that attempt ``attempt`` of a ``strategy`` run emits for
+    its ``fields`` (question, choices, answer_index), with the run's id and
+    provenance for that attempt."""
+    question, choices, answer_index = fields
+    return McqaInstance(
+        id=f"{strategy}-{cfg.seed}-{attempt:05d}",
+        topic=fs.topic,
+        question=question,
+        choices=tuple(choices),
+        answer_index=answer_index,
+        provenance=Provenance(strategy, cfg.temperature, attempt),
+    )
+
+
 def generate(
     fs: FewShotSet,
     cfg: GenerationConfig,
@@ -313,19 +332,9 @@ def generate(
         if isinstance(result, str):
             rejected[result] += 1
             continue
-        question, choices, answer_index = result
-        codes = validate_parts(question, choices, answer_index)
+        codes = validate_parts(*result)
         if codes:
             rejected[codes[0]] += 1
             continue
-        out.append(
-            McqaInstance(
-                id=f"{cfg.strategy}-{cfg.seed}-{attempt:05d}",
-                topic=fs.topic,
-                question=question,
-                choices=tuple(choices),
-                answer_index=answer_index,
-                provenance=Provenance(cfg.strategy, cfg.temperature, attempt),
-            )
-        )
+        out.append(attempt_instance(cfg.strategy, fs, cfg, attempt, result))
     return out, GenerationReport(attempted, len(out), dict(rejected))

@@ -15,10 +15,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FewShotSet, McqaInstance, Provenance, stable_seed
+from .core import FewShotSet, McqaInstance, stable_seed
 from .datasets import simple_token_count
 from .gateway import CompletionResult, request_digest
-from .generation import ATTEMPTS, GenerationConfig
+from .generation import ATTEMPTS, GenerationConfig, attempt_instance
 from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet, format_example_object
 from .scoring import ScoringConfig, fit_scoring_prompt
 
@@ -66,18 +66,6 @@ def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg, tok)
     if scoring_cfg is not None:
         add_scoring_responses(recorder.script, expected, fs, scoring_cfg, tok)
     return recorder.script, expected
-
-
-def _planned_instance(strategy, fs, cfg, attempt, question, choices, answer_index):
-    """The instance a run emits for ``attempt`` when its replies are as planned."""
-    return McqaInstance(
-        id=f"{strategy}-{cfg.seed}-{attempt:05d}",
-        topic=fs.topic,
-        question=question,
-        choices=tuple(choices),
-        answer_index=answer_index,
-        provenance=Provenance(strategy, cfg.temperature, attempt),
-    )
 
 
 def _fabricated_fields(topic: str, seed: int, attempt: int, num_choices: int = 4):
@@ -134,8 +122,8 @@ def fabricate_json_run(
     scripting downstream stages).
     """
     expected = [
-        _planned_instance(
-            "json", fs, cfg, attempt, *_fabricated_fields(fs.topic, cfg.seed, attempt)
+        attempt_instance(
+            "json", fs, cfg, attempt, _fabricated_fields(fs.topic, cfg.seed, attempt)
         )
         for attempt in range(cfg.target_count)
     ]
@@ -161,9 +149,8 @@ def fabricate_decomposed_run(
         choices = [f"right answer {attempt}"] + [
             f"wrong answer {attempt}-{slot}" for slot in range(cfg.negatives_n)
         ]
-        expected.append(
-            _planned_instance("decompose", fs, cfg, attempt, question, choices, 0)
-        )
+        fields = (question, choices, 0)
+        expected.append(attempt_instance("decompose", fs, cfg, attempt, fields))
     plans = [[inst.question, *inst.choices] for inst in expected]
     return _record_run("decompose", fs, cfg, templates, plans, expected, scoring_cfg, tok)
 
@@ -180,10 +167,7 @@ def fabricate_paraphrase_run(
         source = fs.examples[attempt % len(fs.examples)]
         question = rewrite(source.question)
         choices = [rewrite(c) for c in source.choices]
-        expected.append(
-            _planned_instance(
-                "paraphrase", fs, cfg, attempt, question, choices, source.answer_index
-            )
-        )
+        fields = (question, choices, source.answer_index)
+        expected.append(attempt_instance("paraphrase", fs, cfg, attempt, fields))
     plans = [[inst.question, *inst.choices] for inst in expected]
     return _record_run("paraphrase", fs, cfg, templates, plans, expected, None, None)

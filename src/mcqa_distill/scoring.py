@@ -1,9 +1,10 @@
-"""Attach raw teacher scores to instances and soften them into distillation targets.
+"""Attach raw teacher scores to instances.
 
 The teacher scores an instance by answering a letter-identifier prompt; the
 first generated token's log-probability for each letter is the raw score for
-that choice. ``soften`` turns raw scores into a probability vector at a given
-temperature, with temperature 0 meaning hard labels at the argmax.
+that choice. The raw scores are stored as they are: training softens them
+into probability vectors (``distillation.soften``), so this module and
+``mcqa score`` load no numpy.
 """
 
 from __future__ import annotations
@@ -11,14 +12,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .config import ScoringConfig
 from .core import (
     ChatMessage,
     FewShotSet,
     McqaInstance,
-    SoftLabel,
     index_to_identifier,
 )
 from .gateway import (
@@ -40,37 +38,6 @@ MIN_TOP_LOGPROBS = 20
 SCORED = "scored"
 FALLBACK = "fallback"
 SKIPPED = "skipped"
-
-
-class TieAtZeroTemperature(ValueError):
-    """Temperature 0 needs a unique argmax to pick a hard label."""
-
-
-def soften(scores: Sequence[float], r: float) -> SoftLabel:
-    """Softmax of scores at temperature r; r = 0 returns a hard one-hot label.
-
-    Computed with max-subtraction so that large raw scores (generation runs
-    at temperature 2, missing-identifier floors sit ~10 below the rest) never
-    overflow.
-    """
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("scores must be a non-empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("scores must be finite")
-    if r < 0:
-        raise ValueError("temperature must be >= 0")
-    if r == 0:
-        top = arr.max()
-        if int((arr == top).sum()) != 1:
-            raise TieAtZeroTemperature(f"argmax tie at temperature 0: {list(arr)}")
-        probs = np.zeros_like(arr)
-        probs[int(arr.argmax())] = 1.0
-        return SoftLabel(tuple(probs))
-    shifted = (arr - arr.max()) / r
-    weights = np.exp(shifted)
-    probs = weights / weights.sum()
-    return SoftLabel(tuple(probs))
 
 
 def one_hot_scores(answer_index: int, num_choices: int) -> Tuple[float, ...]:

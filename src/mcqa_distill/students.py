@@ -8,8 +8,9 @@ order, one sparse (index, value) vector per choice whose dot product with
 Training reads these features once per distinct visited instance, before its
 first step, and writes ``params`` in place only after its last step.
 ``ToyStudent`` is a desk-scale student built on the hashing trick
-(Weinberger et al. 2009). ``instance_logits`` is the one place per-instance
-logits come from.
+(Weinberger et al. 2009). ``feature_logits`` is the one place per-instance
+logits come from: ``instance_logits`` reads a student through it, and
+training calls it on the features it compiled.
 """
 
 from __future__ import annotations
@@ -133,12 +134,17 @@ def _featurize_chunk(
     return [tuple(islice(rows, k)) for k in n_choices]
 
 
+def feature_logits(params: np.ndarray, features: Sequence[SparseVector]) -> np.ndarray:
+    """Per-choice logits as a float64 array: the dot product of ``params``
+    with each choice's sparse feature vector."""
+    return np.array([np.dot(params[idx], val) for idx, val in features], dtype=np.float64)
+
+
 def instance_logits(student, items: Iterable[Item]) -> Iterator[np.ndarray]:
-    """Each item's per-choice logits, in order, as float64 arrays: the dot
-    product of ``params`` with each choice's ``instance_features`` vector."""
+    """Each item's per-choice logits, in order, from its ``instance_features``."""
     params = student.params
     for features in student.instance_features(items):
-        yield np.array([np.dot(params[idx], val) for idx, val in features], dtype=np.float64)
+        yield feature_logits(params, features)
 
 
 class ToyStudent:

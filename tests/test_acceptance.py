@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcqa_distill.core import FewShotSet, SoftLabel
+from mcqa_distill.core import FewShotSet
 from mcqa_distill.datasets import (
     Corpus,
     CorpusMeta,
@@ -34,12 +34,13 @@ from mcqa_distill.distillation import (
     l_distill,
     l_generate,
     one_hot,
+    soften,
     train,
 )
 from mcqa_distill.gateway import MockBackend, save_script
 from mcqa_distill.generation import GenerationConfig, generate
 from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
-from mcqa_distill.scoring import ScoringConfig, soften
+from mcqa_distill.scoring import ScoringConfig
 from mcqa_distill.students import ToyStudent
 from mcqa_distill.synthetic import (
     build_noisy_teacher_universe,
@@ -86,7 +87,7 @@ def random_instance(rng, num_choices=4):
 
 def test_loss_exactness():
     with criterion("loss exactness", 1.0):
-        value = ce_loss(one_hot(0, 4), SoftLabel((0.25,) * 4))
+        value = ce_loss(one_hot(0, 4), np.array((0.25,) * 4))
         assert abs(value - math.log(4) / 4) <= 1e-12
 
         rng = np.random.default_rng(100)
@@ -99,9 +100,9 @@ def test_loss_exactness():
             hard = one_hot(int(rng.integers(length)), length)
             assert ce_loss(hard, hard) == 0.0
         for _ in range(100):
-            p = SoftLabel(tuple(rng.dirichlet(np.ones(4))))
+            p = np.array(tuple(rng.dirichlet(np.ones(4))))
             base = ce_loss(p, p)
-            q = SoftLabel(tuple(rng.dirichlet(np.ones(4))))
+            q = np.array(tuple(rng.dirichlet(np.ones(4))))
             assert ce_loss(p, q) >= base - 1e-12
 
         student = ToyStudent(n_features=2**12)
@@ -162,28 +163,28 @@ def test_softening_properties():
             length = int(rng.integers(2, 7))
             scores = rng.normal(0.0, 3.0, length)
             r = float(rng.uniform(0.05, 20.0))
-            probs = np.asarray(soften(scores, r).probs)
+            probs = np.asarray(tuple(soften(scores, r)))
             assert abs(probs.sum() - 1.0) <= 1e-9
 
             shift = float(rng.uniform(-25.0, 25.0))
-            shifted = np.asarray(soften(scores + shift, r).probs)
+            shifted = np.asarray(tuple(soften(scores + shift, r)))
             assert np.max(np.abs(probs - shifted)) <= 1e-12
 
             gap = np.sort(scores)[-1] - np.sort(scores)[-2]
             if gap > 1e-9:
                 assert int(probs.argmax()) == int(scores.argmax())
-                hard = np.asarray(soften(scores, 0.0).probs)
+                hard = np.asarray(tuple(soften(scores, 0.0)))
                 assert hard[int(scores.argmax())] == 1.0
                 if gap >= 0.1:
-                    nearly = np.asarray(soften(scores, 1e-3).probs)
+                    nearly = np.asarray(tuple(soften(scores, 1e-3)))
                     assert np.max(np.abs(nearly - hard)) < 1e-6
 
             r_low, r_high = sorted(
                 (float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.05, 20.0)))
             )
             assert (
-                max(soften(scores, r_low).probs)
-                >= max(soften(scores, r_high).probs) - 1e-12
+                max(tuple(soften(scores, r_low)))
+                >= max(tuple(soften(scores, r_high))) - 1e-12
             )
 
 

@@ -493,7 +493,8 @@ class TestCommandImports:
         ]
         for args in commands:
             loaded = loaded_after(*args, expect=0)
-            assert "numpy" in loaded, args[0]
+            # score stores raw teacher scores; only train and eval need numpy.
+            assert ("numpy" in loaded) == (args[0] in ("train", "eval")), args[0]
             assert "requests" not in loaded, args[0]
 
     def test_http_backend_loads_requests_and_maps_its_timeout(self):

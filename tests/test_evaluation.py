@@ -1,6 +1,7 @@
 """Accuracy, multi-seed aggregation, similarity."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mcqa_distill.datasets import Corpus, CorpusMeta
 from mcqa_distill.distillation import TrainConfig, train
 from mcqa_distill.evaluation import (
+    EMBED_DIM,
     EmptyCorpus,
     EvalResult,
     HashedTfEmbedder,
@@ -154,7 +156,68 @@ class TestMultiSeed:
             multi_seed(lambda seed: 0.0, [])
 
 
+def dense_embedding(text, dim, hash_seed=0):
+    """The dense oracle: L2-normalized hashed term counts, one term at a time."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for term in text.lower().split():
+        vec[zlib.crc32(term.encode("utf-8"), hash_seed) % dim] += 1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec
+
+
+def dense_similarity(generated, reference, dim):
+    """``similarity_stats`` computed densely: every question a ``dim``-long
+    vector, all cosines one matrix product."""
+    gen = np.stack([dense_embedding(inst.question, dim) for inst in generated.instances])
+    ref = np.stack([dense_embedding(inst.question, dim) for inst in reference.instances])
+    best = (gen @ ref.T).max(axis=1)
+    return {"avg_of_max": float(best.mean()), "max_of_max": float(best.max())}
+
+
+def dense(embedder, text):
+    """One text's sparse embedding scattered into a ``dim``-long vector."""
+    ((idx, val),) = embedder.embed_sparse([text])
+    vec = np.zeros(embedder.dim, dtype=np.float64)
+    vec[idx] = val
+    return vec
+
+
+def random_questions(rng, count, prefix):
+    """Questions over a small shared vocabulary, with repeated terms and
+    some empty ones, so rows overlap, collide and repeat."""
+    vocab = ["the", "which", "of", "is"] + [f"w{k}" for k in range(60)]
+    questions = [" ".join(rng.choice(vocab, size=rng.integers(0, 12))) for _ in range(count)]
+    return [make_instance(f"{prefix}{k}", question=q) for k, q in enumerate(questions)]
+
+
 class TestSimilarityStats:
+    @pytest.mark.parametrize("dim", [2**5, 2**12, EMBED_DIM])
+    def test_agrees_with_dense_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        generated = corpus_of(*random_questions(rng, 60, "g"))
+        reference = corpus_of(*random_questions(rng, 9, "r"))
+        stats = similarity_stats(generated, reference, HashedTfEmbedder(dim=dim))
+        expected = dense_similarity(generated, reference, dim)
+        assert stats.keys() == expected.keys()
+        for key in expected:
+            assert abs(stats[key] - expected[key]) <= 1e-12, key
+
+    def test_peak_memory_does_not_scale_with_dim_times_corpus(self):
+        rng = np.random.default_rng(0)
+        generated = corpus_of(*random_questions(rng, 512, "g"))
+        reference = corpus_of(*random_questions(rng, 5, "r"))
+        embedder = HashedTfEmbedder()
+        similarity_stats(reference, reference, embedder)  # warm lazy imports
+        tracemalloc.start()
+        try:
+            similarity_stats(generated, reference, embedder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_identical_corpora_hit_one(self):
         instances = [make_instance(f"i{k}", question=f"the question {k}?") for k in range(4)]
         stats = similarity_stats(
@@ -209,15 +272,21 @@ class TestSimilarityStats:
 class TestEmbedder:
     def test_unit_norm_for_nonempty(self):
         embedder = HashedTfEmbedder(dim=2**12)
-        assert np.linalg.norm(embedder.embed("three word text")) == pytest.approx(1.0)
+        assert np.linalg.norm(dense(embedder, "three word text")) == pytest.approx(1.0)
 
     def test_deterministic(self):
         embedder = HashedTfEmbedder(dim=2**12)
-        assert np.array_equal(embedder.embed("same text"), embedder.embed("same text"))
+        assert np.array_equal(dense(embedder, "same text"), dense(embedder, "same text"))
 
     def test_empty_text_is_zero_vector(self):
         embedder = HashedTfEmbedder(dim=2**12)
-        assert np.linalg.norm(embedder.embed("")) == 0.0
+        assert np.linalg.norm(dense(embedder, "")) == 0.0
+
+    def test_equals_dense_oracle(self):
+        embedder = HashedTfEmbedder(dim=2**6, hash_seed=3)
+        for text in ["", "one", "Repeat repeat REPEAT once", "a b c d e f g h i j k l m n o p"]:
+            expected = dense_embedding(text, embedder.dim, hash_seed=3)
+            assert np.array_equal(dense(embedder, text), expected), text
 
 
 class TestCsvExports:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcqa_distill.datasets import simple_token_count
+from mcqa_distill.distillation import TieAtZeroTemperature, soften
 from mcqa_distill.gateway import (
     CompletionResult,
     MockBackend,
@@ -23,11 +24,9 @@ from mcqa_distill.scoring import (
     SCORED,
     SKIPPED,
     ScoringConfig,
-    TieAtZeroTemperature,
     fit_scoring_prompt,
     one_hot_scores,
     score_instances,
-    soften,
 )
 
 from conftest import make_instance
@@ -43,25 +42,25 @@ REFERENCE_LOGPROBS = {"A": -1.047, "B": -1.542, "C": -1.546, "D": -1.505}
 
 class TestSoften:
     def test_uniform_scores_give_uniform_probs(self):
-        assert soften([1, 1, 1, 1], 1.0).probs == (0.25, 0.25, 0.25, 0.25)
+        assert tuple(soften([1, 1, 1, 1], 1.0)) == (0.25, 0.25, 0.25, 0.25)
 
     def test_zero_temperature_is_hard_label(self):
-        assert soften([2, 0, 0, 0], 0.0).probs == (1.0, 0.0, 0.0, 0.0)
+        assert tuple(soften([2, 0, 0, 0], 0.0)) == (1.0, 0.0, 0.0, 0.0)
 
     def test_log_two_gives_two_thirds(self):
-        probs = soften([math.log(2), 0.0], 1.0).probs
+        probs = tuple(soften([math.log(2), 0.0], 1.0))
         assert probs[0] == pytest.approx(2 / 3, abs=1e-12)
         assert probs[1] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_high_temperature_flattens_toward_uniform(self):
-        probs = soften([5, 1, 1, 1], 100.0).probs
+        probs = tuple(soften([5, 1, 1, 1], 100.0))
         # Direct (non-shifted) evaluation as the independent oracle; at r=100
         # the top entry lands at 0.2576, i.e. within 1e-2 of uniform.
         weights = [math.exp(s / 100.0) for s in [5, 1, 1, 1]]
         direct = [w / sum(weights) for w in weights]
         assert probs == pytest.approx(direct, abs=1e-12)
         assert all(abs(p - 0.25) < 1e-2 for p in probs)
-        assert max(probs) < max(soften([5, 1, 1, 1], 1.0).probs)
+        assert max(probs) < max(tuple(soften([5, 1, 1, 1], 1.0)))
 
     def test_tie_at_zero_temperature(self):
         with pytest.raises(TieAtZeroTemperature):
@@ -76,20 +75,20 @@ class TestSoften:
             soften([1.0, float("nan")], 1.0)
 
     def test_huge_scores_stay_stable(self):
-        probs = soften([1000.0, 999.0], 1.0).probs
+        probs = tuple(soften([1000.0, 999.0], 1.0))
         assert probs[0] == pytest.approx(math.exp(1) / (math.exp(1) + 1))
 
     @settings(max_examples=200)
     @given(finite_scores, st.floats(min_value=0.01, max_value=50))
     def test_normalization(self, scores, r):
-        assert abs(sum(soften(scores, r).probs) - 1.0) <= 1e-9
+        assert abs(sum(tuple(soften(scores, r))) - 1.0) <= 1e-9
 
     @settings(max_examples=200)
     @given(finite_scores, st.floats(min_value=0.01, max_value=50),
            st.floats(min_value=-30, max_value=30))
     def test_shift_invariance(self, scores, r, k):
-        base = soften(scores, r).probs
-        shifted = soften([s + k for s in scores], r).probs
+        base = tuple(soften(scores, r))
+        shifted = tuple(soften([s + k for s in scores], r))
         assert all(abs(a - b) <= 1e-12 for a, b in zip(base, shifted))
 
     @settings(max_examples=200)
@@ -99,19 +98,19 @@ class TestSoften:
         gap = arr.max() - np.sort(arr)[-2]
         if gap < 1e-6:  # effective ties dissolve in float rounding
             return
-        assert soften(scores, r).argmax() == int(arr.argmax())
+        assert int(np.argmax(soften(scores, r))) == int(arr.argmax())
 
     @settings(max_examples=200)
     @given(finite_scores, st.floats(min_value=0.01, max_value=10),
            st.floats(min_value=0.01, max_value=10))
     def test_monotone_sharpening(self, scores, r1, r2):
         low, high = sorted([r1, r2])
-        assert max(soften(scores, low).probs) >= max(soften(scores, high).probs) - 1e-12
+        assert max(tuple(soften(scores, low))) >= max(tuple(soften(scores, high))) - 1e-12
 
     def test_hard_label_limit(self):
         scores = [1.0, 0.4, -0.2, 0.85]
-        hard = soften(scores, 0.0).probs
-        nearly = soften(scores, 1e-3).probs
+        hard = tuple(soften(scores, 0.0))
+        nearly = tuple(soften(scores, 1e-3))
         assert max(abs(a - b) for a, b in zip(hard, nearly)) < 1e-6
 
 
@@ -169,7 +168,7 @@ class TestScoreInstance:
         )
         scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
         assert scored.teacher_scores == (-1.047, -1.542, -1.546, -1.505)
-        probs = soften(scored.teacher_scores, 1.0).probs
+        probs = tuple(soften(scored.teacher_scores, 1.0))
         assert probs == pytest.approx([0.351, 0.214, 0.213, 0.222], abs=5e-4)
 
     def test_only_scores_change(self, science_fewshot):
@@ -198,7 +197,7 @@ class TestScoreInstance:
         cfg = ScoringConfig(prompt_token_limit=1, fallback="one_hot")
         scored = score_one(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
         assert scored.teacher_scores == one_hot_scores(2, 4)
-        probs = soften(scored.teacher_scores, 1.0).probs
+        probs = tuple(soften(scored.teacher_scores, 1.0))
         expected = [0.0, 0.0, 1.0, 0.0]
         assert max(abs(a - b) for a, b in zip(probs, expected)) < 1e-6
 
