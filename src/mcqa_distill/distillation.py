@@ -23,14 +23,14 @@ rescales gradients but not the argmin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import TrainConfig
 from .core import McqaInstance, atomic_write
-from .students import SparseVector, feature_logits, instance_logits
+from .students import FEATURIZE_CHUNK, SparseVector, feature_logits, instance_logits
 
 PROB_FLOOR = 1e-12
 LOGIT_CLAMP = 30.0
@@ -188,6 +188,10 @@ class _CompiledInstance:
     temperature: Optional[float]
 
 
+_NO_INDEX = np.zeros(0, dtype=np.int64)
+_NO_TERMS = np.zeros(0, dtype=np.float64)
+
+
 def _compile(
     student, instances: Sequence[McqaInstance], mode: str, r: float
 ) -> List[_CompiledInstance]:
@@ -199,20 +203,20 @@ def _compile(
     return [_CompiledInstance(f, *target) for f, target in zip(features, targets)]
 
 
-def _loss_and_gradient(
-    params: np.ndarray, batch: Sequence[_CompiledInstance], grad: np.ndarray
-) -> float:
-    """Mean loss over a batch of compiled instances; ``grad`` is overwritten
-    with the mean gradient.
+def _loss_and_terms(
+    params: np.ndarray, batch: Sequence[_CompiledInstance]
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Mean loss over a batch of compiled instances, and its mean gradient
+    as ``(index, terms)``: the gradient is what ``np.add.at`` leaves when it
+    adds ``terms`` at ``index`` into zeros. It adds repeated indices in
+    order: item by item, choice by choice.
 
     Each logit is the dot product of its feature values with the parameters
-    they index, so the student is read through ``features`` alone. The
-    batch's gradient terms are scattered into ``grad`` by one ``np.add.at``,
-    which adds repeated indices in order: item by item, choice by choice.
+    they index, so the student is read through ``features`` alone. A choice
+    whose logit gradient is 0 contributes no term.
     """
-    grad.fill(0.0)
     scale = 1.0 / len(batch)
-    losses, index, terms = [], [], []
+    losses, index, terms = [], [_NO_INDEX], [_NO_TERMS]
     for item in batch:
         logits = feature_logits(params, item.features)
         loss, dlogits = loss_kernel(logits, item.target, item.temperature)
@@ -221,9 +225,7 @@ def _loss_and_gradient(
                 index.append(idx)
                 terms.append(scale * coeff * val)
         losses.append(loss)
-    if index:
-        np.add.at(grad, np.concatenate(index), np.concatenate(terms))
-    return float(np.mean(losses))
+    return float(np.mean(losses)), np.concatenate(index), np.concatenate(terms)
 
 
 def batch_loss_and_gradient(
@@ -233,7 +235,8 @@ def batch_loss_and_gradient(
     if not batch:
         raise ValueError("batch must not be empty")
     grad = np.zeros_like(student.params)
-    loss = _loss_and_gradient(student.params, _compile(student, batch, mode, r), grad)
+    loss, index, terms = _loss_and_terms(student.params, _compile(student, batch, mode, r))
+    np.add.at(grad, index, terms)
     return loss, grad
 
 
@@ -252,19 +255,38 @@ def _number_by_first_touch(compiled: dict, size: int) -> Tuple[np.ndarray, List[
 
     Returns ``active`` (``active[k]`` is the coordinate numbered k) and, per
     instance, how many coordinates it and the instances before it touch.
+
+    Instances are taken ``FEATURIZE_CHUNK`` at a time. A group's indices
+    are laid end to end, instance by instance, so the first occurrence of a
+    coordinate no earlier group numbered is in its earliest instance; a
+    stable sort by that instance orders the group's fresh coordinates. The
+    group's features are then remapped with one gather.
     """
     rank = np.full(size, -1, dtype=np.int64)
-    fresh, reach = [], []
+    keys = list(compiled)
+    fresh, reach = [_NO_INDEX], []
     touched = 0
-    for i, item in compiled.items():
-        index = np.concatenate([idx for idx, _ in item.features])
-        new = np.unique(index[rank[index] < 0])
-        rank[new] = np.arange(touched, touched + new.size)
-        touched += new.size
-        fresh.append(new)
-        features = tuple((rank[idx], val) for idx, val in item.features)
-        compiled[i] = replace(item, features=features)
-        reach.append(touched)
+    for start in range(0, len(keys), FEATURIZE_CHUNK):
+        group = keys[start : start + FEATURIZE_CHUNK]
+        features = [compiled[i].features for i in group]
+        index = [idx for pairs in features for idx, _ in pairs]
+        lengths = [idx.size for idx in index]
+        owner = np.repeat(np.repeat(np.arange(len(group)), [len(f) for f in features]), lengths)
+        index = np.concatenate([_NO_INDEX, *index])
+        untouched = rank[index] < 0
+        coords, first = np.unique(index[untouched], return_index=True)
+        earliest = owner[untouched][first]
+        coords = coords[np.argsort(earliest, kind="stable")]
+        rank[coords] = np.arange(touched, touched + coords.size)
+        reach += (touched + np.cumsum(np.bincount(earliest, minlength=len(group)))).tolist()
+        touched += coords.size
+        fresh.append(coords)
+        remapped, ends = rank[index], np.cumsum(lengths).tolist()
+        pieces = iter(zip([0] + ends, ends))
+        for i, pairs in zip(group, features):
+            item = compiled[i]
+            remapped_pairs = tuple((remapped[a:b], val) for (_, val), (a, b) in zip(pairs, pieces))
+            compiled[i] = _CompiledInstance(remapped_pairs, item.target, item.temperature)
     return np.concatenate(fresh), reach
 
 
@@ -282,16 +304,30 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     ``instance_features`` and their targets computed once. The coordinates
     their features touch are then numbered in order of first touch along
     the visit order, so the coordinates steps 1..t touch are the first
-    ``reach[t]``, and step t runs its gradient accumulation and its
-    optimizer update on that prefix only. The trained values are written
-    back into ``student.params`` at the end. That is exact: past the
-    prefix no step so far has touched a coordinate, so its gradient is
-    +0.0, Adam's m and v are still 0, and both Adam's update
-    lr * 0 / (sqrt(0) + eps) and SGD's lr * 0 are 0, which leaves w bit
-    for bit (-0.0 included); a coordinate no visited pair touches is never
-    in the prefix. Every remaining float operation happens in the same
-    order as a dense update over all of ``student.params``, written into
-    buffers allocated once per call.
+    ``reach[t]``. Steps work in buffers allocated once per call, and the
+    trained values are written back into ``student.params`` at the end.
+
+    Each step does the work of a dense update over all of
+    ``student.params``, bit for bit, on fewer coordinates:
+
+    * Its gradient accumulation (zeroing, the micro-batch scatters, their
+      sum and the division by ``grad_accumulation``), Adam's five
+      gradient-term passes ((1-b1)*g, m +=, (1-b2)*g, *g, v +=) and SGD's
+      w -= lr*g run only on the coordinates its micro-batches scatter to.
+      There every float operation runs as in the dense update, in the same
+      order. Everywhere else the dense update would only add +0.0, which is
+      the identity for every value these buffers hold: a sum is -0.0 only
+      if both addends are, so a gradient that starts at +0.0 never holds
+      -0.0 and is exactly +0.0 off the scattered coordinates; m and v start
+      at +0.0, and with b1, b2 > 1/2 a non-zero value times b never rounds
+      to zero, so they never hold -0.0 either; and w - (+0.0) is w, -0.0
+      included. A repeated coordinate needs no deduplication: ``a[t] += b``
+      writes the same value for each copy.
+    * Adam's nine passes that decay m and v and update w change every
+      coordinate touched so far, so they run on the ``reach[t]`` prefix.
+      Past it no step has touched a coordinate: m and v are still 0, and
+      Adam's update lr * 0 / (sqrt(0) + eps) is 0, which leaves w bit for
+      bit. A coordinate no visited pair touches is never in the prefix.
     """
     instances = list(dataset)
     if not instances:
@@ -314,8 +350,10 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     per_step = cfg.grad_accumulation * cfg.micro_batch
     reach = np.maximum.accumulate(after[schedule])[per_step - 1 :: per_step].tolist()
 
-    # w, m, v, grad_sum, micro_grad, grad, scratch, denom over all of active.
-    buffers = (params[active], *(np.zeros(active.size) for _ in range(7)))
+    # w, m, v, scratch, denom, read as prefixes; grad_sum and micro_grad,
+    # read at scattered coordinates only.
+    buffers = (params[active], *(np.zeros(active.size) for _ in range(4)))
+    grad_sum, micro_grad = np.zeros(active.size), np.zeros(active.size)
     result = TrainResult(
         instance_visits=int(schedule.size),
         visited_instances=len(compiled),
@@ -323,24 +361,28 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     )
     steps = schedule.reshape(cfg.iterations, cfg.grad_accumulation, cfg.micro_batch)
     for step, (micro_batches, n) in enumerate(zip(steps, reach), start=1):
-        w, m, v, grad_sum, micro_grad, grad, scratch, denom = (b[:n] for b in buffers)
-        grad_sum.fill(0.0)
+        w, m, v, scratch, denom = (b[:n] for b in buffers)
+        parts = [_loss_and_terms(w, [compiled[i] for i in visits.tolist()])
+                 for visits in micro_batches]
+        touched = np.concatenate([index for _, index, _ in parts])
+        grad_sum[touched] = 0.0
         loss_sum = 0.0
-        for visits in micro_batches:
-            loss_sum += _loss_and_gradient(w, [compiled[i] for i in visits.tolist()], micro_grad)
-            grad_sum += micro_grad
-        np.divide(grad_sum, cfg.grad_accumulation, out=grad)
+        for loss, index, terms in parts:
+            loss_sum += loss
+            micro_grad[index] = 0.0
+            np.add.at(micro_grad, index, terms)
+            grad_sum[index] += micro_grad[index]
+        grad = grad_sum[touched] / cfg.grad_accumulation
         result.losses.append(loss_sum / cfg.grad_accumulation)
         if cfg.optimizer == "sgd":
-            w -= np.multiply(lr, grad, out=scratch)
+            w[touched] -= lr * grad
             continue
-        # In place, operand for operand as m = b1*m + (1-b1)*g,
+        # Operand for operand as m = b1*m + (1-b1)*g,
         # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps).
         np.multiply(ADAM_BETA1, m, out=m)
-        m += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
+        m[touched] += (1.0 - ADAM_BETA1) * grad
         np.multiply(ADAM_BETA2, v, out=v)
-        np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
-        v += np.multiply(scratch, grad, out=scratch)
+        v[touched] += ((1.0 - ADAM_BETA2) * grad) * grad
         np.divide(v, 1.0 - ADAM_BETA2**step, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS

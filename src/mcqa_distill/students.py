@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -47,10 +47,6 @@ Item = Tuple[str, Sequence[str]]
 
 def _tokens(text: str) -> list:
     return text.lower().split()
-
-
-def _bigrams(tokens: Sequence[str]) -> list:
-    return [a + BIGRAM_JOIN + b for a, b in zip(tokens, tokens[1:])]
 
 
 def _hash_terms(terms: Sequence[str], n_features: int, hash_seed: int) -> np.ndarray:
@@ -94,40 +90,50 @@ def _featurize_chunk(
 
     Because the separator is whitespace-padded, a pair's tokens are the
     question's, the separator, then the choice's; its terms are all
-    unigrams, then all bigrams. So each question is tokenized and hashed
-    once, laid out as [unigrams, bigrams, last token + separator], each
-    choice as [unigrams, separator + first token, bigrams], and every pair
-    gathers [question unigrams, separator, choice unigrams, question rest,
-    choice rest]. All terms of the chunk are hashed in one pass.
+    unigrams, then all bigrams. So the chunk is laid out as one flat token
+    list, each item as its question's tokens followed, per choice, by the
+    separator and the choice's tokens. Every token is hashed, and so is
+    the bigram it starts: since crc32(a + b, s) == crc32(b, crc32(a, s)),
+    that is the crc of ``BIGRAM_JOIN`` + next token started from the
+    token's own crc, and no bigram string is built. A question's last
+    bigram is then its last token + separator, and a separator's is
+    separator + the choice's first token, so every pair gathers [question
+    unigrams, separator and choice unigrams, question bigrams, separator
+    and choice bigrams]. The bigram a choice's last token starts with the
+    next separator is hashed but never gathered.
     """
     (sep,) = _tokens(PAIR_SEPARATOR)
-    terms = [sep]
-    q_start, q_len, c_start, c_len, n_choices = [], [], [], [], []
+    tokens = []
+    q_start, q_len, sep_start, c_len, n_choices = [], [], [], [], []
     for question, choices in items:
-        tokens = _tokens(question)
-        q_start.append(len(terms))
-        q_len.append(len(tokens))
-        if tokens:
-            terms += tokens
-            terms += _bigrams(tokens)
-            terms.append(tokens[-1] + BIGRAM_JOIN + sep)
+        q_start.append(len(tokens))
+        tokens += _tokens(question)
+        q_len.append(len(tokens) - q_start[-1])
         n_choices.append(len(choices))
         for choice in choices:
-            tokens = _tokens(choice)
-            c_start.append(len(terms))
-            c_len.append(len(tokens))
-            if tokens:
-                terms += tokens
-                terms.append(sep + BIGRAM_JOIN + tokens[0])
-                terms += _bigrams(tokens)
-    hashes = _hash_terms(terms, n_features, hash_seed)
+            sep_start.append(len(tokens))
+            tokens.append(sep)
+            tokens += _tokens(choice)
+            c_len.append(len(tokens) - sep_start[-1] - 1)
+    if not tokens:  # no item has a choice
+        return [() for _ in items]
+    # Tokens hold no whitespace, so neither "\n" nor BIGRAM_JOIN, and UTF-8
+    # encodes every non-ASCII character in bytes >= 0x80: one encoding
+    # splits back into each token and into BIGRAM_JOIN + each token.
+    link = "\n" + BIGRAM_JOIN
+    data = (BIGRAM_JOIN + link.join(tokens)).encode("utf-8")
+    unigrams = list(map(zlib.crc32, data[1:].split(link.encode()), repeat(hash_seed)))
+    bigrams = map(zlib.crc32, data.split(b"\n")[1:], unigrams)
+    hashes = np.fromiter(chain(unigrams, bigrams), np.int64, 2 * len(tokens) - 1) % n_features
 
     owner = np.repeat(np.arange(len(n_choices)), n_choices)
     qs, qn = np.array(q_start, np.int64)[owner], np.array(q_len, np.int64)[owner]
-    cs, cn = np.array(c_start, np.int64), np.array(c_len, np.int64)
-    # Five segments per pair, as (start in ``hashes``, length).
-    starts = np.stack([qs, np.zeros_like(cs), cs, qs + qn, cs + cn], axis=1).ravel()
-    lengths = np.stack([qn, np.ones_like(cs), cn, qn, cn], axis=1).ravel()
+    ss, cn = np.array(sep_start, np.int64), np.array(c_len, np.int64)
+    # Four segments per pair, as (start in ``hashes``, length); the bigram
+    # a token at position k starts sits at len(tokens) + k.
+    bigram = len(tokens)
+    starts = np.stack([qs, ss, bigram + qs, bigram + ss], axis=1).ravel()
+    lengths = np.stack([qn, 1 + cn, qn, cn], axis=1).ravel()
     offsets = np.cumsum(lengths) - lengths
     positions = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
     rows = iter(_count_and_normalize(hashes[positions], 1 + 2 * (qn + cn)))
@@ -194,19 +200,32 @@ class ToyStudent:
 
     @classmethod
     def load(cls, path) -> "ToyStudent":
+        """Read a record written by ``save``.
+
+        A file of any other shape raises ValueError naming ``path``.
+        """
         with open(path, "rb") as fh:
             header_line = fh.readline()
             blob = fh.read()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format") != MODEL_FORMAT:
-            raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-        if header.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {header.get('version')}")
-        student = cls(n_features=header["n_features"], hash_seed=header["hash_seed"])
-        weights = np.frombuffer(blob, dtype="<f8")
-        if weights.size != student.n_features:
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError:
+            raise ValueError(f"{path}: not a {MODEL_FORMAT} file: bad header") from None
+        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+            raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        version = header.get("version")
+        if type(version) is not int or version != MODEL_VERSION:
+            raise ValueError(f"{path}: unsupported model version {version!r}")
+        for key in ("n_features", "hash_seed"):
+            if type(header.get(key)) is not int:
+                raise ValueError(f"{path}: header field {key!r} must be an int")
+        n_features = header["n_features"]
+        if n_features < 1:
+            raise ValueError(f"{path}: n_features must be positive")
+        if len(blob) != 8 * n_features:
             raise ValueError(
-                f"weight count {weights.size} does not match n_features {student.n_features}"
+                f"{path}: {len(blob)} weight bytes do not hold {n_features} float64 weights"
             )
-        student.weights = weights.astype(np.float64).copy()
+        student = cls(n_features=n_features, hash_seed=header["hash_seed"])
+        student.weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
         return student

@@ -21,6 +21,7 @@ from mcqa_distill.scoring import ScoringConfig
 from mcqa_distill.students import ToyStudent
 
 from conftest import SCIENCE_EXAMPLES, make_instance
+from test_students import MALFORMED_MODELS
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = str(REPO / "src")
@@ -327,6 +328,18 @@ class TestTrainEvalCommands:
         write_jsonl(Corpus((), CorpusMeta()), empty)
         run_cli("eval", "--config", workspace["config"], "--in", empty,
                 "--model", model, "--out", tmp_path / "r.json", expect=2)
+
+    @pytest.mark.parametrize("name", [
+        "missing_hash_seed", "header_is_a_list", "n_features_is_a_string", "too_few_weights",
+    ])
+    def test_eval_malformed_model_exits_2_naming_it(self, workspace, scored_corpus, name):
+        header, blob = MALFORMED_MODELS[name]
+        model = workspace["dir"] / "broken.bin"
+        model.write_bytes(header + b"\n" + blob)
+        proc = run_cli("eval", "--config", workspace["config"], "--in", scored_corpus,
+                       "--model", model, "--out", workspace["dir"] / "r.json", expect=2)
+        assert f"mcqa eval: {model}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDataCommands:

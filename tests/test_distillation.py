@@ -8,6 +8,8 @@ import pytest
 from mcqa_distill.distillation import (
     MissingTeacherScores,
     TrainConfig,
+    _CompiledInstance,
+    _number_by_first_touch,
     batch_loss_and_gradient,
     ce_loss,
     instance_loss,
@@ -21,7 +23,7 @@ from mcqa_distill.distillation import (
     write_loss_trace,
 )
 from mcqa_distill.evaluation import evaluate_accuracy
-from mcqa_distill.students import PAIR_SEPARATOR, ToyStudent, instance_logits
+from mcqa_distill.students import FEATURIZE_CHUNK, PAIR_SEPARATOR, ToyStudent, instance_logits
 from mcqa_distill.synthetic import build_separable_corpus
 
 from conftest import FixedLogitStudent, make_instance
@@ -520,3 +522,93 @@ class TestPrefixTrainMatchesDenseReference:
         assert student.weights.tobytes() == reference.weights.tobytes()
         assert result.losses == expected_losses
         assert np.any(student.weights[fresh] != preset_student(10).weights[fresh])
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_first_step_coordinates_idle_for_over_100_steps(self, optimizer):
+        rng = np.random.default_rng(25)
+        corpus = [random_instance(rng) for _ in range(480)]
+        cfg = TrainConfig(iterations=110, micro_batch=2, grad_accumulation=2, seed=7,
+                          loss_mode="distill", optimizer=optimizer, learning_rate=0.2)
+        # 440 visits over 480 instances, each visited once: the two
+        # instances step 1 visits in its two micro-batches share words no
+        # other instance has, so their coordinates are touched by step 1
+        # and idle for the 109 steps after it.
+        order = np.random.default_rng(cfg.seed).permutation(len(corpus))
+        for i, words in ((order[0], "zeta eta theta"), (order[2], "zeta iota kappa")):
+            corpus[i] = make_instance(
+                f"first-{i}", question=f"which {words}?",
+                choices=("lambda mu", "nu", "xi omicron pi", "rho sigma tau upsilon"),
+                answer_index=1, teacher_scores=(0.1, 1.2, -0.3, 0.4),
+            )
+        probe = ToyStudent(n_features=2**12)
+        first = pair_coordinates(probe, [corpus[i] for i in order[:4]])
+        idle = np.array(sorted(first - pair_coordinates(probe, [corpus[i] for i in order[4:440]])))
+        assert idle.size >= 8
+        reference, student = preset_student(11), preset_student(11)
+        for each in (reference, student):
+            each.weights[idle[::2]] = -0.0
+        preset = preset_student(11).weights
+        expected_losses = dense_reference_train(reference, corpus, cfg)
+        _, result = train(student, corpus, cfg)
+        assert student.weights.tobytes() == reference.weights.tobytes()
+        assert result.losses == expected_losses
+        assert np.all(student.weights[idle] != preset[idle])
+
+
+def per_instance_first_touch(compiled, size):
+    """The per-instance numbering the chunked ``_number_by_first_touch``
+    replaced, kept as its oracle: one ``np.unique`` per instance."""
+    rank = np.full(size, -1, dtype=np.int64)
+    fresh, reach = [], []
+    touched = 0
+    for i, item in compiled.items():
+        index = np.concatenate([idx for idx, _ in item.features])
+        new = np.unique(index[rank[index] < 0])
+        rank[new] = np.arange(touched, touched + new.size)
+        touched += new.size
+        fresh.append(new)
+        features = tuple((rank[idx], val) for idx, val in item.features)
+        compiled[i] = _CompiledInstance(features, item.target, item.temperature)
+        reach.append(touched)
+    return np.concatenate(fresh), reach
+
+
+def random_compiled(rng, count, size, empty_from=None):
+    """``count`` compiled instances keyed by shuffled visit ids; each choice
+    touches 0 to 12 of ``size`` coordinates, and from instance
+    ``empty_from`` on every choice touches none."""
+    compiled = {}
+    for n, key in enumerate(rng.permutation(4 * count)[:count].tolist()):
+        features = []
+        for _ in range(int(rng.integers(1, 6))):
+            width = 0 if empty_from is not None and n >= empty_from else int(rng.integers(0, 13))
+            features.append((rng.integers(0, size, width), rng.normal(size=width)))
+        compiled[key] = _CompiledInstance(tuple(features), np.ones(len(features)), 1.0)
+    return compiled
+
+
+class TestFirstTouchNumbering:
+    @pytest.mark.parametrize("count, size, empty_from", [
+        (1, 64, None),                             # one group of one instance
+        (2 * FEATURIZE_CHUNK + 1, 512, None),      # the last group holds one instance
+        (3 * FEATURIZE_CHUNK, 2**16, None),        # few collisions
+        (3 * FEATURIZE_CHUNK, 40, None),           # most coordinates touched in group one
+        (3 * FEATURIZE_CHUNK + 5, 300, 2 * FEATURIZE_CHUNK),  # a group of empty choices
+        (FEATURIZE_CHUNK, 300, 0),                 # nothing touched at all
+    ])
+    def test_chunked_equals_per_instance_oracle(self, count, size, empty_from):
+        rng = np.random.default_rng(count + size)
+        compiled = random_compiled(rng, count, size, empty_from)
+        expected = dict(compiled)
+        active, reach = _number_by_first_touch(compiled, size)
+        expected_active, expected_reach = per_instance_first_touch(expected, size)
+        assert active.dtype == np.int64
+        assert active.tobytes() == expected_active.tobytes()
+        assert reach == expected_reach
+        assert list(compiled) == list(expected)
+        for key, item in compiled.items():
+            assert len(item.features) == len(expected[key].features)
+            for (idx, val), (ref_idx, ref_val) in zip(item.features, expected[key].features):
+                assert idx.tobytes() == ref_idx.tobytes()
+                assert val is ref_val
+            assert item.target is expected[key].target

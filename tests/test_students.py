@@ -1,5 +1,6 @@
 """Hashed-feature reference student."""
 
+import json
 import zlib
 
 import numpy as np
@@ -90,9 +91,10 @@ class TestInstanceFeaturizer:
         assert_matches_reference(ToyStudent(n_features=n_features), EDGE_ITEMS[name])
 
     @pytest.mark.parametrize("count", [FEATURIZE_CHUNK - 1, FEATURIZE_CHUNK, FEATURIZE_CHUNK + 1])
-    @pytest.mark.parametrize("n_features", [16, 2**12])
+    @pytest.mark.parametrize("n_features", [1, 3, 7, 16, 2**12, 2**20])
     def test_corpora_around_the_chunk_size_match(self, count, n_features):
-        # 16 features forces collisions, so counts above 1 and merged terms occur.
+        # Up to 16 features force collisions, so counts above 1 and merged
+        # terms occur.
         edge = [item for items in EDGE_ITEMS.values() for item in items]
         items = word_items(count, seed=count) + edge
         assert_matches_reference(ToyStudent(n_features=n_features, hash_seed=3), items)
@@ -188,6 +190,29 @@ class TestLogits:
         assert alone == among[1]
 
 
+def model_header(**fields):
+    header = {"format": "mcqa-toy-student", "version": 1, "n_features": 4, "hash_seed": 0}
+    header.update(fields)
+    return json.dumps({k: v for k, v in header.items() if v is not None}).encode()
+
+
+FOUR_WEIGHTS = np.zeros(4, dtype="<f8").tobytes()
+
+# (header line, weight bytes) of files ``ToyStudent.load`` must reject.
+MALFORMED_MODELS = {
+    "header_not_json": (b"{not json", FOUR_WEIGHTS),
+    "header_is_a_list": (b'["mcqa-toy-student", 1, 4, 0]', FOUR_WEIGHTS),
+    "missing_hash_seed": (model_header(hash_seed=None), FOUR_WEIGHTS),
+    "n_features_is_a_string": (model_header(n_features="4"), FOUR_WEIGHTS),
+    "n_features_is_a_bool": (model_header(n_features=True), np.zeros(1, "<f8").tobytes()),
+    "hash_seed_is_a_float": (model_header(hash_seed=0.0), FOUR_WEIGHTS),
+    "n_features_not_positive": (model_header(n_features=0), b""),
+    "version_is_a_bool": (model_header(version=True), FOUR_WEIGHTS),
+    "too_few_weights": (model_header(), FOUR_WEIGHTS[:-8]),
+    "partial_weight": (model_header(), FOUR_WEIGHTS[:-3]),
+}
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         student = ToyStudent(n_features=2**12, hash_seed=7)
@@ -204,6 +229,14 @@ class TestSerialization:
         path = tmp_path / "bogus.bin"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ValueError):
+            ToyStudent.load(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+    def test_malformed_file_raises_value_error_naming_it(self, tmp_path, name):
+        header, blob = MALFORMED_MODELS[name]
+        path = tmp_path / "broken.bin"
+        path.write_bytes(header + b"\n" + blob)
+        with pytest.raises(ValueError, match="broken.bin"):
             ToyStudent.load(path)
 
     def test_saved_bytes_are_deterministic(self, tmp_path):
