@@ -19,6 +19,8 @@ import click
 
 from . import __version__
 from .config import (
+    FALLBACKS,
+    LOSS_MODES,
     config_digest,
     effective_config,
     now_iso,
@@ -39,7 +41,7 @@ from .datasets import (
     IMPORT_FORMATS,
 )
 from .gateway import BackendConfig, GatewayError, HttpBackend, MockBackend, load_script
-from .generation import GenerationReport, generate
+from .generation import ATTEMPTS, GenerationReport, generate
 from .scoring import score_instances
 
 # students, distillation and evaluation load numpy: each command imports them
@@ -53,8 +55,6 @@ def fatal_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
         except (GatewayError, OSError, ValueError) as exc:
             command = click.get_current_context().info_name
             click.echo(f"mcqa {command}: {exc}", err=True)
@@ -80,15 +80,9 @@ def _request_width(backend) -> int:
 
 
 def _load_fewshot(path: str, topic: str = None) -> FewShotSet:
-    fewshot_path = Path(path)
-    if not fewshot_path.exists():
-        raise click.UsageError(f"few-shot seed file not found: {fewshot_path}")
-    corpus = read_jsonl(fewshot_path)
-    if not len(corpus):
-        raise click.UsageError(f"few-shot seed file is empty: {fewshot_path}")
-    return FewShotSet(
-        topic=topic or corpus.instances[0].topic, examples=corpus.instances
-    )
+    examples = read_jsonl(path).instances
+    topic = topic or next((example.topic for example in examples), None)
+    return FewShotSet(topic=topic, examples=examples)
 
 
 def _write_corpus(instances, path, source: str, digest: str) -> Corpus:
@@ -110,7 +104,7 @@ def main():
 @main.command("generate")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file.")
 @click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
-@click.option("--strategy", type=click.Choice(["json", "decompose", "paraphrase"]), default=None)
+@click.option("--strategy", type=click.Choice(tuple(ATTEMPTS)), default=None)
 @click.option("--topic", default=None, help="Override the prompt topic.")
 @click.option("--count", type=int, default=None, help="Target instance count.")
 @click.option("--temperature", type=float, default=None)
@@ -171,7 +165,7 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
 @click.option("--token-limit", type=int, default=None)
-@click.option("--fallback", type=click.Choice(["one_hot", "skip"]), default=None)
+@click.option("--fallback", type=click.Choice(FALLBACKS), default=None)
 @click.option("--base-url", default=None, help="HTTP backend base URL.")
 @click.option("--model", "model_name", default=None, help="HTTP backend model name.")
 @fatal_errors
@@ -212,7 +206,7 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path(), help="Trained model file.")
-@click.option("--loss", type=click.Choice(["generate", "distill", "binary_bce"]), default=None)
+@click.option("--loss", type=click.Choice(LOSS_MODES), default=None)
 @click.option("--iterations", type=int, default=None)
 @click.option("--micro-batch", type=int, default=None)
 @click.option("--accum", type=int, default=None, help="Gradient accumulation steps.")
@@ -243,14 +237,6 @@ def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, l
     tr = cfg["training"]
     train_cfg = stage_config(cfg, "training")
     corpus = read_jsonl(in_path)
-    if not len(corpus):
-        raise click.UsageError(f"training corpus is empty: {in_path}")
-    if train_cfg.loss_mode == "distill":
-        missing = sum(1 for inst in corpus if inst.teacher_scores is None)
-        if missing:
-            raise click.UsageError(
-                f"distill loss needs teacher scores on every instance; {missing} missing"
-            )
     student = ToyStudent(n_features=tr["n_features"], hash_seed=tr["hash_seed"])
 
     started = time.perf_counter()
@@ -289,8 +275,6 @@ def eval_cmd(config_path, in_path, model, out):
 
     cfg = effective_config(config_path, {})
     corpus = read_jsonl(in_path)
-    if not len(corpus):
-        raise click.UsageError(f"evaluation corpus is empty: {in_path}")
     student = ToyStudent.load(model)
 
     started = time.perf_counter()

@@ -37,6 +37,7 @@ DEFAULT_HASH_SEED = 0
 
 ENCODER_PARITY_LR = 1e-5
 LOSS_MODES = ("generate", "distill", "binary_bce")
+FALLBACKS = ("one_hot", "skip")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class ScoringConfig:
     def __post_init__(self):
         if self.prompt_token_limit <= 0:
             raise ValueError("prompt_token_limit must be positive")
-        if self.fallback not in ("one_hot", "skip"):
+        if self.fallback not in FALLBACKS:
             raise ValueError(f"unknown fallback {self.fallback!r}")
 
 
@@ -71,11 +72,11 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if self.distill_temperature_r < 0:
-            raise ValueError("distillation temperature must be >= 0")
-        if self.learning_rate != 0 and not (
-            math.isfinite(self.learning_rate) and self.learning_rate > 0
-        ):
+        if not 0 <= self.distill_temperature_r < math.inf:  # also false for NaN
+            raise ValueError(
+                f"distill_temperature_r must be finite and >= 0: {self.distill_temperature_r}"
+            )
+        if self.learning_rate != 0 and not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
 
     def resolve_learning_rate(self, student) -> float:

@@ -195,12 +195,10 @@ def _decode_instance(number: int, record) -> McqaInstance:
     )
 
 
-def write_jsonl(corpus: Corpus, path, include_meta: bool = True) -> None:
-    """One instance per line; optional leading meta record."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        if include_meta:
-            fh.write(json.dumps({"meta": vars(corpus.meta)}, ensure_ascii=False) + "\n")
+def write_jsonl(corpus: Corpus, path) -> None:
+    """A leading meta record, then one instance per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"meta": vars(corpus.meta)}, ensure_ascii=False) + "\n")
         for inst in corpus.instances:
             fh.write(json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n")
 

@@ -14,8 +14,9 @@ Three loss modes:
 
 Every mode reduces to one kernel, ``loss_kernel``: an instance's per-choice
 logits and its target vector in, its loss and the loss gradient with respect
-to those logits out. The scalar losses, the batch gradient and ``train`` all
-call it. A target, like every label distribution here, is a float64 array.
+to those logits out. ``train`` calls it through ``_loss_and_terms``; there is
+no other loss path. A target, like every label distribution here, is a
+float64 array.
 
 The cross-entropy carries a 1/C factor (C = number of choices). That factor
 rescales gradients but not the argmin.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .core import McqaInstance, atomic_write
-from .students import FEATURIZE_CHUNK, SparseVector, feature_logits, instance_logits
+from .students import FEATURIZE_CHUNK, SparseVector, feature_logits
 
 PROB_FLOOR = 1e-12
 LOGIT_CLAMP = 30.0
@@ -81,8 +82,8 @@ def soften(scores: Sequence[float], r: float) -> np.ndarray:
         raise ValueError("scores must be a non-empty vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores must be finite")
-    if r < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0 <= r < np.inf:  # also false for NaN
+        raise ValueError(f"temperature must be finite and >= 0: {r}")
     if r == 0:
         top = arr.max()
         if int((arr == top).sum()) != 1:
@@ -153,27 +154,6 @@ def loss_kernel(
     return ce_loss(target, probs), (probs - target) / (n * temperature)
 
 
-def instance_loss(student, inst: McqaInstance, mode: str, r: float = 1.0) -> float:
-    """Loss of one instance under a mode (binary mode averages its C pairs)."""
-    logits = next(instance_logits(student, [(inst.question, inst.choices)]))
-    return loss_kernel(logits, *instance_target(inst, mode, r))[0]
-
-
-def l_generate(student, inst: McqaInstance) -> float:
-    """Cross-entropy against the generated (one-hot) label."""
-    return instance_loss(student, inst, "generate")
-
-
-def l_distill(student, inst: McqaInstance, r: float) -> float:
-    """Cross-entropy against the teacher's softened scores.
-
-    Temperature r divides both the teacher scores and the student logits.
-    r = 0 uses the teacher argmax as a hard label (student at temperature 1),
-    which equals l_generate on the relabeled instance exactly.
-    """
-    return instance_loss(student, inst, "distill", r)
-
-
 @dataclass(frozen=True)
 class _CompiledInstance:
     """An instance reduced to what one loss evaluation reads.
@@ -226,18 +206,6 @@ def _loss_and_terms(
                 terms.append(scale * coeff * val)
         losses.append(loss)
     return float(np.mean(losses)), np.concatenate(index), np.concatenate(terms)
-
-
-def batch_loss_and_gradient(
-    student, batch: Sequence[McqaInstance], mode: str, r: float = 1.0
-) -> Tuple[float, np.ndarray]:
-    """Mean loss and mean parameter gradient over a batch."""
-    if not batch:
-        raise ValueError("batch must not be empty")
-    grad = np.zeros_like(student.params)
-    loss, index, terms = _loss_and_terms(student.params, _compile(student, batch, mode, r))
-    np.add.at(grad, index, terms)
-    return loss, grad
 
 
 def _visit_schedule(n_instances: int, visits: int, seed: int) -> np.ndarray:
@@ -332,6 +300,12 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     instances = list(dataset)
     if not instances:
         raise ValueError("training dataset is empty")
+    if cfg.loss_mode == "distill":
+        missing = sum(inst.teacher_scores is None for inst in instances)
+        if missing:
+            raise MissingTeacherScores(
+                f"distill loss needs teacher scores on every instance; {missing} missing"
+            )
     lr = cfg.resolve_learning_rate(student)
     schedule = _visit_schedule(
         len(instances), cfg.iterations * cfg.grad_accumulation * cfg.micro_batch, cfg.seed

@@ -45,17 +45,13 @@ class EvalResult:
         )
 
 
-def _instances(corpus) -> tuple:
-    return tuple(getattr(corpus, "instances", corpus))
-
-
 def evaluate_accuracy(student, corpus) -> float:
     """Fraction of instances whose top student logit sits at the gold index.
 
     Ties break toward the lowest index, so a zero-weight student picks
     choice 0 everywhere. Logits are computed a featurizer chunk at a time.
     """
-    instances = _instances(corpus)
+    instances = tuple(corpus)
     if not instances:
         raise EmptyCorpus("cannot evaluate an empty corpus")
     logits = instance_logits(student, ((inst.question, inst.choices) for inst in instances))
@@ -120,8 +116,8 @@ def similarity_stats(generated, reference, embedder) -> Dict[str, float]:
     indices per reference row, so memory grows with the number of terms,
     not with ``dim`` times the corpus size.
     """
-    generated_instances = _instances(generated)
-    reference_instances = _instances(reference)
+    generated_instances = tuple(generated)
+    reference_instances = tuple(reference)
     if not generated_instances or not reference_instances:
         raise EmptyCorpus("similarity needs non-empty corpora on both sides")
     gen = embedder.embed_sparse([inst.question for inst in generated_instances])

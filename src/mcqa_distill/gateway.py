@@ -97,6 +97,8 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("mock", "http"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        if not 0 < self.request_timeout < math.inf:  # also false for NaN
+            raise ValueError(f"request_timeout must be finite and > 0: {self.request_timeout}")
         if self.max_parallel_requests < 1:
             raise ValueError("max_parallel_requests must be >= 1")
         if self.retry_limit < 0:
@@ -301,13 +303,12 @@ def score_identifiers(
     backend,
     req: CompletionRequest,
     identifiers: Sequence[str],
-    floor_margin: float = MISSING_LOGPROB_MARGIN,
 ) -> Dict[str, float]:
     """First-token log-probability for each identifier letter.
 
     Identifiers absent from the returned top-K get the smallest present value
-    minus ``floor_margin``; if none are present at all, every identifier gets
-    an equal 0.0 (uniform after the downstream softmax).
+    minus ``MISSING_LOGPROB_MARGIN``; if none are present at all, every
+    identifier gets an equal 0.0 (uniform after the downstream softmax).
     """
     identifiers = list(identifiers)
     if len(set(identifiers)) != len(identifiers):
@@ -327,7 +328,7 @@ def score_identifiers(
     present = {i: by_token[i] for i in identifiers if i in by_token}
     if not present:
         return {i: 0.0 for i in identifiers}
-    floor = min(present.values()) - floor_margin
+    floor = min(present.values()) - MISSING_LOGPROB_MARGIN
     return {i: present.get(i, floor) for i in identifiers}
 
 

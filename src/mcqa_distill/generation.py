@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import random
 import threading
 from collections import Counter
@@ -71,8 +72,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.strategy not in ATTEMPTS:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.temperature <= 0:
-            raise ValueError("generation temperature must be > 0")
+        if not 0 < self.temperature < math.inf:  # also false for NaN
+            raise ValueError(f"temperature must be finite and > 0: {self.temperature}")
         if self.negatives_n < 1:
             raise ValueError("negatives_n must be >= 1")
         if self.target_count < 1:

@@ -29,10 +29,9 @@ from mcqa_distill.datasets import (
 )
 from mcqa_distill.distillation import (
     TrainConfig,
-    batch_loss_and_gradient,
     ce_loss,
-    l_distill,
-    l_generate,
+    instance_target,
+    loss_kernel,
     one_hot,
     soften,
     train,
@@ -41,7 +40,7 @@ from mcqa_distill.gateway import MockBackend, save_script
 from mcqa_distill.generation import GenerationConfig, generate
 from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
 from mcqa_distill.scoring import ScoringConfig
-from mcqa_distill.students import ToyStudent
+from mcqa_distill.students import ToyStudent, instance_logits
 from mcqa_distill.synthetic import (
     build_noisy_teacher_universe,
     build_separable_corpus,
@@ -49,6 +48,7 @@ from mcqa_distill.synthetic import (
 )
 
 from conftest import SCIENCE_EXAMPLES, make_instance
+from test_distillation import loss_and_gradient
 from test_generation import PARSER_FIXTURES, SequencedBackend, judge_reply
 
 
@@ -115,7 +115,9 @@ def test_loss_exactness():
                 choices=inst.choices,
                 answer_index=int(np.argmax(inst.teacher_scores)),
             )
-            assert l_distill(student, inst, 0.0) == l_generate(student, relabeled)
+            logits = next(instance_logits(student, [(inst.question, inst.choices)]))
+            distill = loss_kernel(logits, *instance_target(inst, "distill", 0.0))[0]
+            assert distill == loss_kernel(logits, *instance_target(relabeled, "generate"))[0]
 
 
 def test_gradient_fidelity():
@@ -132,9 +134,9 @@ def test_gradient_fidelity():
         ]
         step = 1e-5
         for _ in range(20):
-            batch = [random_instance(rng)]
+            inst = random_instance(rng)
             for mode, r in modes:
-                grad = batch_loss_and_gradient(student, batch, mode, r)[1]
+                grad = loss_and_gradient(student, inst, mode, r)[1]
                 scale = np.abs(grad).max()
                 assert scale > 0
                 candidates = np.flatnonzero(np.abs(grad) >= 1e-3 * scale)
@@ -144,9 +146,9 @@ def test_gradient_fidelity():
                 for coordinate in probes:
                     original = student.weights[coordinate]
                     student.weights[coordinate] = original + step
-                    upper = batch_loss_and_gradient(student, batch, mode, r)[0]
+                    upper = loss_and_gradient(student, inst, mode, r)[0]
                     student.weights[coordinate] = original - step
-                    lower = batch_loss_and_gradient(student, batch, mode, r)[0]
+                    lower = loss_and_gradient(student, inst, mode, r)[0]
                     student.weights[coordinate] = original
                     numeric = (upper - lower) / (2 * step)
                     analytic = grad[coordinate]

@@ -117,7 +117,21 @@ class TestGenerateCommand:
             "--fewshot", missing, "--out", workspace["dir"] / "c.jsonl",
             expect=2,
         )
+        assert "mcqa generate:" in proc.stderr
         assert "nowhere.jsonl" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_empty_fewshot_exits_2_naming_the_empty_set(self, workspace):
+        empty = workspace["dir"] / "empty.jsonl"
+        write_jsonl(Corpus((), CorpusMeta()), empty)
+        out = workspace["dir"] / "c.jsonl"
+        proc = run_cli(
+            "generate", "--config", workspace["config"],
+            "--fewshot", empty, "--out", out,
+            expect=2,
+        )
+        assert "mcqa generate: few-shot set needs at least one example" in proc.stderr
+        assert not out.exists()
 
     def test_flags_override_config(self, workspace):
         out = workspace["dir"] / "four.jsonl"
@@ -300,7 +314,19 @@ class TestTrainEvalCommands:
             "--out", workspace["dir"] / "m.bin", "--loss", "distill",
             expect=2,
         )
-        assert "teacher scores" in proc.stderr
+        assert (
+            "mcqa train: distill loss needs teacher scores on every instance; 16 missing"
+            in proc.stderr
+        )
+        assert not (workspace["dir"] / "m.bin").exists()
+
+    def test_train_empty_corpus_exits_2(self, workspace, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        write_jsonl(Corpus((), CorpusMeta()), empty)
+        proc = run_cli("train", "--config", workspace["config"], "--in", empty,
+                       "--out", tmp_path / "m.bin", expect=2)
+        assert "mcqa train: training dataset is empty" in proc.stderr
+        assert not (tmp_path / "m.bin").exists()
 
     def test_eval_reports_accuracy(self, workspace, scored_corpus):
         model = workspace["dir"] / "model.bin"
@@ -314,10 +340,19 @@ class TestTrainEvalCommands:
         assert 0.0 <= payload["value"] <= 1.0
         assert "accuracy" in proc.stdout
 
-    def test_negative_learning_rate_exits_2(self, workspace, scored_corpus):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--lr", "-0.5"), "learning_rate must be finite and > 0: -0.5"),
+            (("--loss", "distill", "--distill-r", "nan"),
+             "distill_temperature_r must be finite and >= 0: nan"),
+        ],
+        ids=["negative_lr", "nan_distill_r"],
+    )
+    def test_out_of_range_training_value_exits_2(self, workspace, scored_corpus, flags, message):
         proc = run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
-                       "--out", workspace["dir"] / "m.bin", "--lr", "-0.5", expect=2)
-        assert "mcqa train: learning_rate must be finite and > 0: -0.5" in proc.stderr
+                       "--out", workspace["dir"] / "m.bin", *flags, expect=2)
+        assert f"mcqa train: {message}" in proc.stderr
         assert not (workspace["dir"] / "m.bin").exists()
 
     def test_eval_empty_corpus_exits_2(self, workspace, scored_corpus, tmp_path):
@@ -326,8 +361,10 @@ class TestTrainEvalCommands:
                 "--out", model, "--iterations", 5)
         empty = tmp_path / "empty.jsonl"
         write_jsonl(Corpus((), CorpusMeta()), empty)
-        run_cli("eval", "--config", workspace["config"], "--in", empty,
-                "--model", model, "--out", tmp_path / "r.json", expect=2)
+        proc = run_cli("eval", "--config", workspace["config"], "--in", empty,
+                       "--model", model, "--out", tmp_path / "r.json", expect=2)
+        assert "mcqa eval: cannot evaluate an empty corpus" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("name", [
         "missing_hash_seed", "header_is_a_list", "n_features_is_a_string", "too_few_weights",

@@ -179,3 +179,28 @@ def test_readme_example_config_loads(tmp_path):
     assert stage_config(cfg, "backend").kind == "http"
     assert stage_config(cfg, "training").loss_mode == "distill"
     assert cfg["training"]["n_features"] == 2**18
+
+
+
+@pytest.mark.parametrize(
+    "cls, key, value, message",
+    [
+        (TrainConfig, "distill_temperature_r", float("nan"),
+         "distill_temperature_r must be finite and >= 0: nan"),
+        (TrainConfig, "distill_temperature_r", float("inf"),
+         "distill_temperature_r must be finite and >= 0: inf"),
+        (TrainConfig, "distill_temperature_r", -0.5,
+         "distill_temperature_r must be finite and >= 0: -0.5"),
+        (GenerationConfig, "temperature", float("nan"), "temperature must be finite and > 0: nan"),
+        (GenerationConfig, "temperature", float("inf"), "temperature must be finite and > 0: inf"),
+        (GenerationConfig, "temperature", 0.0, "temperature must be finite and > 0: 0.0"),
+        (BackendConfig, "request_timeout", float("nan"),
+         "request_timeout must be finite and > 0: nan"),
+        (BackendConfig, "request_timeout", float("inf"),
+         "request_timeout must be finite and > 0: inf"),
+        (BackendConfig, "request_timeout", 0.0, "request_timeout must be finite and > 0: 0.0"),
+    ],
+)
+def test_out_of_range_value_rejected_naming_its_key(cls, key, value, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**{key: value})

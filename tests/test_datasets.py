@@ -248,8 +248,9 @@ class TestJsonlRoundTrip:
     )
     def test_bad_meta_record_is_malformed_line_1(self, tmp_path, meta, message):
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(corpus_of(make_instance("a")), path, include_meta=False)
-        path.write_text(json.dumps({"meta": meta}) + "\n" + path.read_text())
+        write_jsonl(corpus_of(make_instance("a")), path)
+        instance_line = path.read_text().splitlines()[1]
+        path.write_text(json.dumps({"meta": meta}) + "\n" + instance_line + "\n")
         with pytest.raises(MalformedLine, match=message) as excinfo:
             read_jsonl(path)
         assert excinfo.value.line_number == 1

@@ -9,13 +9,11 @@ from mcqa_distill.distillation import (
     MissingTeacherScores,
     TrainConfig,
     _CompiledInstance,
+    _compile,
+    _loss_and_terms,
     _number_by_first_touch,
-    batch_loss_and_gradient,
     ce_loss,
-    instance_loss,
     instance_target,
-    l_distill,
-    l_generate,
     loss_kernel,
     one_hot,
     soften,
@@ -23,7 +21,13 @@ from mcqa_distill.distillation import (
     write_loss_trace,
 )
 from mcqa_distill.evaluation import evaluate_accuracy
-from mcqa_distill.students import FEATURIZE_CHUNK, PAIR_SEPARATOR, ToyStudent, instance_logits
+from mcqa_distill.students import (
+    FEATURIZE_CHUNK,
+    PAIR_SEPARATOR,
+    ToyStudent,
+    feature_logits,
+    instance_logits,
+)
 from mcqa_distill.synthetic import build_separable_corpus
 
 from conftest import FixedLogitStudent, make_instance
@@ -114,59 +118,55 @@ class TestStudentProbs:
         assert tuple(student_probs(student, inst, 1.0)) == pytest.approx((2 / 3, 1 / 3))
 
 
-class TestLGenerate:
-    def test_zero_weight_student_gives_quarter_log_four(self):
-        value = l_generate(ToyStudent(n_features=2**10), make_instance())
+def kernel_loss(logits, inst, mode, r=1.0):
+    """The kernel's loss of ``inst`` under ``mode`` at the given logits."""
+    return loss_kernel(np.asarray(logits, dtype=np.float64), *instance_target(inst, mode, r))[0]
+
+
+class TestGenerateLoss:
+    def test_zero_logits_give_quarter_log_four(self):
+        value = kernel_loss(np.zeros(4), make_instance(), "generate")
         assert value == pytest.approx(math.log(4) / 4, abs=1e-12)
 
     def test_large_margin_drives_loss_below_1e6(self):
         inst = make_instance(answer_index=1)
-        table = {(inst.question, c): 0.0 for c in inst.choices}
-        table[(inst.question, inst.choices[1])] = 20.0
-        assert l_generate(FixedLogitStudent(table), inst) < 1e-6
+        assert kernel_loss([0.0, 20.0, 0.0, 0.0], inst, "generate") < 1e-6
 
     def test_loss_decreases_as_gold_logit_grows(self):
         inst = make_instance(answer_index=0)
-        losses = []
-        for gold_logit in (0.0, 1.0, 2.0):
-            table = {(inst.question, c): 0.0 for c in inst.choices}
-            table[(inst.question, inst.choices[0])] = gold_logit
-            losses.append(l_generate(FixedLogitStudent(table), inst))
+        losses = [kernel_loss([gold, 0.0, 0.0, 0.0], inst, "generate") for gold in (0.0, 1.0, 2.0)]
         assert losses[0] > losses[1] > losses[2]
 
 
-class TestLDistill:
+class TestDistillLoss:
     def test_r_zero_equals_generate_on_teacher_argmax_relabel(self):
         rng = np.random.default_rng(42)
-        student = random_student(seed=7)
         for _ in range(25):
             inst = random_instance(rng)
             relabeled = make_instance(
                 inst.id, question=inst.question, choices=inst.choices,
                 answer_index=int(np.argmax(inst.teacher_scores)),
             )
-            assert l_distill(student, inst, 0.0) == l_generate(student, relabeled)
+            logits = rng.normal(0.0, 1.0, inst.num_choices)
+            assert kernel_loss(logits, inst, "distill", 0.0) == kernel_loss(
+                logits, relabeled, "generate"
+            )
 
     def test_uniform_teacher_uniform_student(self):
         inst = make_instance(teacher_scores=(1.0, 1.0, 1.0, 1.0))
-        value = l_distill(ToyStudent(n_features=2**10), inst, 1.0)
+        value = kernel_loss(np.zeros(4), inst, "distill", 1.0)
         assert value == pytest.approx(math.log(4) / 4, abs=1e-12)
 
     def test_missing_scores_rejected(self):
         with pytest.raises(MissingTeacherScores):
-            l_distill(ToyStudent(n_features=16), make_instance(), 1.0)
+            instance_target(make_instance(), "distill", 1.0)
 
     def test_temperature_divides_both_sides(self):
         inst = make_instance(teacher_scores=(2.0, 0.0, -1.0, 0.5))
-        student = FixedLogitStudent(
-            {(inst.question, c): float(i) for i, c in enumerate(inst.choices)}
-        )
+        logits = [0.0, 1.0, 2.0, 3.0]
         r = 2.0
-        expected = ce_loss(
-            soften(inst.teacher_scores, r),
-            soften([0.0, 1.0, 2.0, 3.0], r),
-        )
-        assert l_distill(student, inst, r) == pytest.approx(expected, abs=1e-12)
+        expected = ce_loss(soften(inst.teacher_scores, r), soften(logits, r))
+        assert kernel_loss(logits, inst, "distill", r) == pytest.approx(expected, abs=1e-12)
 
 
 def pair_bce(student, question, choice, label):
@@ -199,12 +199,26 @@ def probe_coordinates(grad, rng, count=8):
     return rng.choice(candidates, size=min(count, candidates.size), replace=False)
 
 
-def central_difference(student, batch, mode, r, coordinate, step=1e-5):
+def loss_and_gradient(student, inst, mode, r=1.0):
+    """One instance's loss and its gradient over ``student.params``: the
+    kernel's logit gradient scattered through the instance's features, the
+    composition ``dense_reference_train`` uses."""
+    features = next(student.instance_features([(inst.question, inst.choices)]))
+    loss, dlogits = loss_kernel(
+        feature_logits(student.params, features), *instance_target(inst, mode, r)
+    )
+    grad = np.zeros_like(student.params)
+    for coeff, (idx, val) in zip(dlogits, features):
+        np.add.at(grad, idx, coeff * val)
+    return loss, grad
+
+
+def central_difference(student, inst, mode, r, coordinate, step=1e-5):
     original = student.weights[coordinate]
     student.weights[coordinate] = original + step
-    upper = batch_loss_and_gradient(student, batch, mode, r)[0]
+    upper = loss_and_gradient(student, inst, mode, r)[0]
     student.weights[coordinate] = original - step
-    lower = batch_loss_and_gradient(student, batch, mode, r)[0]
+    lower = loss_and_gradient(student, inst, mode, r)[0]
     student.weights[coordinate] = original
     return (upper - lower) / (2 * step)
 
@@ -218,10 +232,10 @@ class TestGradient:
     def test_matches_central_differences(self, mode, r):
         rng = np.random.default_rng(99)
         student = random_student(seed=5)
-        batch = [random_instance(rng)]
-        grad = batch_loss_and_gradient(student, batch, mode, r)[1]
+        inst = random_instance(rng)
+        grad = loss_and_gradient(student, inst, mode, r)[1]
         for coordinate in probe_coordinates(grad, rng):
-            numeric = central_difference(student, batch, mode, r, coordinate)
+            numeric = central_difference(student, inst, mode, r, coordinate)
             analytic = grad[coordinate]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-10)
             assert rel < 1e-4
@@ -232,32 +246,22 @@ class TestGradient:
         inst = make_instance(choices=("same", "Same", "SAME ", "sAmE"), answer_index=0)
         # Case-folding collapses all four to identical features; the duplicate
         # validation is irrelevant to the gradient computation itself.
-        grad = batch_loss_and_gradient(student, [inst], "generate")[1]
+        grad = loss_and_gradient(student, inst, "generate")[1]
         assert np.all(grad == 0.0)
-
-    def test_batch_gradient_is_mean_of_instance_gradients(self):
-        rng = np.random.default_rng(3)
-        student = random_student(seed=11)
-        first, second = random_instance(rng), random_instance(rng)
-        combined = batch_loss_and_gradient(student, [first, second], "distill", 1.0)[1]
-        averaged = 0.5 * (
-            batch_loss_and_gradient(student, [first], "distill", 1.0)[1]
-            + batch_loss_and_gradient(student, [second], "distill", 1.0)[1]
-        )
-        assert np.allclose(combined, averaged, atol=1e-15)
 
     def test_micro_batch_order_invariance(self):
         rng = np.random.default_rng(4)
         student = random_student(seed=13)
-        batch = [random_instance(rng) for _ in range(4)]
-        loss_a, grad_a = batch_loss_and_gradient(student, batch, "distill", 1.0)
-        loss_b, grad_b = batch_loss_and_gradient(student, batch[::-1], "distill", 1.0)
+        batch = _compile(student, [random_instance(rng) for _ in range(4)], "distill", 1.0)
+        results = []
+        for items in (batch, batch[::-1]):
+            loss, index, terms = _loss_and_terms(student.params, items)
+            grad = np.zeros_like(student.params)
+            np.add.at(grad, index, terms)
+            results.append((loss, grad))
+        (loss_a, grad_a), (loss_b, grad_b) = results
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
         assert np.allclose(grad_a, grad_b, atol=1e-12)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss_and_gradient(ToyStudent(n_features=16), [], "generate")
 
 
 class TestTrain:
@@ -310,6 +314,20 @@ class TestTrain:
         cfg = TrainConfig(iterations=2, loss_mode="distill")
         with pytest.raises(MissingTeacherScores):
             train(ToyStudent(n_features=2**10), corpus.instances, cfg)
+
+    def test_distill_rejects_an_unscored_instance_the_schedule_never_visits(self):
+        rng = np.random.default_rng(25)
+        corpus = [random_instance(rng) for _ in range(48)]
+        cfg = TrainConfig(iterations=1, micro_batch=2, grad_accumulation=1, seed=0,
+                          loss_mode="distill")
+        # Two visits: the last instance of the first shuffle is never drawn.
+        unvisited = int(np.random.default_rng(cfg.seed).permutation(len(corpus))[-1])
+        corpus[unvisited] = random_instance(rng, with_scores=False)
+        with pytest.raises(
+            MissingTeacherScores,
+            match="distill loss needs teacher scores on every instance; 1 missing",
+        ):
+            train(ToyStudent(n_features=2**10), corpus, cfg)
 
     def test_sgd_option_runs(self):
         corpus = build_separable_corpus(8, seed=7)
@@ -445,16 +463,15 @@ class TestTrainMatchesDenseReference:
         assert not np.array_equal(student.weights[touched], before[touched])
 
 
-class TestInstanceLoss:
+class TestKernelModes:
     def test_binary_mode_averages_pairs(self):
         inst = make_instance(answer_index=0)
-        student = FixedLogitStudent({})
         expected = math.log(2)  # every pair sits at logit 0
-        assert instance_loss(student, inst, "binary_bce") == pytest.approx(expected)
+        assert kernel_loss(np.zeros(4), inst, "binary_bce") == pytest.approx(expected)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            instance_loss(FixedLogitStudent({}), make_instance(), "nope")
+            instance_target(make_instance(), "nope")
 
 
 def preset_student(seed):

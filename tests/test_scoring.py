@@ -66,9 +66,10 @@ class TestSoften:
         with pytest.raises(TieAtZeroTemperature):
             soften([1.0, 1.0, 0.0], 0.0)
 
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            soften([1.0, 2.0], -1.0)
+    @pytest.mark.parametrize("r", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_temperature_rejected(self, r):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            soften([1.0, 2.0], r)
 
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ValueError):
