@@ -36,7 +36,6 @@ from .datasets import (
     filter_by_tokens,
     import_benchmark,
     read_jsonl,
-    simple_token_count,
     write_jsonl,
     IMPORT_FORMATS,
 )
@@ -186,12 +185,7 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
 
     started = time.perf_counter()
     scored, counts = score_instances(
-        corpus.instances,
-        fs,
-        scoring_cfg,
-        backend,
-        simple_token_count,
-        _request_width(backend),
+        corpus.instances, fs, scoring_cfg, backend, _request_width(backend)
     )
     elapsed = time.perf_counter() - started
 
@@ -317,12 +311,10 @@ def stats(config_path, in_path, out, report_path, max_tokens):
         )
 
     started = time.perf_counter()
-    result = compute_stats(corpus, simple_token_count, report)
+    result = compute_stats(corpus, report)
     payload = result.to_dict()
     if max_tokens is not None:
-        payload["kept_at_max_tokens"] = len(
-            filter_by_tokens(corpus, simple_token_count, max_tokens)
-        )
+        payload["kept_at_max_tokens"] = len(filter_by_tokens(corpus, max_tokens))
     elapsed = time.perf_counter() - started
 
     write_json(payload, out)

@@ -35,7 +35,6 @@ from .prompts import PromptTemplateSet
 DEFAULT_FEATURES = 2**18
 DEFAULT_HASH_SEED = 0
 
-ENCODER_PARITY_LR = 1e-5
 LOSS_MODES = ("generate", "distill", "binary_bce")
 FALLBACKS = ("one_hot", "skip")
 
@@ -57,10 +56,8 @@ class TrainConfig:
     iterations: int = 500
     micro_batch: int = 4
     grad_accumulation: int = 2
-    # 0 resolves to the student's recommended rate, falling back to the
-    # encoder-parity value 1e-5.
-    learning_rate: float = 0.0
-    optimizer: str = "adam"
+    # Adam's step size, sized for the student's unit-norm hashed features.
+    learning_rate: float = 0.5
     loss_mode: str = "generate"
     distill_temperature_r: float = 1.0
     seed: int = 0
@@ -68,21 +65,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.micro_batch < 1 or self.grad_accumulation < 1:
             raise ValueError("iterations, micro_batch and grad_accumulation must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if not 0 <= self.distill_temperature_r < math.inf:  # also false for NaN
             raise ValueError(
                 f"distill_temperature_r must be finite and >= 0: {self.distill_temperature_r}"
             )
-        if self.learning_rate != 0 and not 0 < self.learning_rate < math.inf:
+        if not 0 < self.learning_rate < math.inf:  # also false for NaN
             raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
-
-    def resolve_learning_rate(self, student) -> float:
-        if self.learning_rate:
-            return self.learning_rate
-        return getattr(student, "recommended_learning_rate", ENCODER_PARITY_LR)
 
 
 SECTIONS = {

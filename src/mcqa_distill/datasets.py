@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .core import (
     McqaInstance,
@@ -54,7 +54,7 @@ class SchemaError(ValueError):
 
 
 def simple_token_count(text: str) -> int:
-    """Whitespace-plus-punctuation token count; the default pluggable counter."""
+    """Whitespace-plus-punctuation token count."""
     return len(_TOKEN_RE.findall(text))
 
 
@@ -237,16 +237,14 @@ def read_jsonl(path) -> Corpus:
     return Corpus(tuple(instances), meta)
 
 
-def filter_by_tokens(
-    corpus: Corpus, counter: Callable[[str], int], max_tokens: int
-) -> Corpus:
+def filter_by_tokens(corpus: Corpus, max_tokens: int) -> Corpus:
     """Drop an instance iff any single question+choice pair exceeds max_tokens."""
     if max_tokens <= 0:
         raise ValueError("max_tokens must be positive")
     kept = tuple(
         inst
         for inst in corpus.instances
-        if all(counter(inst.question + " " + c) <= max_tokens for c in inst.choices)
+        if all(simple_token_count(inst.question + " " + c) <= max_tokens for c in inst.choices)
     )
     return Corpus(kept, corpus.meta)
 
@@ -274,15 +272,14 @@ def cumulative_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> Dict[
 
 
 def compute_stats(
-    corpus: Corpus,
-    counter: Callable[[str], int] = simple_token_count,
-    report: Optional[GenerationReport] = None,
+    corpus: Corpus, report: Optional[GenerationReport] = None
 ) -> CorpusStats:
     """Token-length mean and population std over question + all choices."""
     import numpy as np
 
     lengths = [
-        counter(inst.question + " " + " ".join(inst.choices)) for inst in corpus.instances
+        simple_token_count(inst.question + " " + " ".join(inst.choices))
+        for inst in corpus.instances
     ]
     if lengths:
         mean = float(np.mean(lengths))

@@ -55,7 +55,7 @@ class TrainResult:
 
     ``visited_instances`` counts the distinct instances the schedule visited;
     ``active_features`` counts the parameter coordinates their pairs touch,
-    the only ones the optimizer updates.
+    the only ones Adam updates.
     """
 
     losses: List[float] = field(default_factory=list)
@@ -259,7 +259,7 @@ def _number_by_first_touch(compiled: dict, size: int) -> Tuple[np.ndarray, List[
 
 
 def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
-    """Run cfg.iterations optimizer steps over the dataset.
+    """Run cfg.iterations Adam steps over the dataset.
 
     Each step accumulates gradients over ``grad_accumulation`` micro-batches
     of ``micro_batch`` instances before one parameter update (micro_batch 4
@@ -279,18 +279,17 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     ``student.params``, bit for bit, on fewer coordinates:
 
     * Its gradient accumulation (zeroing, the micro-batch scatters, their
-      sum and the division by ``grad_accumulation``), Adam's five
-      gradient-term passes ((1-b1)*g, m +=, (1-b2)*g, *g, v +=) and SGD's
-      w -= lr*g run only on the coordinates its micro-batches scatter to.
-      There every float operation runs as in the dense update, in the same
-      order. Everywhere else the dense update would only add +0.0, which is
-      the identity for every value these buffers hold: a sum is -0.0 only
-      if both addends are, so a gradient that starts at +0.0 never holds
-      -0.0 and is exactly +0.0 off the scattered coordinates; m and v start
-      at +0.0, and with b1, b2 > 1/2 a non-zero value times b never rounds
-      to zero, so they never hold -0.0 either; and w - (+0.0) is w, -0.0
-      included. A repeated coordinate needs no deduplication: ``a[t] += b``
-      writes the same value for each copy.
+      sum and the division by ``grad_accumulation``) and Adam's five
+      gradient-term passes ((1-b1)*g, m +=, (1-b2)*g, *g, v +=) run only on
+      the coordinates its micro-batches scatter to. There every float
+      operation runs as in the dense update, in the same order. Everywhere
+      else the dense update would only add +0.0, which is the identity for
+      every value these buffers hold: a sum is -0.0 only if both addends
+      are, so a gradient that starts at +0.0 never holds -0.0 and is exactly
+      +0.0 off the scattered coordinates; m and v start at +0.0, and with
+      b1, b2 > 1/2 a non-zero value times b never rounds to zero, so they
+      never hold -0.0 either. A repeated coordinate needs no deduplication:
+      ``a[t] += b`` writes the same value for each copy.
     * Adam's nine passes that decay m and v and update w change every
       coordinate touched so far, so they run on the ``reach[t]`` prefix.
       Past it no step has touched a coordinate: m and v are still 0, and
@@ -306,7 +305,6 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
             raise MissingTeacherScores(
                 f"distill loss needs teacher scores on every instance; {missing} missing"
             )
-    lr = cfg.resolve_learning_rate(student)
     schedule = _visit_schedule(
         len(instances), cfg.iterations * cfg.grad_accumulation * cfg.micro_batch, cfg.seed
     )
@@ -348,9 +346,6 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
             grad_sum[index] += micro_grad[index]
         grad = grad_sum[touched] / cfg.grad_accumulation
         result.losses.append(loss_sum / cfg.grad_accumulation)
-        if cfg.optimizer == "sgd":
-            w[touched] -= lr * grad
-            continue
         # Operand for operand as m = b1*m + (1-b1)*g,
         # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps).
         np.multiply(ADAM_BETA1, m, out=m)
@@ -361,7 +356,7 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
         np.divide(m, 1.0 - ADAM_BETA1**step, out=scratch)
-        np.multiply(lr, scratch, out=scratch)
+        np.multiply(cfg.learning_rate, scratch, out=scratch)
         w -= np.divide(scratch, denom, out=scratch)
     params[active] = buffers[0]
     return student, result

@@ -19,17 +19,12 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 from .core import ChatMessage, write_json
 
 API_KEY_ENV = "MCQA_API_KEY"
-
-# Raw log-probability assigned to identifiers absent from the returned top-K:
-# the smallest present value minus this margin, keeping absent letters ranked
-# strictly below present ones while the downstream softmax stays defined.
-MISSING_LOGPROB_MARGIN = 10.0
 
 # Format version of the mock script files ``save_script`` writes.
 SCRIPT_VERSION = 1
@@ -297,39 +292,6 @@ class HttpBackend:
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"malformed logprob payload: {exc!r}") from exc
         return CompletionResult(text=text, first_token_logprobs=logprobs)
-
-
-def score_identifiers(
-    backend,
-    req: CompletionRequest,
-    identifiers: Sequence[str],
-) -> Dict[str, float]:
-    """First-token log-probability for each identifier letter.
-
-    Identifiers absent from the returned top-K get the smallest present value
-    minus ``MISSING_LOGPROB_MARGIN``; if none are present at all, every
-    identifier gets an equal 0.0 (uniform after the downstream softmax).
-    """
-    identifiers = list(identifiers)
-    if len(set(identifiers)) != len(identifiers):
-        raise ValueError("identifiers must be distinct")
-    if req.want_top_logprobs < len(identifiers):
-        req = replace(req, want_top_logprobs=len(identifiers))
-    result = backend.complete(req)
-    if result.first_token_logprobs is None:
-        raise NoLogprobSupport("backend returned no log-probability data")
-    # Tokens may carry whitespace (' A'); collapse to the stripped form,
-    # keeping the most probable variant.
-    by_token: Dict[str, float] = {}
-    for token, logprob in result.first_token_logprobs.items():
-        key = token.strip()
-        if key not in by_token or logprob > by_token[key]:
-            by_token[key] = logprob
-    present = {i: by_token[i] for i in identifiers if i in by_token}
-    if not present:
-        return {i: 0.0 for i in identifiers}
-    floor = min(present.values()) - MISSING_LOGPROB_MARGIN
-    return {i: present.get(i, floor) for i in identifiers}
 
 
 class _Inline:

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import FewShotSet, McqaInstance, stable_seed
-from .datasets import simple_token_count
 from .gateway import CompletionResult, request_digest
 from .generation import ATTEMPTS, GenerationConfig, attempt_instance
 from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet, format_example_object
@@ -47,7 +46,7 @@ class _PlanRecorder:
         return reply
 
 
-def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg, tok):
+def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg):
     """Record the script of a run whose attempt ``i`` gets the replies
     ``plans[i]`` and emits ``expected[i]``, plus scoring replies when asked.
 
@@ -64,7 +63,7 @@ def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg, tok)
             continue
         raise ValueError(f"{strategy} attempt {attempt} left planned replies unused")
     if scoring_cfg is not None:
-        add_scoring_responses(recorder.script, expected, fs, scoring_cfg, tok)
+        add_scoring_responses(recorder.script, expected, fs, scoring_cfg)
     return recorder.script, expected
 
 
@@ -94,11 +93,10 @@ def add_scoring_responses(
     instances: List[McqaInstance],
     fs: FewShotSet,
     scoring_cfg: ScoringConfig,
-    tok: Callable[[str], int] = simple_token_count,
 ) -> Script:
     """Script a scoring response for each instance's fitted prompt."""
     for inst in instances:
-        messages = fit_scoring_prompt(inst, fs, scoring_cfg, tok)
+        messages = fit_scoring_prompt(inst, fs, scoring_cfg)
         if messages is None:
             continue
         logprobs = _teacher_logprobs(inst)
@@ -114,7 +112,6 @@ def fabricate_json_run(
     cfg: GenerationConfig,
     scoring_cfg: Optional[ScoringConfig] = None,
     templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-    tok: Callable[[str], int] = simple_token_count,
 ) -> Tuple[Script, List[McqaInstance]]:
     """Script a JSON-strategy run where every attempt parses.
 
@@ -128,7 +125,7 @@ def fabricate_json_run(
         for attempt in range(cfg.target_count)
     ]
     plans = [[format_example_object(inst)] for inst in expected]
-    return _record_run("json", fs, cfg, templates, plans, expected, scoring_cfg, tok)
+    return _record_run("json", fs, cfg, templates, plans, expected, scoring_cfg)
 
 
 def fabricate_decomposed_run(
@@ -136,7 +133,6 @@ def fabricate_decomposed_run(
     cfg: GenerationConfig,
     scoring_cfg: Optional[ScoringConfig] = None,
     templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-    tok: Callable[[str], int] = simple_token_count,
 ) -> Tuple[Script, List[McqaInstance]]:
     """Script a decomposed run with distinct negatives for every slot.
 
@@ -152,7 +148,7 @@ def fabricate_decomposed_run(
         fields = (question, choices, 0)
         expected.append(attempt_instance("decompose", fs, cfg, attempt, fields))
     plans = [[inst.question, *inst.choices] for inst in expected]
-    return _record_run("decompose", fs, cfg, templates, plans, expected, scoring_cfg, tok)
+    return _record_run("decompose", fs, cfg, templates, plans, expected, scoring_cfg)
 
 
 def fabricate_paraphrase_run(
@@ -170,4 +166,4 @@ def fabricate_paraphrase_run(
         fields = (question, choices, source.answer_index)
         expected.append(attempt_instance("paraphrase", fs, cfg, attempt, fields))
     plans = [[inst.question, *inst.choices] for inst in expected]
-    return _record_run("paraphrase", fs, cfg, templates, plans, expected, None, None)
+    return _record_run("paraphrase", fs, cfg, templates, plans, expected, None)

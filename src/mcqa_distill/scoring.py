@@ -10,7 +10,7 @@ into probability vectors (``distillation.soften``), so this module and
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import ScoringConfig
 from .core import (
@@ -19,12 +19,14 @@ from .core import (
     McqaInstance,
     index_to_identifier,
 )
+from .datasets import simple_token_count
 from .gateway import (
     CompletionRequest,
-    GatewayError,
-    ScriptMiss,
+    NoLogprobSupport,
+    ProtocolError,
+    RequestTimeout,
+    TransportError,
     in_order,
-    score_identifiers,
 )
 from .prompts import build_scoring_prompt, scoring_user_block
 
@@ -34,6 +36,10 @@ ONE_HOT_MARGIN = 20.0
 # Ask for at least this many top logprobs; letter tokens are not always the
 # most probable ones.
 MIN_TOP_LOGPROBS = 20
+# Raw log-probability assigned to identifiers absent from the returned top-K:
+# the smallest present value minus this margin, keeping absent letters ranked
+# strictly below present ones while the downstream softmax stays defined.
+MISSING_LOGPROB_MARGIN = 10.0
 
 SCORED = "scored"
 FALLBACK = "fallback"
@@ -47,15 +53,8 @@ def one_hot_scores(answer_index: int, num_choices: int) -> Tuple[float, ...]:
     return tuple(scores)
 
 
-def prompt_token_count(messages: Sequence[ChatMessage], tok: Callable[[str], int]) -> int:
-    return sum(tok(m.content) for m in messages)
-
-
 def fit_scoring_prompt(
-    inst: McqaInstance,
-    fs: FewShotSet,
-    cfg: ScoringConfig,
-    tok: Callable[[str], int],
+    inst: McqaInstance, fs: FewShotSet, cfg: ScoringConfig
 ) -> Optional[List[ChatMessage]]:
     """Largest scoring prompt within the token limit.
 
@@ -70,39 +69,65 @@ def fit_scoring_prompt(
             )
         else:
             messages = [ChatMessage("user", scoring_user_block(inst))]
-        if prompt_token_count(messages, tok) <= cfg.prompt_token_limit:
+        if sum(simple_token_count(m.content) for m in messages) <= cfg.prompt_token_limit:
             return messages
     return None
 
 
-def _score_one(
-    inst: McqaInstance,
-    fs: FewShotSet,
-    cfg: ScoringConfig,
-    gw,
-    tok: Callable[[str], int],
-) -> Tuple[McqaInstance, str]:
-    messages = fit_scoring_prompt(inst, fs, cfg, tok)
-    if messages is None:
-        if cfg.fallback == "one_hot":
-            scores = one_hot_scores(inst.answer_index, inst.num_choices)
-            return replace(inst, teacher_scores=scores), FALLBACK
-        return replace(inst, teacher_scores=None), SKIPPED
-    identifiers = [index_to_identifier(i) for i in range(inst.num_choices)]
+def score_identifiers(
+    backend, messages: Sequence[ChatMessage], identifiers: Sequence[str]
+) -> Dict[str, float]:
+    """First-token log-probability for each identifier letter.
+
+    Identifiers absent from the returned top-K get the smallest present value
+    minus ``MISSING_LOGPROB_MARGIN``; if none are present at all, every
+    identifier gets an equal 0.0 (uniform after the downstream softmax).
+    """
+    identifiers = list(identifiers)
+    if len(set(identifiers)) != len(identifiers):
+        raise ValueError("identifiers must be distinct")
     request = CompletionRequest(
         messages,
         temperature=0.0,
         max_new_tokens=1,
         want_top_logprobs=max(len(identifiers), MIN_TOP_LOGPROBS),
     )
+    result = backend.complete(request)
+    if result.first_token_logprobs is None:
+        raise NoLogprobSupport("backend returned no log-probability data")
+    # Tokens may carry whitespace (' A'); collapse to the stripped form,
+    # keeping the most probable variant.
+    by_token: Dict[str, float] = {}
+    for token, logprob in result.first_token_logprobs.items():
+        key = token.strip()
+        if key not in by_token or logprob > by_token[key]:
+            by_token[key] = logprob
+    present = {i: by_token[i] for i in identifiers if i in by_token}
+    if not present:
+        return {i: 0.0 for i in identifiers}
+    floor = min(present.values()) - MISSING_LOGPROB_MARGIN
+    return {i: present.get(i, floor) for i in identifiers}
+
+
+def _unscored(inst: McqaInstance, cfg: ScoringConfig) -> Tuple[McqaInstance, str]:
+    """An instance the teacher could not score, under ``cfg.fallback``."""
+    if cfg.fallback == "one_hot":
+        scores = one_hot_scores(inst.answer_index, inst.num_choices)
+        return replace(inst, teacher_scores=scores), FALLBACK
+    return replace(inst, teacher_scores=None), SKIPPED
+
+
+def _score_one(
+    inst: McqaInstance, fs: FewShotSet, cfg: ScoringConfig, gw
+) -> Tuple[McqaInstance, str]:
+    messages = fit_scoring_prompt(inst, fs, cfg)
+    if messages is None:
+        return _unscored(inst, cfg)
+    identifiers = [index_to_identifier(i) for i in range(inst.num_choices)]
     try:
-        by_identifier = score_identifiers(gw, request, identifiers)
-    except ScriptMiss:
-        raise
-    except GatewayError:
-        if cfg.fallback == "skip":
-            return replace(inst, teacher_scores=None), SKIPPED
-        raise
+        by_identifier = score_identifiers(gw, messages, identifiers)
+    except (TransportError, RequestTimeout, ProtocolError):
+        return _unscored(inst, cfg)
     scores = tuple(by_identifier[i] for i in identifiers)
     return replace(inst, teacher_scores=scores), SCORED
 
@@ -112,7 +137,6 @@ def score_instances(
     fs: FewShotSet,
     cfg: ScoringConfig,
     gw,
-    tok: Callable[[str], int],
     width: int = 1,
 ) -> Tuple[List[McqaInstance], Dict[str, int]]:
     """Score a whole corpus; returns instances plus scored/fallback/skipped counts.
@@ -120,14 +144,18 @@ def score_instances(
     Only ``teacher_scores`` is attached; question, choices and answer_index
     are never altered.
 
+    An instance whose prompt is over the token limit, or whose request fails
+    for good (a ``TransportError``, ``RequestTimeout`` or ``ProtocolError``
+    after the backend's retries), takes ``cfg.fallback``. A ``ScriptMiss`` or
+    ``NoLogprobSupport`` means the backend can score no instance: it is
+    raised under either fallback.
+
     Up to ``width`` instances are scored at once; results and errors come in
     instance order, as in a serial run.
     """
     counts = {SCORED: 0, FALLBACK: 0, SKIPPED: 0}
     out = []
-    results = in_order(
-        lambda i: _score_one(instances[i], fs, cfg, gw, tok), len(instances), width
-    )
+    results = in_order(lambda i: _score_one(instances[i], fs, cfg, gw), len(instances), width)
     for scored, status in results:
         counts[status] += 1
         out.append(scored)

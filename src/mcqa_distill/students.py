@@ -160,10 +160,6 @@ class ToyStudent:
     permutes the logits without changing any value.
     """
 
-    # Feature magnitudes are unit-norm, orders away from an encoder's scale;
-    # this is the sensible step size for this parameterization.
-    recommended_learning_rate = 0.5
-
     def __init__(self, n_features: int = DEFAULT_FEATURES, hash_seed: int = DEFAULT_HASH_SEED):
         if n_features < 1:
             raise ValueError("n_features must be positive")

@@ -22,7 +22,7 @@ from .distillation import TrainConfig, train
 from .evaluation import EvalResult, evaluate_accuracy, multi_seed
 from .students import ToyStudent
 
-# Modest feature space keeps the dense optimizer state small; collisions are
+# Modest feature space keeps Adam's dense state small; collisions are
 # negligible at this vocabulary size.
 EXPERIMENT_FEATURES = 2**14
 

@@ -24,7 +24,6 @@ from mcqa_distill.datasets import (
     cumulative_subsets,
     filter_by_tokens,
     read_jsonl,
-    simple_token_count,
     write_jsonl,
 )
 from mcqa_distill.distillation import (
@@ -310,12 +309,12 @@ def test_dataset_mechanics(tmp_path):
             (instance_with_pair_tokens(0, 320), instance_with_pair_tokens(1, 321)),
             CorpusMeta(),
         )
-        at_320 = filter_by_tokens(boundary, simple_token_count, 320)
-        at_480 = filter_by_tokens(boundary, simple_token_count, 480)
+        at_320 = filter_by_tokens(boundary, 320)
+        at_480 = filter_by_tokens(boundary, 480)
         assert [i.id for i in at_320] == ["len-0-320"]  # 321-token pair dropped
         assert len(at_480) == 2
         assert {i.id for i in at_320} <= {i.id for i in at_480}
-        assert filter_by_tokens(at_320, simple_token_count, 320) == at_320
+        assert filter_by_tokens(at_320, 320) == at_320
 
         # Cumulative subsets: prefix property across [16, 32, 64, 128].
         big = Corpus(

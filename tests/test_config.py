@@ -6,6 +6,7 @@ import pytest
 
 from mcqa_distill.config import (
     DEFAULTS,
+    SECTIONS,
     ScoringConfig,
     TrainConfig,
     effective_config,
@@ -44,7 +45,6 @@ iterations = 20
 micro_batch = 2
 grad_accumulation = 3
 learning_rate = 0.25
-optimizer = sgd
 loss_mode = distill
 distill_temperature_r = 0.5
 seed = 9
@@ -71,11 +71,10 @@ def test_defaults_are_the_reference_run():
     assert cfg["training"]["hash_seed"] == 0
     scoring = stage_config(cfg, "scoring")
     assert (scoring.prompt_token_limit, scoring.fallback) == (1024, "one_hot")
-    # The "derive it" zeros, typed as the manifests have always recorded them.
+    # The "derive it" zero, typed as the manifests have always recorded it.
     assert cfg["generation"]["max_attempts"] == 0
     assert gen.attempt_budget == 20 * 1024
-    assert cfg["training"]["learning_rate"] == 0.0
-    assert isinstance(cfg["training"]["learning_rate"], float)
+    assert train.learning_rate == 0.5
     assert list(cfg) == ["backend", "generation", "scoring", "training", "templates"]
 
 
@@ -112,7 +111,6 @@ def test_every_key_from_file_reaches_its_stage(tmp_path):
         micro_batch=2,
         grad_accumulation=3,
         learning_rate=0.25,
-        optimizer="sgd",
         loss_mode="distill",
         distill_temperature_r=0.5,
         seed=9,
@@ -171,15 +169,19 @@ def test_bad_file_values_name_section_and_key(tmp_path, line, message):
 
 
 def test_readme_example_config_loads(tmp_path):
+    """The example under "### Config file" names only keys the schema has,
+    with values every stage dataclass accepts."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    section = readme.split("\n### Config file\n", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.ini"
     path.write_text(block)
     cfg = effective_config(path)
-    assert stage_config(cfg, "backend").kind == "http"
-    assert stage_config(cfg, "training").loss_mode == "distill"
+    stages = {section: stage_config(cfg, section) for section in SECTIONS}
+    assert stages["backend"].kind == "http"
+    assert stages["training"].loss_mode == "distill"
+    assert stages["training"].learning_rate == 0.5
     assert cfg["training"]["n_features"] == 2**18
-
 
 
 @pytest.mark.parametrize(

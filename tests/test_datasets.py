@@ -293,8 +293,8 @@ class TestFilterByTokens:
             for c in corpus.instances[0].choices
         )
         assert longest == 321
-        assert len(filter_by_tokens(corpus, simple_token_count, 320)) == 0
-        assert len(filter_by_tokens(corpus, simple_token_count, 321)) == 1
+        assert len(filter_by_tokens(corpus, 320)) == 0
+        assert len(filter_by_tokens(corpus, 321)) == 1
 
     def test_raising_limit_is_monotone(self):
         instances = [
@@ -302,23 +302,23 @@ class TestFilterByTokens:
             for k in range(1, 14)
         ]
         corpus = corpus_of(*instances)
-        low = filter_by_tokens(corpus, simple_token_count, 320)
-        high = filter_by_tokens(corpus, simple_token_count, 480)
+        low = filter_by_tokens(corpus, 320)
+        high = filter_by_tokens(corpus, 480)
         assert {i.id for i in low} <= {i.id for i in high}
         assert len(low) < len(high)
 
     def test_idempotent(self):
         corpus = sized_corpus(10)
-        once = filter_by_tokens(corpus, simple_token_count, 320)
-        twice = filter_by_tokens(once, simple_token_count, 320)
+        once = filter_by_tokens(corpus, 320)
+        twice = filter_by_tokens(once, 320)
         assert once == twice
 
     def test_empty_corpus_passes_through(self):
-        assert len(filter_by_tokens(corpus_of(), simple_token_count, 320)) == 0
+        assert len(filter_by_tokens(corpus_of(), 320)) == 0
 
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValueError):
-            filter_by_tokens(corpus_of(), simple_token_count, 0)
+            filter_by_tokens(corpus_of(), 0)
 
 
 class TestCumulativeSubsets:
@@ -361,7 +361,7 @@ class TestComputeStats:
             *(make_instance(f"c{k}", question="one two three", choices=("a", "b"), answer_index=0)
               for k in range(5))
         )
-        stats = compute_stats(corpus, simple_token_count)
+        stats = compute_stats(corpus)
         assert stats.count == 5
         assert stats.token_len_mean == 5.0
         assert stats.token_len_std == 0.0
@@ -369,7 +369,7 @@ class TestComputeStats:
     def test_two_point_population_std(self):
         short = make_instance("s", question=" ".join(["w"] * 38), choices=("a", "b"), answer_index=0)
         long = make_instance("l", question=" ".join(["w"] * 78), choices=("a", "b"), answer_index=0)
-        stats = compute_stats(corpus_of(short, long), simple_token_count)
+        stats = compute_stats(corpus_of(short, long))
         assert stats.token_len_mean == 60.0
         assert stats.token_len_std == 20.0
 
@@ -385,7 +385,7 @@ class TestComputeStats:
             for k in range(500)
         ]
         corpus = corpus_of(*instances)
-        stats = compute_stats(corpus, simple_token_count)
+        stats = compute_stats(corpus)
         lengths = [
             simple_token_count(i.question + " " + " ".join(i.choices)) for i in instances
         ]
@@ -395,11 +395,11 @@ class TestComputeStats:
 
     def test_parse_success_rate_copied_from_report(self):
         report = GenerationReport(attempted=100, parsed=52, rejected_by_reason={"NO_OBJECT": 48})
-        stats = compute_stats(sized_corpus(3), simple_token_count, report)
+        stats = compute_stats(sized_corpus(3), report)
         assert stats.parse_success_rate == pytest.approx(0.52)
 
     def test_empty_corpus(self):
-        stats = compute_stats(corpus_of(), simple_token_count)
+        stats = compute_stats(corpus_of())
         assert (stats.count, stats.token_len_mean, stats.token_len_std) == (0, 0.0, 0.0)
 
 

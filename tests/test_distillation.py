@@ -329,23 +329,7 @@ class TestTrain:
         ):
             train(ToyStudent(n_features=2**10), corpus, cfg)
 
-    def test_sgd_option_runs(self):
-        corpus = build_separable_corpus(8, seed=7)
-        cfg = TrainConfig(iterations=5, optimizer="sgd", learning_rate=0.1, seed=0)
-        _, result = train(ToyStudent(n_features=2**10), corpus.instances, cfg)
-        assert len(result.losses) == 5
-
-    def test_learning_rate_resolution(self):
-        assert TrainConfig().resolve_learning_rate(ToyStudent(n_features=16)) == 0.5
-        assert TrainConfig(learning_rate=1e-3).resolve_learning_rate(
-            ToyStudent(n_features=16)
-        ) == 1e-3
-        assert TrainConfig().resolve_learning_rate(object()) == 1e-5
-        assert TrainConfig(learning_rate=0.0).resolve_learning_rate(
-            ToyStudent(n_features=16)
-        ) == 0.5
-
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5, 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
@@ -379,7 +363,6 @@ def dense_reference_train(student, instances, cfg):
     full-size vector and updates every parameter. Returns the per-step
     losses.
     """
-    lr = cfg.resolve_learning_rate(student)
     rng = np.random.default_rng(cfg.seed)
     order, losses = [], []
     params = student.params
@@ -404,14 +387,11 @@ def dense_reference_train(student, instances, cfg):
             loss_sum += float(np.mean(batch_losses))
         grad = grad_sum / cfg.grad_accumulation
         losses.append(loss_sum / cfg.grad_accumulation)
-        if cfg.optimizer == "sgd":
-            params -= lr * grad
-        else:
-            m = 0.9 * m + (1.0 - 0.9) * grad
-            v = 0.999 * v + (1.0 - 0.999) * grad * grad
-            m_hat = m / (1.0 - 0.9**step)
-            v_hat = v / (1.0 - 0.999**step)
-            params -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9**step)
+        v_hat = v / (1.0 - 0.999**step)
+        params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
     return losses
 
 
@@ -420,8 +400,8 @@ EXACTNESS_CONFIGS = {
     "distill_r1": dict(loss_mode="distill", distill_temperature_r=1.0),
     "distill_r0": dict(loss_mode="distill", distill_temperature_r=0.0),
     "binary_bce": dict(loss_mode="binary_bce"),
-    "sgd": dict(loss_mode="distill", distill_temperature_r=0.5, optimizer="sgd",
-                learning_rate=0.3),
+    "distill_r05_lr03": dict(loss_mode="distill", distill_temperature_r=0.5,
+                             learning_rate=0.3),
 }
 
 
@@ -443,12 +423,11 @@ class TestTrainMatchesDenseReference:
         assert result.visited_instances == min(n_instances, 36)
         assert result.active_features >= np.count_nonzero(student.weights) > 0
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_preset_weights_off_the_visited_pairs_come_back_bit_for_bit(self, optimizer):
+    def test_preset_weights_off_the_visited_pairs_come_back_bit_for_bit(self):
         rng = np.random.default_rng(22)
         corpus = [random_instance(rng) for _ in range(48)]
         cfg = TrainConfig(iterations=4, micro_batch=2, grad_accumulation=2, seed=3,
-                          optimizer=optimizer, learning_rate=0.2)
+                          learning_rate=0.2)
         visited = np.random.default_rng(cfg.seed).permutation(len(corpus))[:16]
         student = random_student(seed=8)
         student.weights[::7] = -0.0
@@ -495,12 +474,11 @@ class TestPrefixTrainMatchesDenseReference:
     """``train`` runs each step on the coordinates touched so far; the dense
     oracle runs every step on all of them."""
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_preset_weights_with_first_touches_at_every_step(self, optimizer):
+    def test_preset_weights_with_first_touches_at_every_step(self):
         rng = np.random.default_rng(23)
         corpus = [random_instance(rng) for _ in range(40)]
         cfg = TrainConfig(iterations=8, micro_batch=2, grad_accumulation=2, seed=4,
-                          loss_mode="distill", optimizer=optimizer, learning_rate=0.2)
+                          loss_mode="distill", learning_rate=0.2)
         # 32 visits over 40 instances: every visit is a first visit, and
         # every step touches coordinates no earlier step touched.
         order = np.random.default_rng(cfg.seed).permutation(len(corpus))[:32]
@@ -516,12 +494,11 @@ class TestPrefixTrainMatchesDenseReference:
         assert result.losses == expected_losses
         assert result.active_features == reach[-1]
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_last_step_is_the_first_to_touch_some_coordinates(self, optimizer):
+    def test_last_step_is_the_first_to_touch_some_coordinates(self):
         rng = np.random.default_rng(24)
         corpus = [random_instance(rng) for _ in range(12)]
         cfg = TrainConfig(iterations=3, micro_batch=2, grad_accumulation=2, seed=6,
-                          loss_mode="generate", optimizer=optimizer, learning_rate=0.2)
+                          loss_mode="generate", learning_rate=0.2)
         # 12 visits are one shuffle of the 12 instances; its last instance
         # is visited by the last step only.
         last = int(np.random.default_rng(cfg.seed).permutation(len(corpus))[-1])
@@ -540,12 +517,11 @@ class TestPrefixTrainMatchesDenseReference:
         assert result.losses == expected_losses
         assert np.any(student.weights[fresh] != preset_student(10).weights[fresh])
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_first_step_coordinates_idle_for_over_100_steps(self, optimizer):
+    def test_first_step_coordinates_idle_for_over_100_steps(self):
         rng = np.random.default_rng(25)
         corpus = [random_instance(rng) for _ in range(480)]
         cfg = TrainConfig(iterations=110, micro_batch=2, grad_accumulation=2, seed=7,
-                          loss_mode="distill", optimizer=optimizer, learning_rate=0.2)
+                          loss_mode="distill", learning_rate=0.2)
         # 440 visits over 480 instances, each visited once: the two
         # instances step 1 visits in its two micro-batches share words no
         # other instance has, so their coordinates are touched by step 1

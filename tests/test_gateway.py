@@ -1,6 +1,5 @@
-"""Backends: scripted mock behavior, HTTP retry/parse contracts, identifier scoring."""
+"""Backends: scripted mock behavior, HTTP retry/parse contracts, the in-order executor."""
 
-import math
 import threading
 import time
 
@@ -13,7 +12,6 @@ from mcqa_distill.gateway import (
     CompletionResult,
     HttpBackend,
     MockBackend,
-    NoLogprobSupport,
     ProtocolError,
     RequestTimeout,
     ScriptMiss,
@@ -22,7 +20,6 @@ from mcqa_distill.gateway import (
     load_script,
     request_digest,
     save_script,
-    score_identifiers,
 )
 
 MESSAGES = (ChatMessage("user", "say wood"),)
@@ -327,65 +324,6 @@ class TestInOrder:
             taken.append(value)
         assert taken == [0, 1, 2, 3, 4]
         assert 2 <= high <= 5
-
-
-class TestScoreIdentifiers:
-    def scripted(self, logprobs):
-        return MockBackend(
-            {request_digest(MESSAGES): CompletionResult("A", logprobs)}
-        )
-
-    def test_reference_distribution_returned_verbatim(self):
-        logprobs = {"A": -1.047, "B": -1.542, "C": -1.546, "D": -1.505}
-        backend = self.scripted(logprobs)
-        scores = score_identifiers(backend, req(want=20), ["A", "B", "C", "D"])
-        assert scores == logprobs
-        # These raw scores softmax to roughly (0.351, 0.214, 0.213, 0.222).
-        weights = {k: math.exp(v) for k, v in scores.items()}
-        total = sum(weights.values())
-        probs = {k: v / total for k, v in weights.items()}
-        assert round(probs["A"], 3) == 0.351
-        assert round(probs["B"], 3) == 0.214
-        assert round(probs["C"], 3) == 0.213
-        assert round(probs["D"], 3) == 0.222
-
-    def test_floor_for_absent_identifiers(self):
-        backend = self.scripted({"A": -0.1})
-        scores = score_identifiers(backend, req(want=4), ["A", "B", "C", "D"])
-        assert scores["A"] == -0.1
-        assert scores["B"] == scores["C"] == scores["D"] == pytest.approx(-10.1)
-
-    def test_no_identifiers_present_gives_equal_floor(self):
-        backend = self.scripted({"x": -0.5, "y": -1.0})
-        scores = score_identifiers(backend, req(want=4), ["A", "B"])
-        assert scores == {"A": 0.0, "B": 0.0}
-
-    def test_one_finite_entry_per_identifier(self):
-        backend = self.scripted({"A": -0.3, "C": -1.2})
-        scores = score_identifiers(backend, req(want=8), ["A", "B", "C", "D", "E"])
-        assert set(scores) == {"A", "B", "C", "D", "E"}
-        assert all(math.isfinite(v) for v in scores.values())
-
-    def test_whitespace_tokens_collapse(self):
-        backend = self.scripted({" A": -0.2, "A": -0.9, "B": -1.0})
-        scores = score_identifiers(backend, req(want=4), ["A", "B"])
-        assert scores["A"] == -0.2
-
-    def test_missing_logprob_support(self):
-        backend = MockBackend({request_digest(MESSAGES): CompletionResult("A", None)})
-        with pytest.raises(NoLogprobSupport):
-            score_identifiers(backend, req(want=4), ["A", "B"])
-
-    def test_duplicate_identifiers_rejected(self):
-        backend = self.scripted({"A": -0.1})
-        with pytest.raises(ValueError):
-            score_identifiers(backend, req(want=4), ["A", "A"])
-
-    def test_want_raised_to_identifier_count(self):
-        # Even with want=0 the call must request enough top logprobs.
-        backend = self.scripted({"A": -0.4, "B": -0.9})
-        scores = score_identifiers(backend, req(want=0), ["A", "B"])
-        assert scores == {"A": -0.4, "B": -0.9}
 
 
 class TestRequestValidation:

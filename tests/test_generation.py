@@ -13,6 +13,7 @@ from mcqa_distill.core import (
     ANSWER_RANGE,
     DUPLICATE_CHOICE,
     EMPTY_FIELD,
+    STRATEGIES,
     TOO_FEW_CHOICES,
     validate_parts,
 )
@@ -25,6 +26,7 @@ from mcqa_distill.gateway import (
 )
 from mcqa_distill import generation
 from mcqa_distill.generation import (
+    ATTEMPTS,
     BAD_SYNTAX,
     MISSING_KEY,
     NO_OBJECT,
@@ -435,6 +437,11 @@ def test_generate_dispatches_on_strategy(science_fewshot):
     assert all(i.provenance.strategy == "paraphrase" for i in instances)
 
 
+def test_every_generation_strategy_is_a_provenance_strategy():
+    """Provenance accepts exactly the generation strategies plus "real"."""
+    assert set(STRATEGIES) == set(ATTEMPTS) | {"real"}
+
+
 class FaultyBackend:
     """Fails or garbles a seeded share of requests. Every other reply is a
     fresh object that parses as an instance and is distinct as a choice."""
@@ -509,7 +516,7 @@ def test_fabricator_plan_must_fit_its_attempt(science_fewshot, plan):
     cfg = GenerationConfig(strategy="decompose", target_count=1, negatives_n=1)
     with pytest.raises(ValueError):
         _record_run(
-            "decompose", science_fewshot, cfg, DEFAULT_TEMPLATES, [plan], [], None, None
+            "decompose", science_fewshot, cfg, DEFAULT_TEMPLATES, [plan], [], None
         )
 
 

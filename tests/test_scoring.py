@@ -11,21 +11,28 @@ from hypothesis import given, settings, strategies as st
 
 from mcqa_distill.datasets import simple_token_count
 from mcqa_distill.distillation import TieAtZeroTemperature, soften
+from mcqa_distill.config import FALLBACKS
+from mcqa_distill.core import ChatMessage
 from mcqa_distill.gateway import (
     CompletionResult,
     MockBackend,
     NoLogprobSupport,
+    ProtocolError,
+    RequestTimeout,
+    ScriptMiss,
     TransportError,
     request_digest,
 )
 from mcqa_distill.scoring import (
     FALLBACK,
+    MIN_TOP_LOGPROBS,
     ONE_HOT_MARGIN,
     SCORED,
     SKIPPED,
     ScoringConfig,
     fit_scoring_prompt,
     one_hot_scores,
+    score_identifiers,
     score_instances,
 )
 
@@ -118,17 +125,16 @@ class TestSoften:
 class TestFitScoringPrompt:
     def test_full_prompt_when_it_fits(self, science_fewshot):
         cfg = ScoringConfig(prompt_token_limit=10_000)
-        messages = fit_scoring_prompt(make_instance(), science_fewshot, cfg, simple_token_count)
+        messages = fit_scoring_prompt(make_instance(), science_fewshot, cfg)
         assert len(messages) == 11
 
     def test_exemplars_dropped_last_first(self, science_fewshot):
         full = fit_scoring_prompt(
-            make_instance(), science_fewshot, ScoringConfig(prompt_token_limit=10_000),
-            simple_token_count,
+            make_instance(), science_fewshot, ScoringConfig(prompt_token_limit=10_000)
         )
         full_tokens = sum(simple_token_count(m.content) for m in full)
         cfg = ScoringConfig(prompt_token_limit=full_tokens - 1)
-        trimmed = fit_scoring_prompt(make_instance(), science_fewshot, cfg, simple_token_count)
+        trimmed = fit_scoring_prompt(make_instance(), science_fewshot, cfg)
         assert len(trimmed) < len(full)
         # Kept exemplars are a prefix of the original order.
         kept = [m.content for m in trimmed if m.role == "user"][:-1]
@@ -141,23 +147,23 @@ class TestFitScoringPrompt:
             simple_token_count(f"A. {c}") for c in inst.choices
         )
         cfg = ScoringConfig(prompt_token_limit=bare_tokens + 8)
-        messages = fit_scoring_prompt(inst, science_fewshot, cfg, simple_token_count)
+        messages = fit_scoring_prompt(inst, science_fewshot, cfg)
         assert len(messages) == 1
         assert messages[0].role == "user"
 
     def test_hopeless_limit_gives_none(self, science_fewshot):
         cfg = ScoringConfig(prompt_token_limit=1)
-        assert fit_scoring_prompt(make_instance(), science_fewshot, cfg, simple_token_count) is None
+        assert fit_scoring_prompt(make_instance(), science_fewshot, cfg) is None
 
 
 def scripted_for(inst, fs, cfg, result):
-    messages = fit_scoring_prompt(inst, fs, cfg, simple_token_count)
+    messages = fit_scoring_prompt(inst, fs, cfg)
     return MockBackend({request_digest(messages): result})
 
 
-def score_one(inst, fs, cfg, backend, tok):
+def score_one(inst, fs, cfg, backend):
     """``inst`` scored as a corpus of one."""
-    return score_instances([inst], fs, cfg, backend, tok)[0][0]
+    return score_instances([inst], fs, cfg, backend)[0][0]
 
 
 class TestScoreInstance:
@@ -167,7 +173,7 @@ class TestScoreInstance:
         backend = scripted_for(
             inst, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, backend)
         assert scored.teacher_scores == (-1.047, -1.542, -1.546, -1.505)
         probs = tuple(soften(scored.teacher_scores, 1.0))
         assert probs == pytest.approx([0.351, 0.214, 0.213, 0.222], abs=5e-4)
@@ -178,7 +184,7 @@ class TestScoreInstance:
         backend = scripted_for(
             inst, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, backend)
         assert (scored.id, scored.question, scored.choices, scored.answer_index) == (
             inst.id, inst.question, inst.choices, inst.answer_index,
         )
@@ -190,13 +196,13 @@ class TestScoreInstance:
         cfg = ScoringConfig()
         logprobs = {ch: -float(i + 1) for i, ch in enumerate("ABCDEF")}
         backend = scripted_for(inst, science_fewshot, cfg, CompletionResult("A", logprobs))
-        scored = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, backend)
         assert len(scored.teacher_scores) == 6
 
     def test_one_hot_fallback_when_over_limit(self, science_fewshot):
         inst = make_instance(answer_index=2)
         cfg = ScoringConfig(prompt_token_limit=1, fallback="one_hot")
-        scored = score_one(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, MockBackend({}))
         assert scored.teacher_scores == one_hot_scores(2, 4)
         probs = tuple(soften(scored.teacher_scores, 1.0))
         expected = [0.0, 0.0, 1.0, 0.0]
@@ -205,7 +211,7 @@ class TestScoreInstance:
     def test_skip_fallback_leaves_scores_absent(self, science_fewshot):
         inst = make_instance(teacher_scores=(1.0, 2.0, 3.0, 4.0))
         cfg = ScoringConfig(prompt_token_limit=1, fallback="skip")
-        scored = score_one(inst, science_fewshot, cfg, MockBackend({}), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, MockBackend({}))
         assert scored.teacher_scores is None
 
     def test_rescoring_is_idempotent(self, science_fewshot):
@@ -214,16 +220,23 @@ class TestScoreInstance:
         backend = scripted_for(
             inst, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        once = score_one(inst, science_fewshot, cfg, backend, simple_token_count)
-        twice = score_one(once, science_fewshot, cfg, backend, simple_token_count)
+        once = score_one(inst, science_fewshot, cfg, backend)
+        twice = score_one(once, science_fewshot, cfg, backend)
         assert once == twice
 
-    def test_no_logprob_backend_raises(self, science_fewshot):
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    def test_no_logprob_backend_raises(self, science_fewshot, fallback):
         inst = make_instance()
-        cfg = ScoringConfig()
+        cfg = ScoringConfig(fallback=fallback)
         backend = scripted_for(inst, science_fewshot, cfg, CompletionResult("A", None))
         with pytest.raises(NoLogprobSupport):
-            score_one(inst, science_fewshot, cfg, backend, simple_token_count)
+            score_one(inst, science_fewshot, cfg, backend)
+
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    def test_script_miss_raises(self, science_fewshot, fallback):
+        with pytest.raises(ScriptMiss):
+            score_one(make_instance(), science_fewshot, ScoringConfig(fallback=fallback),
+                      MockBackend({}))
 
     def test_gateway_error_with_skip_keeps_instance_unscored(self, science_fewshot):
         class Exploding:
@@ -232,17 +245,19 @@ class TestScoreInstance:
 
         inst = make_instance()
         cfg = ScoringConfig(fallback="skip")
-        scored = score_one(inst, science_fewshot, cfg, Exploding(), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, Exploding())
         assert scored.teacher_scores is None
 
-    def test_gateway_error_without_skip_propagates(self, science_fewshot):
+    @pytest.mark.parametrize("error", [TransportError, RequestTimeout, ProtocolError])
+    def test_failed_request_takes_the_one_hot_fallback(self, science_fewshot, error):
         class Exploding:
             def complete(self, req):
-                raise TransportError("down")
+                raise error("down")
 
+        inst = make_instance(answer_index=1)
         cfg = ScoringConfig(fallback="one_hot")
-        with pytest.raises(TransportError):
-            score_one(make_instance(), science_fewshot, cfg, Exploding(), simple_token_count)
+        scored = score_one(inst, science_fewshot, cfg, Exploding())
+        assert scored.teacher_scores == one_hot_scores(1, 4)
 
 
 class TestScoreInstances:
@@ -255,9 +270,7 @@ class TestScoreInstances:
         backend = scripted_for(
             good, science_fewshot, cfg, CompletionResult("A", REFERENCE_LOGPROBS)
         )
-        scored, counts = score_instances(
-            [good, oversize], science_fewshot, cfg, backend, simple_token_count
-        )
+        scored, counts = score_instances([good, oversize], science_fewshot, cfg, backend)
         assert counts == {SCORED: 1, FALLBACK: 1, SKIPPED: 0}
         assert scored[0].teacher_scores == (-1.047, -1.542, -1.546, -1.505)
         assert scored[1].teacher_scores == one_hot_scores(0, 2)
@@ -269,11 +282,12 @@ class TestScoreInstances:
 
 class JitteryScorer:
     """Thread-safe scoring backend: delay and logprobs are a function of the
-    request digest; a request naming a question in ``fail`` raises after
-    ``fail[question]`` seconds. Records the most requests in flight."""
+    request digest; a request naming a question in ``fail`` raises ``error``
+    after ``fail[question]`` seconds. Records the most requests in flight."""
 
-    def __init__(self, fail=None):
+    def __init__(self, fail=None, error=TransportError):
         self.fail = fail or {}
+        self.error = error
         self.in_flight = self.in_flight_max = 0
         self._lock = threading.Lock()
 
@@ -288,7 +302,7 @@ class JitteryScorer:
             for question, delay in self.fail.items():
                 if question in req.messages[-1].content:
                     time.sleep(delay)
-                    raise TransportError(f"down for {question}")
+                    raise self.error(f"down for {question}")
             return CompletionResult(
                 "A", {letter: -rng.uniform(0.1, 5.0) for letter in "ABCD"}
             )
@@ -309,34 +323,115 @@ def numbered_corpus(n):
 def test_score_width_changes_no_output(science_fewshot, fallback):
     cfg = ScoringConfig(fallback=fallback)
     corpus = numbered_corpus(24)
-    fail = {"Question number 9?": 0.0} if fallback == "skip" else {}
+    fail = {"Question number 9?": 0.0}
     serial_backend = JitteryScorer(fail)
-    serial = score_instances(
-        corpus, science_fewshot, cfg, serial_backend, simple_token_count, width=1
-    )
+    serial = score_instances(corpus, science_fewshot, cfg, serial_backend, width=1)
     assert serial_backend.in_flight_max == 1
     if fallback == "one_hot":
-        assert serial[1] == {SCORED: 23, FALLBACK: 1, SKIPPED: 0}
+        assert serial[1] == {SCORED: 22, FALLBACK: 2, SKIPPED: 0}
     else:
         assert serial[1] == {SCORED: 22, FALLBACK: 0, SKIPPED: 2}
     backend = JitteryScorer(fail)
-    pooled = score_instances(
-        corpus, science_fewshot, cfg, backend, simple_token_count, width=4
-    )
+    pooled = score_instances(corpus, science_fewshot, cfg, backend, width=4)
     assert pooled == serial
     assert 2 <= backend.in_flight_max <= 4
 
 
 @pytest.mark.parametrize("width", [1, 4])
+def test_transport_failure_falls_back_in_instance_order(science_fewshot, width):
+    corpus = [make_instance(f"q{i}", question=f"Question number {i}?") for i in range(3)]
+    backend = JitteryScorer({"Question number 1?": 0.05})
+    scored, counts = score_instances(
+        corpus, science_fewshot, ScoringConfig(fallback="one_hot"), backend, width=width
+    )
+    assert counts == {SCORED: 2, FALLBACK: 1, SKIPPED: 0}
+    assert [inst.id for inst in scored] == ["q0", "q1", "q2"]
+    assert scored[1].teacher_scores == one_hot_scores(0, 4)
+    assert scored[0].teacher_scores is not None and scored[2].teacher_scores is not None
+
+
+@pytest.mark.parametrize("width", [1, 4])
 def test_score_first_failure_in_order_surfaces(science_fewshot, width):
     """Instance 6 fails slowly, instance 7 at once: 6's error is the one seen."""
-    backend = JitteryScorer({"Question number 6?": 0.1, "Question number 7?": 0.0})
-    with pytest.raises(TransportError, match="Question number 6"):
+    backend = JitteryScorer(
+        {"Question number 6?": 0.1, "Question number 7?": 0.0}, error=ScriptMiss
+    )
+    with pytest.raises(ScriptMiss, match="Question number 6"):
         score_instances(
             numbered_corpus(12),
             science_fewshot,
             ScoringConfig(fallback="one_hot"),
             backend,
-            simple_token_count,
             width=width,
         )
+
+
+MESSAGES = (ChatMessage("user", "say wood"),)
+
+
+class TestScoreIdentifiers:
+    def scripted(self, logprobs):
+        return MockBackend(
+            {request_digest(MESSAGES): CompletionResult("A", logprobs)}
+        )
+
+    def test_reference_distribution_returned_verbatim(self):
+        backend = self.scripted(REFERENCE_LOGPROBS)
+        scores = score_identifiers(backend, MESSAGES, ["A", "B", "C", "D"])
+        assert scores == REFERENCE_LOGPROBS
+        # These raw scores softmax to roughly (0.351, 0.214, 0.213, 0.222).
+        weights = {k: math.exp(v) for k, v in scores.items()}
+        total = sum(weights.values())
+        probs = {k: v / total for k, v in weights.items()}
+        assert round(probs["A"], 3) == 0.351
+        assert round(probs["B"], 3) == 0.214
+        assert round(probs["C"], 3) == 0.213
+        assert round(probs["D"], 3) == 0.222
+
+    def test_floor_for_absent_identifiers(self):
+        backend = self.scripted({"A": -0.1})
+        scores = score_identifiers(backend, MESSAGES, ["A", "B", "C", "D"])
+        assert scores["A"] == -0.1
+        assert scores["B"] == scores["C"] == scores["D"] == pytest.approx(-10.1)
+
+    def test_no_identifiers_present_gives_equal_floor(self):
+        backend = self.scripted({"x": -0.5, "y": -1.0})
+        scores = score_identifiers(backend, MESSAGES, ["A", "B"])
+        assert scores == {"A": 0.0, "B": 0.0}
+
+    def test_one_finite_entry_per_identifier(self):
+        backend = self.scripted({"A": -0.3, "C": -1.2})
+        scores = score_identifiers(backend, MESSAGES, ["A", "B", "C", "D", "E"])
+        assert set(scores) == {"A", "B", "C", "D", "E"}
+        assert all(math.isfinite(v) for v in scores.values())
+
+    def test_whitespace_tokens_collapse(self):
+        backend = self.scripted({" A": -0.2, "A": -0.9, "B": -1.0})
+        scores = score_identifiers(backend, MESSAGES, ["A", "B"])
+        assert scores["A"] == -0.2
+
+    def test_missing_logprob_support(self):
+        backend = MockBackend({request_digest(MESSAGES): CompletionResult("A", None)})
+        with pytest.raises(NoLogprobSupport):
+            score_identifiers(backend, MESSAGES, ["A", "B"])
+
+    def test_duplicate_identifiers_rejected(self):
+        backend = self.scripted({"A": -0.1})
+        with pytest.raises(ValueError):
+            score_identifiers(backend, MESSAGES, ["A", "A"])
+
+    @pytest.mark.parametrize("count", [2, MIN_TOP_LOGPROBS + 6])
+    def test_request_asks_for_every_identifier(self, count):
+        identifiers = [chr(ord("A") + i) for i in range(count)]
+        requests = []
+
+        class Recording:
+            def complete(self, req):
+                requests.append(req)
+                return CompletionResult("A", {"A": -0.4})
+
+        score_identifiers(Recording(), MESSAGES, identifiers)
+        (req,) = requests
+        assert req.messages == MESSAGES
+        assert (req.temperature, req.max_new_tokens) == (0.0, 1)
+        assert req.want_top_logprobs == max(count, MIN_TOP_LOGPROBS)
