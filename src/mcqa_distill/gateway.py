@@ -42,6 +42,10 @@ class RequestTimeout(GatewayError):
     """Request timed out after exhausting retries."""
 
 
+class RequestRejected(GatewayError):
+    """The backend refused the request with a status no retry can change."""
+
+
 class ProtocolError(GatewayError):
     """The backend answered with a payload we cannot interpret."""
 
@@ -189,7 +193,8 @@ class HttpBackend:
     Transient failures (connection errors, timeouts, HTTP 429 and 5xx) are
     retried up to ``retry_limit`` times with exponential backoff, or after the
     response's ``Retry-After`` delay when it is given in seconds (RFC 9110
-    §10.2.3), capped at ``request_timeout``; anything else fails immediately.
+    §10.2.3), capped at ``request_timeout``. Any other non-200 status (a wrong
+    key, model name or URL) raises ``RequestRejected`` at once.
     ``max_parallel_requests`` is enforced with a semaphore so the backend can
     be shared across threads; a request backs off without holding its slot.
     """
@@ -264,7 +269,7 @@ class HttpBackend:
                     delay = min(int(value), self.config.request_timeout)
                 continue
             if response.status_code != 200:
-                raise TransportError(
+                raise RequestRejected(
                     f"HTTP {response.status_code}: {response.text[:200]}"
                 )
             return self._parse(response)

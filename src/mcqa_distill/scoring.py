@@ -23,7 +23,6 @@ from .datasets import simple_token_count
 from .gateway import (
     CompletionRequest,
     NoLogprobSupport,
-    ProtocolError,
     RequestTimeout,
     TransportError,
     in_order,
@@ -83,9 +82,6 @@ def score_identifiers(
     minus ``MISSING_LOGPROB_MARGIN``; if none are present at all, every
     identifier gets an equal 0.0 (uniform after the downstream softmax).
     """
-    identifiers = list(identifiers)
-    if len(set(identifiers)) != len(identifiers):
-        raise ValueError("identifiers must be distinct")
     request = CompletionRequest(
         messages,
         temperature=0.0,
@@ -126,7 +122,7 @@ def _score_one(
     identifiers = [index_to_identifier(i) for i in range(inst.num_choices)]
     try:
         by_identifier = score_identifiers(gw, messages, identifiers)
-    except (TransportError, RequestTimeout, ProtocolError):
+    except (TransportError, RequestTimeout):
         return _unscored(inst, cfg)
     scores = tuple(by_identifier[i] for i in identifiers)
     return replace(inst, teacher_scores=scores), SCORED
@@ -144,10 +140,11 @@ def score_instances(
     Only ``teacher_scores`` is attached; question, choices and answer_index
     are never altered.
 
-    An instance whose prompt is over the token limit, or whose request fails
-    for good (a ``TransportError``, ``RequestTimeout`` or ``ProtocolError``
-    after the backend's retries), takes ``cfg.fallback``. A ``ScriptMiss`` or
-    ``NoLogprobSupport`` means the backend can score no instance: it is
+    An instance whose prompt is over the token limit, or whose request still
+    fails after the backend's retries (a ``TransportError`` or
+    ``RequestTimeout``), takes ``cfg.fallback``. Any other backend error
+    (``ScriptMiss``, ``RequestRejected``, ``ProtocolError``,
+    ``NoLogprobSupport``) means the backend can score no instance: it is
     raised under either fallback.
 
     Up to ``width`` instances are scored at once; results and errors come in

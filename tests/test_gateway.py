@@ -13,6 +13,7 @@ from mcqa_distill.gateway import (
     HttpBackend,
     MockBackend,
     ProtocolError,
+    RequestRejected,
     RequestTimeout,
     ScriptMiss,
     TransportError,
@@ -188,7 +189,7 @@ class TestHttpBackend:
 
     def test_client_error_fails_fast(self):
         backend, session = http_backend([FakeResponse(401)], retry_limit=3)
-        with pytest.raises(TransportError):
+        with pytest.raises(RequestRejected):
             backend.complete(req())
         assert len(session.calls) == 1
 

@@ -14,10 +14,13 @@ from mcqa_distill.distillation import TieAtZeroTemperature, soften
 from mcqa_distill.config import FALLBACKS
 from mcqa_distill.core import ChatMessage
 from mcqa_distill.gateway import (
+    BackendConfig,
     CompletionResult,
+    HttpBackend,
     MockBackend,
     NoLogprobSupport,
     ProtocolError,
+    RequestRejected,
     RequestTimeout,
     ScriptMiss,
     TransportError,
@@ -248,7 +251,7 @@ class TestScoreInstance:
         scored = score_one(inst, science_fewshot, cfg, Exploding())
         assert scored.teacher_scores is None
 
-    @pytest.mark.parametrize("error", [TransportError, RequestTimeout, ProtocolError])
+    @pytest.mark.parametrize("error", [TransportError, RequestTimeout])
     def test_failed_request_takes_the_one_hot_fallback(self, science_fewshot, error):
         class Exploding:
             def complete(self, req):
@@ -258,6 +261,18 @@ class TestScoreInstance:
         cfg = ScoringConfig(fallback="one_hot")
         scored = score_one(inst, science_fewshot, cfg, Exploding())
         assert scored.teacher_scores == one_hot_scores(1, 4)
+
+
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    @pytest.mark.parametrize("error", [RequestRejected, ProtocolError])
+    def test_unretried_backend_error_raises(self, science_fewshot, fallback, error):
+        class Exploding:
+            def complete(self, req):
+                raise error("refused")
+
+        with pytest.raises(error):
+            score_one(make_instance(), science_fewshot, ScoringConfig(fallback=fallback),
+                      Exploding())
 
 
 class TestScoreInstances:
@@ -274,6 +289,20 @@ class TestScoreInstances:
         assert counts == {SCORED: 1, FALLBACK: 1, SKIPPED: 0}
         assert scored[0].teacher_scores == (-1.047, -1.542, -1.546, -1.505)
         assert scored[1].teacher_scores == one_hot_scores(0, 2)
+
+    @pytest.mark.parametrize("fallback", FALLBACKS)
+    def test_rejected_http_request_stops_the_run(self, science_fewshot, fallback):
+        class Unauthorized:
+            status_code, text, headers = 401, "invalid api key", {}
+
+        class Session:
+            def post(self, url, **kwargs):
+                return Unauthorized()
+
+        backend = HttpBackend(BackendConfig(kind="http"), session=Session())
+        corpus = [make_instance(f"q{i}", question=f"Question number {i}?") for i in range(3)]
+        with pytest.raises(RequestRejected, match="HTTP 401"):
+            score_instances(corpus, science_fewshot, ScoringConfig(fallback=fallback), backend)
 
     def test_margin_is_twenty(self):
         assert ONE_HOT_MARGIN == 20.0
@@ -414,11 +443,6 @@ class TestScoreIdentifiers:
         backend = MockBackend({request_digest(MESSAGES): CompletionResult("A", None)})
         with pytest.raises(NoLogprobSupport):
             score_identifiers(backend, MESSAGES, ["A", "B"])
-
-    def test_duplicate_identifiers_rejected(self):
-        backend = self.scripted({"A": -0.1})
-        with pytest.raises(ValueError):
-            score_identifiers(backend, MESSAGES, ["A", "A"])
 
     @pytest.mark.parametrize("count", [2, MIN_TOP_LOGPROBS + 6])
     def test_request_asks_for_every_identifier(self, count):
