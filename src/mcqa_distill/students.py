@@ -8,9 +8,9 @@ order, one sparse (index, value) vector per choice whose dot product with
 Training reads these features once per distinct visited instance, before its
 first step, and writes ``params`` in place only after its last step.
 ``ToyStudent`` is a desk-scale student built on the hashing trick
-(Weinberger et al. 2009). ``feature_logits`` is the one place per-instance
-logits come from: ``instance_logits`` reads a student through it, and
-training calls it on the features it compiled.
+(Weinberger et al. 2009). ``feature_logits`` is the one place logits come
+from: ``instance_logits`` reads a student through it, and training calls
+it on the features of each step's choices, compiled once.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def _featurize_chunk(
 
 def feature_logits(params: np.ndarray, features: Sequence[SparseVector]) -> np.ndarray:
     """Per-choice logits as a float64 array: the dot product of ``params``
-    with each choice's sparse feature vector."""
-    return np.array([np.dot(params[idx], val) for idx, val in features], dtype=np.float64)
+    with each choice's sparse feature vector, one ``ndarray.dot`` (the
+    method form of ``np.dot``) per choice."""
+    return np.array([params[idx].dot(val) for idx, val in features], dtype=np.float64)
 
 
 def instance_logits(student, items: Iterable[Item]) -> Iterator[np.ndarray]:
@@ -198,7 +199,8 @@ class ToyStudent:
     def load(cls, path) -> "ToyStudent":
         """Read a record written by ``save``.
 
-        A file of any other shape raises ValueError naming ``path``.
+        A file of any other shape, or one holding a non-finite weight,
+        raises ValueError naming ``path``.
         """
         with open(path, "rb") as fh:
             header_line = fh.readline()
@@ -222,6 +224,10 @@ class ToyStudent:
             raise ValueError(
                 f"{path}: {len(blob)} weight bytes do not hold {n_features} float64 weights"
             )
+        weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        if not np.isfinite(weights).all():
+            non_finite = np.count_nonzero(~np.isfinite(weights))
+            raise ValueError(f"{path}: {non_finite} of {n_features} weights are not finite")
         student = cls(n_features=n_features, hash_seed=header["hash_seed"])
-        student.weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        student.weights = weights
         return student

@@ -28,7 +28,6 @@ from mcqa_distill.datasets import (
 )
 from mcqa_distill.distillation import (
     TrainConfig,
-    ce_loss,
     instance_target,
     loss_kernel,
     one_hot,
@@ -47,7 +46,7 @@ from mcqa_distill.synthetic import (
 )
 
 from conftest import SCIENCE_EXAMPLES, make_instance
-from test_distillation import loss_and_gradient
+from test_distillation import cross_entropy, loss_and_gradient
 from test_generation import PARSER_FIXTURES, SequencedBackend, judge_reply
 
 
@@ -86,23 +85,25 @@ def random_instance(rng, num_choices=4):
 
 def test_loss_exactness():
     with criterion("loss exactness", 1.0):
-        value = ce_loss(one_hot(0, 4), np.array((0.25,) * 4))
+        value = cross_entropy(one_hot(0, 4), np.zeros(4))
         assert abs(value - math.log(4) / 4) <= 1e-12
 
         rng = np.random.default_rng(100)
         # Identity case: for hard labels the cross-entropy at the target is 0
-        # exactly. (For non-degenerate soft labels ce(p, p) equals the scaled
-        # entropy of p, which is positive; the matching identity there is that
-        # p minimizes ce(p, .) over predictions.)
+        # exactly; logits 0 at the gold choice and -1000 elsewhere predict it
+        # exactly, since exp(-1000) is 0.0. (For non-degenerate soft labels
+        # ce(p, p) equals the scaled entropy of p, which is positive; the
+        # matching identity there is that p minimizes ce(p, .) over
+        # predictions, here the softmax of log(q).)
         for _ in range(100):
             length = int(rng.integers(2, 7))
             hard = one_hot(int(rng.integers(length)), length)
-            assert ce_loss(hard, hard) == 0.0
+            assert cross_entropy(hard, (hard - 1.0) * 1000.0) == 0.0
         for _ in range(100):
             p = np.array(tuple(rng.dirichlet(np.ones(4))))
-            base = ce_loss(p, p)
+            base = cross_entropy(p, np.log(p))
             q = np.array(tuple(rng.dirichlet(np.ones(4))))
-            assert ce_loss(p, q) >= base - 1e-12
+            assert cross_entropy(p, np.log(q)) >= base - 1e-12
 
         student = ToyStudent(n_features=2**12)
         student.weights[:] = rng.normal(0.0, 0.1, student.n_features)

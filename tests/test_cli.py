@@ -355,6 +355,16 @@ class TestTrainEvalCommands:
         assert f"mcqa train: {message}" in proc.stderr
         assert not (workspace["dir"] / "m.bin").exists()
 
+    @pytest.mark.parametrize("loss", ["generate", "binary_bce"])
+    def test_diverging_train_exits_2_naming_the_step(self, workspace, scored_corpus, loss):
+        model = workspace["dir"] / "m.bin"
+        proc = run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
+                       "--out", model, "--loss", loss, "--lr", "1e308", expect=2)
+        assert re.search(r"mcqa train: training diverged (at|by) step \d+: non-finite", proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert not model.exists()
+        assert not (workspace["dir"] / "m.bin.trace.csv").exists()
+
     def test_eval_empty_corpus_exits_2(self, workspace, scored_corpus, tmp_path):
         model = workspace["dir"] / "model.bin"
         run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
@@ -368,6 +378,7 @@ class TestTrainEvalCommands:
 
     @pytest.mark.parametrize("name", [
         "missing_hash_seed", "header_is_a_list", "n_features_is_a_string", "too_few_weights",
+        "nan_weight",
     ])
     def test_eval_malformed_model_exits_2_naming_it(self, workspace, scored_corpus, name):
         header, blob = MALFORMED_MODELS[name]

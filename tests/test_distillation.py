@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from mcqa_distill.distillation import (
+    LOGIT_CLAMP,
     MissingTeacherScores,
     TrainConfig,
-    _CompiledInstance,
-    _compile,
-    _loss_and_terms,
+    TrainingDiverged,
     _number_by_first_touch,
-    ce_loss,
     instance_target,
     loss_kernel,
     one_hot,
@@ -58,36 +56,43 @@ def random_instance(rng, num_choices=4, with_scores=True):
     )
 
 
+def cross_entropy(target, logits):
+    """The kernel's loss of ``target`` against softmax(``logits``) at temperature 1."""
+    block = np.asarray(logits, dtype=np.float64)[None]
+    return float(loss_kernel(block, np.asarray(target, dtype=np.float64)[None], 1.0)[0][0])
+
+
 class TestCeLoss:
     def test_one_hot_vs_uniform_is_quarter_log_four(self):
-        value = ce_loss(one_hot(0, 4), np.array((0.25,) * 4))
+        value = cross_entropy(one_hot(0, 4), np.zeros(4))
         assert value == pytest.approx(math.log(4) / 4, abs=1e-12)
 
     def test_identical_one_hot_is_zero(self):
-        assert ce_loss(one_hot(2, 4), one_hot(2, 4)) == 0.0
+        # exp(-1000) is 0.0, so the prediction is the one-hot target exactly.
+        assert cross_entropy(one_hot(2, 4), [-1000.0, -1000.0, 0.0, -1000.0]) == 0.0
 
     def test_soft_target_against_uniform_is_quarter_log_four(self):
         # Any target summing to 1 gives ln(4)/4 against the uniform prediction.
         target = np.array((0.351, 0.214, 0.213, 0.222))
-        value = ce_loss(target, np.array((0.25,) * 4))
+        value = cross_entropy(target, np.zeros(4))
         assert value == pytest.approx(math.log(4) / 4, abs=1e-12)
 
     def test_minimized_at_matching_prediction(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = rng.dirichlet(np.ones(4))
-            base = ce_loss(p, p)
+            base = cross_entropy(p, np.log(p))
             for _ in range(10):
                 q = rng.dirichlet(np.ones(4))
-                assert ce_loss(p, q) >= base - 1e-12
+                assert cross_entropy(p, np.log(q)) >= base - 1e-12
 
     def test_floor_keeps_loss_finite(self):
-        value = ce_loss(one_hot(0, 2), (0.0, 1.0))
+        value = cross_entropy(one_hot(0, 2), [-1000.0, 0.0])
         assert value == pytest.approx(-math.log(1e-12) / 2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ce_loss(one_hot(0, 3), one_hot(0, 4))
+            loss_kernel(np.zeros((1, 4)), one_hot(0, 3)[None], 1.0)
 
 
 def student_probs(student, inst, r):
@@ -165,7 +170,7 @@ class TestDistillLoss:
         inst = make_instance(teacher_scores=(2.0, 0.0, -1.0, 0.5))
         logits = [0.0, 1.0, 2.0, 3.0]
         r = 2.0
-        expected = ce_loss(soften(inst.teacher_scores, r), soften(logits, r))
+        expected = cross_entropy(soften(inst.teacher_scores, r), np.array(logits) / r)
         assert kernel_loss(logits, inst, "distill", r) == pytest.approx(expected, abs=1e-12)
 
 
@@ -252,12 +257,13 @@ class TestGradient:
     def test_micro_batch_order_invariance(self):
         rng = np.random.default_rng(4)
         student = random_student(seed=13)
-        batch = _compile(student, [random_instance(rng) for _ in range(4)], "distill", 1.0)
+        batch = [random_instance(rng) for _ in range(4)]
         results = []
         for items in (batch, batch[::-1]):
-            loss, index, terms = _loss_and_terms(student.params, items)
-            grad = np.zeros_like(student.params)
-            np.add.at(grad, index, terms)
+            loss, grad = 0.0, np.zeros_like(student.params)
+            for inst in items:
+                inst_loss, inst_grad = loss_and_gradient(student, inst, "distill")
+                loss, grad = loss + inst_loss / len(items), grad + inst_grad / len(items)
             results.append((loss, grad))
         (loss_a, grad_a), (loss_b, grad_b) = results
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
@@ -423,6 +429,23 @@ class TestTrainMatchesDenseReference:
         assert result.visited_instances == min(n_instances, 36)
         assert result.active_features >= np.count_nonzero(student.weights) > 0
 
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CONFIGS))
+    def test_bit_identical_with_two_to_six_choices(self, name):
+        cfg = TrainConfig(iterations=6, micro_batch=3, grad_accumulation=2, seed=5,
+                          **EXACTNESS_CONFIGS[name])
+        rng = np.random.default_rng(26)
+        counts = rng.integers(2, 7, size=30)
+        # Step 1 visits the first six of the shuffle: every count, 2 to 6.
+        order = np.random.default_rng(cfg.seed).permutation(counts.size)
+        counts[order[:5]] = [2, 3, 4, 5, 6]
+        corpus = [random_instance(rng, num_choices=int(c)) for c in counts]
+        assert {corpus[i].num_choices for i in order[:6]} == {2, 3, 4, 5, 6}
+        reference = ToyStudent(n_features=2**12)
+        expected_losses = dense_reference_train(reference, corpus, cfg)
+        student, result = train(ToyStudent(n_features=2**12), corpus, cfg)
+        assert student.weights.tobytes() == reference.weights.tobytes()
+        assert result.losses == expected_losses
+
     def test_preset_weights_off_the_visited_pairs_come_back_bit_for_bit(self):
         rng = np.random.default_rng(22)
         corpus = [random_instance(rng) for _ in range(48)]
@@ -451,6 +474,108 @@ class TestKernelModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             instance_target(make_instance(), "nope")
+
+
+def per_instance_kernel(logits, target, temperature):
+    """The one-instance kernel the block ``loss_kernel`` replaced, kept as
+    its oracle: a float loss and the (C,) logit gradient of one instance."""
+    n = logits.size
+    if temperature is None:
+        clamped = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
+        sig = 1.0 / (1.0 + np.exp(-clamped))
+        active = (np.abs(logits) < LOGIT_CLAMP).astype(np.float64)
+        per_pair = target * np.logaddexp(0.0, -clamped) + (1 - target) * np.logaddexp(
+            0.0, clamped
+        )
+        return float(np.mean(per_pair)), (sig - target) * active / n
+    weights = np.exp((logits - logits.max()) / temperature)
+    probs = weights / weights.sum()
+    logq = np.log(np.maximum(probs, 1e-12))
+    loss = -float(np.sum(np.where(target > 0, target * logq, 0.0))) / n
+    return loss, (probs - target) / (n * temperature)
+
+
+KERNEL_MODES = [("generate", 1.0), ("distill", 1.0), ("distill", 0.0), ("distill", 0.5),
+                ("binary_bce", 1.0)]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("mode,r", KERNEL_MODES)
+    @pytest.mark.parametrize("choices", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 26])
+    def test_block_equals_one_row_calls_bit_for_bit(self, mode, r, choices):
+        rng = np.random.default_rng(choices)
+        rows = [instance_target(random_instance(rng, num_choices=choices), mode, r)
+                for _ in range(7)]
+        target = np.array([t for t, _ in rows])
+        temperature = rows[0][1]
+        logits = rng.normal(0.0, 3.0, target.shape)
+        # Logits at and past the BCE clamp, and far apart for the softmax.
+        logits[0, 0], logits[1, -1], logits[2, 0] = 30.0, -30.0, 45.5
+        logits[3, 0], logits[4] = -1e3, 40.0
+        losses, dlogits = loss_kernel(logits, target, temperature)
+        assert losses.shape == (7,) and dlogits.shape == (7, choices)
+        for k in range(7):
+            row_loss, row_grad = loss_kernel(logits[k : k + 1], target[k : k + 1], temperature)
+            assert row_loss.tobytes() == losses[k : k + 1].tobytes()
+            assert row_grad.tobytes() == dlogits[k : k + 1].tobytes()
+            oracle_loss, oracle_grad = per_instance_kernel(logits[k], target[k], temperature)
+            assert losses[k] == oracle_loss
+            assert dlogits[k].tobytes() == oracle_grad.tobytes()
+
+    def test_clamped_bce_logits_get_zero_gradient(self):
+        logits = np.array([[30.0, -30.0, 29.5, -45.0]])
+        _, dlogits = loss_kernel(logits, one_hot(0, 4)[None], None)
+        assert list(dlogits[0] == 0.0) == [True, True, False, True]
+
+
+class WideValueStudent:
+    """Test double: choice k of every instance reads coordinate k with
+    feature value 1000, so all logits start at 0 and the gradient is large."""
+
+    def __init__(self, slots):
+        self.params = np.zeros(slots)
+
+    def instance_features(self, items):
+        value = np.array([1000.0])
+        for _, choices in items:
+            yield tuple((np.array([k]), value) for k in range(len(choices)))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("mode", ["generate", "binary_bce"])
+    def test_a_nan_weight_stops_the_first_step_that_reads_it(self, mode):
+        corpus = build_separable_corpus(8, seed=9).instances
+        student = FixedLogitStudent({}, default=float("nan"))
+        cfg = TrainConfig(iterations=3, loss_mode=mode, seed=0)
+        with pytest.raises(
+            TrainingDiverged, match="training diverged at step 1: non-finite student logits"
+        ):
+            train(student, corpus, cfg)
+
+    @pytest.mark.parametrize("mode", ["generate", "binary_bce"])
+    def test_an_overflowing_last_update_is_caught_at_the_end(self, mode):
+        corpus = [make_instance(f"i{k}", question=f"q{k}") for k in range(4)]
+        student = WideValueStudent(4)
+        cfg = TrainConfig(iterations=1, micro_batch=4, grad_accumulation=1, seed=0,
+                          loss_mode=mode, learning_rate=1e308)
+        # lr * m_hat overflows: m_hat is the gradient, hundreds in size.
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            with pytest.raises(
+                TrainingDiverged,
+                match=r"training diverged by step 1: \d non-finite trained weights",
+            ):
+                train(student, corpus, cfg)
+        assert not student.params.any()
+
+    @pytest.mark.parametrize("mode", ["generate", "binary_bce"])
+    def test_huge_learning_rate_diverges_loudly(self, mode):
+        corpus = build_separable_corpus(32, seed=10).instances
+        student = ToyStudent(n_features=2**12)
+        cfg = TrainConfig(iterations=50, loss_mode=mode, learning_rate=1e308, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in"):
+            with pytest.raises(TrainingDiverged, match=r"training diverged (at|by) step \d+"):
+                train(student, corpus, cfg)
+        assert not student.weights.any()
 
 
 def preset_student(seed):
@@ -554,20 +679,19 @@ def per_instance_first_touch(compiled, size):
     rank = np.full(size, -1, dtype=np.int64)
     fresh, reach = [], []
     touched = 0
-    for i, item in compiled.items():
-        index = np.concatenate([idx for idx, _ in item.features])
+    for i, pairs in compiled.items():
+        index = np.concatenate([idx for idx, _ in pairs])
         new = np.unique(index[rank[index] < 0])
         rank[new] = np.arange(touched, touched + new.size)
         touched += new.size
         fresh.append(new)
-        features = tuple((rank[idx], val) for idx, val in item.features)
-        compiled[i] = _CompiledInstance(features, item.target, item.temperature)
+        compiled[i] = tuple((rank[idx], val) for idx, val in pairs)
         reach.append(touched)
     return np.concatenate(fresh), reach
 
 
 def random_compiled(rng, count, size, empty_from=None):
-    """``count`` compiled instances keyed by shuffled visit ids; each choice
+    """``count`` instances' per-choice features keyed by shuffled visit ids; each choice
     touches 0 to 12 of ``size`` coordinates, and from instance
     ``empty_from`` on every choice touches none."""
     compiled = {}
@@ -576,7 +700,7 @@ def random_compiled(rng, count, size, empty_from=None):
         for _ in range(int(rng.integers(1, 6))):
             width = 0 if empty_from is not None and n >= empty_from else int(rng.integers(0, 13))
             features.append((rng.integers(0, size, width), rng.normal(size=width)))
-        compiled[key] = _CompiledInstance(tuple(features), np.ones(len(features)), 1.0)
+        compiled[key] = tuple(features)
     return compiled
 
 
@@ -599,9 +723,8 @@ class TestFirstTouchNumbering:
         assert active.tobytes() == expected_active.tobytes()
         assert reach == expected_reach
         assert list(compiled) == list(expected)
-        for key, item in compiled.items():
-            assert len(item.features) == len(expected[key].features)
-            for (idx, val), (ref_idx, ref_val) in zip(item.features, expected[key].features):
+        for key, pairs in compiled.items():
+            assert len(pairs) == len(expected[key])
+            for (idx, val), (ref_idx, ref_val) in zip(pairs, expected[key]):
                 assert idx.tobytes() == ref_idx.tobytes()
                 assert val is ref_val
-            assert item.target is expected[key].target

@@ -210,6 +210,8 @@ MALFORMED_MODELS = {
     "version_is_a_bool": (model_header(version=True), FOUR_WEIGHTS),
     "too_few_weights": (model_header(), FOUR_WEIGHTS[:-8]),
     "partial_weight": (model_header(), FOUR_WEIGHTS[:-3]),
+    "nan_weight": (model_header(), np.array([0.0, np.nan, 1.0, 0.0], "<f8").tobytes()),
+    "infinite_weight": (model_header(), np.array([0.0, 0.0, 0.0, -np.inf], "<f8").tobytes()),
 }
 
 
