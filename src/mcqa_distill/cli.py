@@ -19,6 +19,7 @@ import click
 
 from . import __version__
 from .config import (
+    DEFAULTS,
     FALLBACKS,
     LOSS_MODES,
     config_digest,
@@ -40,7 +41,7 @@ from .datasets import (
     IMPORT_FORMATS,
 )
 from .gateway import BackendConfig, GatewayError, HttpBackend, MockBackend, load_script
-from .generation import ATTEMPTS, GenerationReport, generate
+from .generation import ATTEMPTS, generate
 from .scoring import score_instances
 
 # students, distillation and evaluation load numpy: each command imports them
@@ -60,6 +61,36 @@ def fatal_errors(fn):
             sys.exit(2)
 
     return wrapper
+
+
+_OVERRIDES = "mcqa_distill.config_flags"
+
+
+def config_flag(section: str, key: str, *decls, **attrs):
+    """A click option that sets ``[section] key`` of the command's config.
+
+    Its value, or None when the flag is not given, is recorded in the
+    context's overrides (see ``_flag_overrides``) instead of being passed to
+    the command. Its type is that of the key's default unless ``attrs`` gives
+    one, such as a ``click.Choice``.
+    """
+
+    def record(ctx, param, value):
+        ctx.meta.setdefault(_OVERRIDES, {}).setdefault(section, {})[key] = value
+
+    attrs.setdefault("type", type(DEFAULTS[section][key]))
+    return click.option(*decls, expose_value=False, callback=record, **attrs)
+
+
+def _flag_overrides() -> dict:
+    """``{section: {key: value}}`` as the running command's config flags set it."""
+    return click.get_current_context().meta.get(_OVERRIDES, {})
+
+
+def _teacher_flags(fn):
+    """``--base-url`` and ``--model``, for the commands that call the teacher."""
+    fn = config_flag("backend", "model_name", "--model", help="HTTP backend model name.")(fn)
+    return config_flag("backend", "base_url", "--base-url", help="HTTP backend base URL.")(fn)
 
 
 def _build_backend(config: BackendConfig):
@@ -94,6 +125,20 @@ def _write_corpus(instances, path, source: str, digest: str) -> Corpus:
     return corpus
 
 
+def _parse_success_rate(report_path) -> float:
+    """``parsed / attempted`` of a generation report file."""
+    with open(report_path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if isinstance(payload, dict):
+        attempted, parsed = payload.get("attempted"), payload.get("parsed")
+        if type(attempted) is int and type(parsed) is int and 0 <= parsed <= attempted:
+            return parsed / attempted if attempted else 0.0
+    raise ValueError(
+        f"{report_path} is not a generation report: expected a JSON object "
+        "with integer 'attempted' and 'parsed', 0 <= parsed <= attempted"
+    )
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="mcqa")
 def main():
@@ -103,34 +148,19 @@ def main():
 @main.command("generate")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file.")
 @click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
-@click.option("--strategy", type=click.Choice(tuple(ATTEMPTS)), default=None)
+@config_flag("generation", "strategy", "--strategy", type=click.Choice(tuple(ATTEMPTS)))
 @click.option("--topic", default=None, help="Override the prompt topic.")
-@click.option("--count", type=int, default=None, help="Target instance count.")
-@click.option("--temperature", type=float, default=None)
-@click.option("--negatives", type=int, default=None, help="Negatives per instance (decompose).")
-@click.option("--seed", type=int, default=None)
-@click.option("--max-attempts", type=int, default=None)
-@click.option("--base-url", default=None, help="HTTP backend base URL.")
-@click.option("--model", "model_name", default=None, help="HTTP backend model name.")
+@config_flag("generation", "target_count", "--count", help="Target instance count.")
+@config_flag("generation", "temperature", "--temperature")
+@config_flag("generation", "negatives_n", "--negatives", help="Negatives per instance (decompose).")
+@config_flag("generation", "seed", "--seed")
+@config_flag("generation", "max_attempts", "--max-attempts")
+@_teacher_flags
 @click.option("--out", required=True, type=click.Path(), help="Output corpus JSONL.")
 @fatal_errors
-def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, negatives,
-                 seed, max_attempts, base_url, model_name, out):
+def generate_cmd(config_path, fewshot, topic, out):
     """Generate a synthetic corpus from the few-shot seed set."""
-    cfg = effective_config(
-        config_path,
-        {
-            "generation": {
-                "strategy": strategy,
-                "target_count": count,
-                "temperature": temperature,
-                "negatives_n": negatives,
-                "seed": seed,
-                "max_attempts": max_attempts,
-            },
-            "backend": {"base_url": base_url, "model_name": model_name},
-        },
-    )
+    cfg = effective_config(config_path, _flag_overrides())
     digest = config_digest(cfg)
     gen_cfg = stage_config(cfg, "generation")
     fs = _load_fewshot(fewshot, topic)
@@ -163,20 +193,13 @@ def generate_cmd(config_path, fewshot, strategy, topic, count, temperature, nega
 @click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path())
-@click.option("--token-limit", type=int, default=None)
-@click.option("--fallback", type=click.Choice(FALLBACKS), default=None)
-@click.option("--base-url", default=None, help="HTTP backend base URL.")
-@click.option("--model", "model_name", default=None, help="HTTP backend model name.")
+@config_flag("scoring", "prompt_token_limit", "--token-limit")
+@config_flag("scoring", "fallback", "--fallback", type=click.Choice(FALLBACKS))
+@_teacher_flags
 @fatal_errors
-def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, model_name):
+def score(config_path, fewshot, in_path, out):
     """Attach teacher scores to every instance of a corpus."""
-    cfg = effective_config(
-        config_path,
-        {
-            "scoring": {"prompt_token_limit": token_limit, "fallback": fallback},
-            "backend": {"base_url": base_url, "model_name": model_name},
-        },
-    )
+    cfg = effective_config(config_path, _flag_overrides())
     digest = config_digest(cfg)
     scoring_cfg = stage_config(cfg, "scoring")
     fs = _load_fewshot(fewshot)
@@ -200,38 +223,23 @@ def score(config_path, fewshot, in_path, out, token_limit, fallback, base_url, m
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--in", "in_path", required=True, type=click.Path())
 @click.option("--out", required=True, type=click.Path(), help="Trained model file.")
-@click.option("--loss", type=click.Choice(LOSS_MODES), default=None)
-@click.option("--iterations", type=int, default=None)
-@click.option("--micro-batch", type=int, default=None)
-@click.option("--accum", type=int, default=None, help="Gradient accumulation steps.")
-@click.option("--lr", type=float, default=None)
-@click.option("--distill-r", type=float, default=None)
-@click.option("--seed", type=int, default=None)
+@config_flag("training", "loss_mode", "--loss", type=click.Choice(LOSS_MODES))
+@config_flag("training", "iterations", "--iterations")
+@config_flag("training", "micro_batch", "--micro-batch")
+@config_flag("training", "grad_accumulation", "--accum", help="Gradient accumulation steps.")
+@config_flag("training", "learning_rate", "--lr")
+@config_flag("training", "distill_temperature_r", "--distill-r")
+@config_flag("training", "seed", "--seed")
 @fatal_errors
-def train_cmd(config_path, in_path, out, loss, iterations, micro_batch, accum, lr, distill_r, seed):
+def train_cmd(config_path, in_path, out):
     """Train the reference student on a corpus; writes model + loss trace CSV."""
     from .distillation import train, write_loss_trace
     from .students import ToyStudent
 
-    cfg = effective_config(
-        config_path,
-        {
-            "training": {
-                "loss_mode": loss,
-                "iterations": iterations,
-                "micro_batch": micro_batch,
-                "grad_accumulation": accum,
-                "learning_rate": lr,
-                "distill_temperature_r": distill_r,
-                "seed": seed,
-            }
-        },
-    )
-    digest = config_digest(cfg)
-    tr = cfg["training"]
+    cfg = effective_config(config_path, _flag_overrides())
     train_cfg = stage_config(cfg, "training")
     corpus = read_jsonl(in_path)
-    student = ToyStudent(n_features=tr["n_features"], hash_seed=tr["hash_seed"])
+    student = ToyStudent(train_cfg.n_features, train_cfg.hash_seed)
 
     started = time.perf_counter()
     _, result = train(student, corpus.instances, train_cfg)
@@ -293,25 +301,10 @@ def stats(config_path, in_path, out, report_path, max_tokens):
     """Corpus statistics: count, token length mean/std, parse success rate."""
     cfg = effective_config(config_path, {})
     corpus = read_jsonl(in_path)
-    report = None
-    if report_path:
-        with open(report_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or not all(
-            isinstance(payload.get(key), int) for key in ("attempted", "parsed")
-        ):
-            raise ValueError(
-                f"{report_path} is not a generation report: "
-                "expected a JSON object with integer 'attempted' and 'parsed'"
-            )
-        report = GenerationReport(
-            attempted=payload["attempted"],
-            parsed=payload["parsed"],
-            rejected_by_reason=payload.get("rejected_by_reason", {}),
-        )
+    rate = _parse_success_rate(report_path) if report_path else None
 
     started = time.perf_counter()
-    result = compute_stats(corpus, report)
+    result = compute_stats(corpus, rate)
     payload = result.to_dict()
     if max_tokens is not None:
         payload["kept_at_max_tokens"] = len(filter_by_tokens(corpus, max_tokens))

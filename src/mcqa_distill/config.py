@@ -1,17 +1,15 @@
 """Flat key/value configuration with one section per pipeline stage.
 
 Each section's keys are the fields of its stage dataclass, and each default
-is written once, on that field; ``[training]`` also carries the student's
-``n_features`` and ``hash_seed``. The defaults reproduce the reference
+is written once, on that field. The defaults reproduce the reference
 experiment configuration (teacher temperature 2, five negatives, 1024
 instances, 500 iterations at batch 4 with 2-step accumulation), a config
 file overrides defaults, and command-line flags override the file. The fully
 resolved mapping is digested and stored in every run manifest so any
 manifest's digest can be recomputed from the config it embeds.
 
-``ScoringConfig`` and ``TrainConfig`` live here rather than in the numpy-backed
-``scoring`` and ``distillation`` modules, which import them from here, so
-resolving a config loads no numpy.
+``TrainConfig`` lives here rather than in the numpy-backed ``distillation``
+module, which imports it from here, so resolving a config loads no numpy.
 """
 
 from __future__ import annotations
@@ -61,6 +59,9 @@ class TrainConfig:
     loss_mode: str = "generate"
     distill_temperature_r: float = 1.0
     seed: int = 0
+    # The student's hashed feature space, which ``ToyStudent`` checks.
+    n_features: int = DEFAULT_FEATURES
+    hash_seed: int = DEFAULT_HASH_SEED
 
     def __post_init__(self):
         if self.iterations < 1 or self.micro_batch < 1 or self.grad_accumulation < 1:
@@ -86,7 +87,6 @@ SECTIONS = {
 DEFAULTS: Dict[str, dict] = {
     section: {f.name: f.default for f in fields(cls)} for section, cls in SECTIONS.items()
 }
-DEFAULTS["training"].update(n_features=DEFAULT_FEATURES, hash_seed=DEFAULT_HASH_SEED)
 
 
 _KINDS = {
@@ -149,8 +149,7 @@ def config_digest(effective: Dict[str, dict]) -> str:
 
 def stage_config(effective: Dict[str, dict], section: str):
     """The stage dataclass of ``section``, built from its resolved keys."""
-    cls = SECTIONS[section]
-    return cls(**{f.name: effective[section][f.name] for f in fields(cls)})
+    return SECTIONS[section](**effective[section])
 
 
 def fixed_epoch() -> Optional[int]:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .core import (
     McqaInstance,
@@ -27,9 +27,6 @@ from .core import (
     identifier_to_index,
     validate_parts,
 )
-
-if TYPE_CHECKING:
-    from .generation import GenerationReport
 
 IMPORT_FORMATS = ("arc_csv", "mmlu_csv", "generic_json")
 
@@ -271,10 +268,9 @@ def cumulative_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> Dict[
     return {size: Corpus(tuple(shuffled[:size]), corpus.meta) for size in sizes}
 
 
-def compute_stats(
-    corpus: Corpus, report: Optional[GenerationReport] = None
-) -> CorpusStats:
-    """Token-length mean and population std over question + all choices."""
+def compute_stats(corpus: Corpus, parse_success_rate: Optional[float] = None) -> CorpusStats:
+    """Token-length mean and population std over question + all choices, with
+    ``parse_success_rate`` passed through."""
     import numpy as np
 
     lengths = [
@@ -290,7 +286,7 @@ def compute_stats(
         count=len(lengths),
         token_len_mean=mean,
         token_len_std=std,
-        parse_success_rate=report.success_rate if report is not None else None,
+        parse_success_rate=parse_success_rate,
     )
 
 

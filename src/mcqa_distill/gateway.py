@@ -117,18 +117,13 @@ def request_digest(messages: Sequence[ChatMessage]) -> str:
 class MockBackend:
     """Replays scripted responses by exact request digest.
 
-    The script maps ``request_digest(messages)`` to either a plain string (the
-    completion text) or a full ``CompletionResult``. Unknown digests raise
-    ``ScriptMiss`` naming the digest, which keeps silently-drifting prompts
-    from passing as green runs.
+    The script maps ``request_digest(messages)`` to a ``CompletionResult``.
+    Unknown digests raise ``ScriptMiss`` naming the digest, which keeps
+    silently-drifting prompts from passing as green runs.
     """
 
-    def __init__(self, script: Mapping[str, object]):
-        self._script: Dict[str, CompletionResult] = {}
-        for digest, value in script.items():
-            if isinstance(value, str):
-                value = CompletionResult(text=value)
-            self._script[digest] = value
+    def __init__(self, script: Mapping[str, CompletionResult]):
+        self._script: Dict[str, CompletionResult] = dict(script)
 
     def __len__(self) -> int:
         return len(self._script)

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from mcqa_distill import cli
+from mcqa_distill.config import effective_config
 from mcqa_distill.core import FewShotSet
 from mcqa_distill.datasets import Corpus, CorpusMeta, read_jsonl, write_jsonl
 from mcqa_distill.gateway import save_script
@@ -420,8 +423,16 @@ class TestDataCommands:
 
     @pytest.mark.parametrize(
         "report",
-        [{"parsed": 3}, [16, 16], {"attempted": "16", "parsed": 16}],
-        ids=["missing-attempted", "json-array", "text-count"],
+        [
+            {"parsed": 3},
+            [16, 16],
+            {"attempted": "16", "parsed": 16},
+            {"attempted": 2, "parsed": 9},
+            {"attempted": True, "parsed": True},
+            {"attempted": -4, "parsed": -2},
+        ],
+        ids=["missing-attempted", "json-array", "text-count", "parsed-over-attempted",
+             "boolean-counts", "negative-counts"],
     )
     def test_stats_malformed_report_exits_2(self, workspace, corpus_path, report):
         report_path = workspace["dir"] / "bad.report.json"
@@ -429,7 +440,7 @@ class TestDataCommands:
         proc = run_cli("stats", "--in", corpus_path, "--out", workspace["dir"] / "s.json",
                        "--report", report_path, expect=2)
         assert proc.stderr.startswith("mcqa stats: ")
-        assert "is not a generation report" in proc.stderr
+        assert f"{report_path} is not a generation report" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("meta", [5, {"source": 5}], ids=["number", "source_number"])
@@ -586,6 +597,93 @@ except RequestTimeout:
                               capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "RequestTimeout"
+
+
+# (command, flag, [section] key, value in the config file, value on the flag)
+CONFIG_FLAGS = [
+    ("generate", "--strategy", "generation", "strategy", "decompose", "paraphrase"),
+    ("generate", "--count", "generation", "target_count", 64, 8),
+    ("generate", "--temperature", "generation", "temperature", 0.7, 1.5),
+    ("generate", "--negatives", "generation", "negatives_n", 3, 4),
+    ("generate", "--seed", "generation", "seed", 7, 11),
+    ("generate", "--max-attempts", "generation", "max_attempts", 99, 5),
+    ("generate", "--base-url", "backend", "base_url", "http://file.test", "http://flag.test"),
+    ("generate", "--model", "backend", "model_name", "file-model", "flag-model"),
+    ("score", "--token-limit", "scoring", "prompt_token_limit", 512, 256),
+    ("score", "--fallback", "scoring", "fallback", "skip", "one_hot"),
+    ("score", "--base-url", "backend", "base_url", "http://file.test", "http://flag.test"),
+    ("score", "--model", "backend", "model_name", "file-model", "flag-model"),
+    ("train", "--loss", "training", "loss_mode", "distill", "binary_bce"),
+    ("train", "--iterations", "training", "iterations", 20, 30),
+    ("train", "--micro-batch", "training", "micro_batch", 2, 3),
+    ("train", "--accum", "training", "grad_accumulation", 3, 5),
+    ("train", "--lr", "training", "learning_rate", 0.25, 0.125),
+    ("train", "--distill-r", "training", "distill_temperature_r", 0.5, 2.0),
+    ("train", "--seed", "training", "seed", 9, 13),
+]
+REQUIRED_ARGS = {
+    "generate": ("--fewshot", "seed.jsonl", "--out", "corpus.jsonl"),
+    "score": ("--fewshot", "seed.jsonl", "--in", "corpus.jsonl", "--out", "scored.jsonl"),
+    "train": ("--in", "scored.jsonl", "--out", "model.bin"),
+}
+
+
+class ConfigResolved(Exception):
+    """Stops a command once its config is resolved, before any stage runs."""
+
+
+class TestConfigFlags:
+    def resolve(self, monkeypatch, config_path, command, *flag_args):
+        resolved = []
+
+        def record(path, overrides):
+            resolved.append(effective_config(path, overrides))
+            raise ConfigResolved
+
+        monkeypatch.setattr(cli, "effective_config", record)
+        result = CliRunner().invoke(
+            cli.main, [command, "--config", str(config_path), *REQUIRED_ARGS[command], *flag_args]
+        )
+        assert isinstance(result.exception, ConfigResolved), result.output
+        return resolved[0]
+
+    @pytest.mark.parametrize(
+        "command, flag, section, key, file_value, flag_value",
+        CONFIG_FLAGS,
+        ids=[f"{command}{flag}" for command, flag, *_ in CONFIG_FLAGS],
+    )
+    def test_flag_sets_its_key_and_unset_keeps_the_file_value(
+        self, monkeypatch, tmp_path, command, flag, section, key, file_value, flag_value
+    ):
+        config_path = tmp_path / "run.ini"
+        config_path.write_text(f"[{section}]\n{key} = {file_value}\n")
+        flagged = self.resolve(monkeypatch, config_path, command, flag, str(flag_value))
+        assert flagged[section][key] == flag_value
+        unset = self.resolve(monkeypatch, config_path, command)
+        assert unset[section][key] == file_value
+
+    def test_every_config_flag_is_covered(self):
+        declared = {
+            (name, param.opts[0])
+            for name, command in cli.main.commands.items()
+            for param in command.params
+            if not param.expose_value
+        }
+        assert declared == {(command, flag) for command, flag, *_ in CONFIG_FLAGS}
+
+
+def test_readme_command_table_lists_every_flag():
+    """Each row of the README's command table names exactly the command's
+    declared options, apart from --config and --help."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|.*\| `([^`]*)` \|$", table, re.M)
+    assert sorted(name for name, _ in rows) == sorted(cli.main.commands)
+    for name, flags in rows:
+        declared = {
+            opt for param in cli.main.commands[name].params for opt in param.opts
+        } - {"--config"}
+        assert {word for word in flags.split() if word.startswith("--")} == declared, name
 
 
 def test_mock_pipeline_script_runs(tmp_path):

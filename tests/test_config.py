@@ -9,6 +9,7 @@ from mcqa_distill.config import (
     SECTIONS,
     ScoringConfig,
     TrainConfig,
+    config_digest,
     effective_config,
     stage_config,
 )
@@ -67,8 +68,7 @@ def test_defaults_are_the_reference_run():
     assert (gen.temperature, gen.negatives_n, gen.target_count) == (2.0, 5, 1024)
     train = stage_config(cfg, "training")
     assert (train.iterations, train.micro_batch, train.grad_accumulation) == (500, 4, 2)
-    assert cfg["training"]["n_features"] == 2**18
-    assert cfg["training"]["hash_seed"] == 0
+    assert (train.n_features, train.hash_seed) == (2**18, 0)
     scoring = stage_config(cfg, "scoring")
     assert (scoring.prompt_token_limit, scoring.fallback) == (1024, "one_hot")
     # The "derive it" zero, typed as the manifests have always recorded it.
@@ -76,6 +76,15 @@ def test_defaults_are_the_reference_run():
     assert gen.attempt_budget == 20 * 1024
     assert train.learning_rate == 0.5
     assert list(cfg) == ["backend", "generation", "scoring", "training", "templates"]
+
+
+# Every corpus meta line and every run manifest records this digest, so a
+# change to it changes them all and must be declared in CHANGES.md.
+DEFAULT_CONFIG_DIGEST = "aa01cba9a5187488102fa6c6f4bb06cb0e1cf979c83a637067eb6a817d446707"
+
+
+def test_default_config_digest_is_pinned():
+    assert config_digest(effective_config()) == DEFAULT_CONFIG_DIGEST
 
 
 def test_every_key_from_file_reaches_its_stage(tmp_path):
@@ -114,8 +123,9 @@ def test_every_key_from_file_reaches_its_stage(tmp_path):
         loss_mode="distill",
         distill_temperature_r=0.5,
         seed=9,
+        n_features=4096,
+        hash_seed=3,
     )
-    assert (cfg["training"]["n_features"], cfg["training"]["hash_seed"]) == (4096, 3)
     assert stage_config(cfg, "templates") == PromptTemplateSet(
         json_system="J",
         decompose_question_system="Q",
@@ -181,7 +191,7 @@ def test_readme_example_config_loads(tmp_path):
     assert stages["backend"].kind == "http"
     assert stages["training"].loss_mode == "distill"
     assert stages["training"].learning_rate == 0.5
-    assert cfg["training"]["n_features"] == 2**18
+    assert stages["training"].n_features == 2**18
 
 
 @pytest.mark.parametrize(

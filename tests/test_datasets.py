@@ -395,7 +395,7 @@ class TestComputeStats:
 
     def test_parse_success_rate_copied_from_report(self):
         report = GenerationReport(attempted=100, parsed=52, rejected_by_reason={"NO_OBJECT": 48})
-        stats = compute_stats(sized_corpus(3), report)
+        stats = compute_stats(sized_corpus(3), report.success_rate)
         assert stats.parse_success_rate == pytest.approx(0.52)
 
     def test_empty_corpus(self):

@@ -32,7 +32,7 @@ def req(messages=MESSAGES, temperature=0.0, max_new_tokens=8, want=0):
 
 class TestMockBackend:
     def test_scripted_echo(self):
-        backend = MockBackend({request_digest(MESSAGES): "wood"})
+        backend = MockBackend({request_digest(MESSAGES): CompletionResult("wood")})
         assert backend.complete(req()).text == "wood"
 
     def test_unscripted_digest_misses(self):
@@ -42,7 +42,7 @@ class TestMockBackend:
         assert request_digest(MESSAGES) in str(excinfo.value)
 
     def test_pure_replay(self):
-        backend = MockBackend({request_digest(MESSAGES): "wood"})
+        backend = MockBackend({request_digest(MESSAGES): CompletionResult("wood")})
         assert backend.complete(req()) == backend.complete(req())
 
     def test_logprobs_only_when_requested(self):

@@ -201,7 +201,7 @@ class TestGenerateJson:
             messages = build_json_generation_prompt(
                 science_fewshot, attempt_seed(cfg.seed, "json", attempt)
             )
-            script[request_digest(messages)] = (
+            script[request_digest(messages)] = CompletionResult(
                 f'{{"question": "Strict question {attempt}?", '
                 f'"choices": ["a{attempt}", "b{attempt}"], "answer": 1}}'
             )
@@ -238,7 +238,7 @@ class TestGenerateJson:
             messages = build_json_generation_prompt(
                 science_fewshot, attempt_seed(cfg.seed, "json", attempt)
             )
-            script[request_digest(messages)] = "no object here"
+            script[request_digest(messages)] = CompletionResult("no object here")
         instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert instances == []
         assert report.attempted == 10
