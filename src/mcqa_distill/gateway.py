@@ -2,21 +2,26 @@
 deterministic scripted mock backend for offline runs.
 
 A backend is anything with ``complete(request) -> CompletionResult``. The HTTP
-backend talks to ``{base_url}/v1/chat/completions`` and extracts the first
-generated token's top log-probabilities when asked; the mock backend replays
-scripted responses keyed by a digest of the exact message sequence, so whole
-pipeline runs are bit-reproducible without a server. ``in_order`` is the
-executor both teacher stages run on: bounded concurrency, results in order.
+backend talks to ``{base_url}/v1/chat/completions`` over the standard
+library's ``http.client``, one keep-alive connection per request slot, and
+extracts the first generated token's top log-probabilities when asked; the
+mock backend replays scripted responses keyed by a digest of the exact
+message sequence, so whole pipeline runs are bit-reproducible without a
+server. ``in_order`` is the executor both teacher stages run on: bounded
+concurrency, results in order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
+import select
 import threading
 import time
+import urllib.parse
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -102,6 +107,15 @@ class BackendConfig:
             raise ValueError("max_parallel_requests must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            url.port  # a port that is not a number raises ValueError
+        except ValueError:
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"base_url must be an http:// or https:// URL with a host: {self.base_url!r}"
+            )
 
 
 def request_digest(messages: Sequence[ChatMessage]) -> str:
@@ -183,39 +197,47 @@ def load_script(path) -> Dict[str, CompletionResult]:
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions client.
+    """OpenAI-compatible chat-completions client on the standard library.
 
     Transient failures (connection errors, timeouts, HTTP 429 and 5xx) are
     retried up to ``retry_limit`` times with exponential backoff, or after the
     response's ``Retry-After`` delay when it is given in seconds (RFC 9110
     §10.2.3), capped at ``request_timeout``. Any other non-200 status (a wrong
-    key, model name or URL) raises ``RequestRejected`` at once.
-    ``max_parallel_requests`` is enforced with a semaphore so the backend can
-    be shared across threads; a request backs off without holding its slot.
+    key, model name or URL, or a redirect, which is not followed) raises
+    ``RequestRejected`` at once. ``max_parallel_requests`` is enforced with a
+    semaphore so the backend can be shared across threads; a request backs
+    off without holding its slot.
+
+    Each slot keeps one keep-alive ``http.client`` connection. An idle one the
+    server has closed is reopened before it carries a request. TLS is
+    verified by ``ssl.create_default_context()``. The ``http_proxy``,
+    ``https_proxy`` and ``no_proxy`` environment variables are honoured: an
+    http request goes to the proxy with an absolute-form target, an https one
+    through a CONNECT tunnel.
     """
 
-    def __init__(self, config: BackendConfig, session=None, sleep=time.sleep):
+    def __init__(self, config: BackendConfig, sleep=time.sleep):
         # Imported here so that commands which never talk HTTP do not load
-        # requests, and not in ``complete``, whose first call may run on an
+        # them, and not in ``complete``, whose first call may run on an
         # ``in_order`` worker thread.
-        import requests
-        from requests.adapters import HTTPAdapter
+        import http.client
+        import urllib.request
 
-        self._timeout_error = requests.Timeout
-        self._request_error = requests.RequestException
         self.config = config
-        if session is None:
-            # requests keeps 10 connections per host unless told otherwise.
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=config.max_parallel_requests)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
         self._sleep = sleep
         self._slots = threading.Semaphore(config.max_parallel_requests)
+        self._idle: list = []  # connections between requests
+        self._errors = (OSError, http.client.HTTPException)
+        url = urllib.parse.urlsplit(config.base_url)
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and urllib.request.proxy_bypass(url.hostname):
+            proxy = None
+        self._target, self._proxy_headers, self._connect = _route(
+            url, proxy, config.request_timeout
+        )
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", **self._proxy_headers}
         token = os.environ.get(API_KEY_ENV, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
@@ -234,8 +256,8 @@ class HttpBackend:
         return body
 
     def complete(self, req: CompletionRequest) -> CompletionResult:
-        url = self.config.base_url.rstrip("/") + "/v1/chat/completions"
-        body = self._body(req)
+        body = json.dumps(self._body(req)).encode("utf-8")
+        headers = self._headers()
         last_error: Optional[GatewayError] = None
         delay = 0.0
         for attempt in range(self.config.retry_limit + 1):
@@ -243,37 +265,51 @@ class HttpBackend:
                 self._sleep(delay)
             with self._slots:
                 try:
-                    response = self._session.post(
-                        url,
-                        json=body,
-                        headers=self._headers(),
-                        timeout=self.config.request_timeout,
-                    )
-                except self._timeout_error as exc:
-                    response, last_error = None, RequestTimeout(str(exc))
-                except self._request_error as exc:
-                    response, last_error = None, TransportError(str(exc))
+                    status, retry_after, data = self._post(body, headers)
+                except TimeoutError as exc:
+                    status, last_error = None, RequestTimeout(str(exc))
+                except self._errors as exc:
+                    status, last_error = None, TransportError(str(exc) or repr(exc))
             delay = 0.25 * 2**attempt
-            if response is None:
+            if status is None:
                 continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = TransportError(f"HTTP {response.status_code}")
+            if status == 429 or status >= 500:
+                last_error = TransportError(f"HTTP {status}")
                 # Only the delta-seconds form; an HTTP-date backs off.
-                value = response.headers.get("Retry-After", "").strip()
+                value = retry_after.strip()
                 if value.isascii() and value.isdigit():
                     delay = min(int(value), self.config.request_timeout)
                 continue
-            if response.status_code != 200:
-                raise RequestRejected(
-                    f"HTTP {response.status_code}: {response.text[:200]}"
-                )
-            return self._parse(response)
+            if status != 200:
+                text = data.decode("utf-8", "replace")
+                raise RequestRejected(f"HTTP {status}: {text[:200]}")
+            return self._parse(data)
         raise last_error
 
-    @staticmethod
-    def _parse(response) -> CompletionResult:
+    def _post(self, body: bytes, headers: dict):
+        """One POST on this slot's connection: (status, Retry-After, body)."""
         try:
-            payload = response.json()
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connect()
+        if conn.sock is not None and _readable(conn.sock):
+            # The server closed the idle connection (or sent bytes nobody
+            # asked for); http.client reconnects on the next request.
+            conn.close()
+        try:
+            conn.request("POST", self._target, body, headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._idle.append(conn)
+        return response.status, response.getheader("Retry-After", ""), data
+
+    @staticmethod
+    def _parse(data: bytes) -> CompletionResult:
+        try:
+            payload = json.loads(data)
         except ValueError as exc:
             raise ProtocolError(f"response body is not JSON: {exc}") from exc
         try:
@@ -292,6 +328,55 @@ class HttpBackend:
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise ProtocolError(f"malformed logprob payload: {exc!r}") from exc
         return CompletionResult(text=text, first_token_logprobs=logprobs)
+
+
+def _route(url, proxy: Optional[str], timeout: float):
+    """(request target, proxy headers, connection factory) for requests to
+    ``url``, made directly or through an http ``proxy``."""
+    import http.client
+    import ssl
+
+    path = url.path.rstrip("/") + "/v1/chat/completions"
+    if url.scheme == "https":
+        connection = functools.partial(
+            http.client.HTTPSConnection, context=ssl.create_default_context()
+        )
+    else:
+        connection = http.client.HTTPConnection
+    if not proxy:
+        return path, {}, functools.partial(connection, url.hostname, url.port, timeout=timeout)
+    proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if proxy_url.scheme != "http" or not proxy_url.hostname:
+        raise ValueError(f"{url.scheme}_proxy must be an http:// URL: {proxy!r}")
+    auth = {}
+    if proxy_url.username is not None:
+        import base64
+
+        credentials = ":".join(
+            urllib.parse.unquote(part or "") for part in (proxy_url.username, proxy_url.password)
+        )
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+            credentials.encode("utf-8")
+        ).decode("ascii")
+    via_proxy = functools.partial(
+        connection, proxy_url.hostname, proxy_url.port or 80, timeout=timeout
+    )
+    if url.scheme == "http":
+        host = url.netloc.rpartition("@")[2]
+        return f"http://{host}{path}", auth, via_proxy
+
+    def tunnel():
+        conn = via_proxy()
+        conn.set_tunnel(url.hostname, url.port, auth)
+        return conn
+
+    return path, {}, tunnel
+
+
+def _readable(sock) -> bool:
+    """Whether a socket has something to read right now (urllib3's check of
+    an idle keep-alive connection: readable means closed or out of step)."""
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 class _Inline:

@@ -1,3 +1,9 @@
+import http.server
+import json
+import socket
+import threading
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -102,3 +108,156 @@ class FixedLogitStudent:
 @pytest.fixture
 def fixed_logit_student():
     return FixedLogitStudent
+
+
+@dataclass
+class Reply:
+    """One scripted answer: JSON ``payload`` (or raw ``body`` bytes) under
+    ``status`` and ``headers``, sent after ``delay`` seconds. ``drop`` closes
+    the connection after the reply without saying so in a header."""
+
+    status: int = 200
+    payload: object = None
+    body: bytes = None
+    headers: dict = field(default_factory=dict)
+    delay: float = 0.0
+    drop: bool = False
+
+
+@dataclass
+class Received:
+    method: str
+    target: str
+    headers: dict
+    body: bytes
+    connection: int
+
+    @property
+    def json(self):
+        return json.loads(self.body)
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out in two writes
+
+    def setup(self):
+        super().setup()
+        self.connection_number = self.server.teacher._opened(self.connection)
+
+    def do_POST(self):
+        teacher = self.server.teacher
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        reply = teacher._received(
+            Received(self.command, self.path, dict(self.headers), raw, self.connection_number)
+        )
+        if reply.delay:
+            teacher._stopping.wait(reply.delay)
+        data = reply.body if reply.body is not None else json.dumps(reply.payload).encode()
+        self.send_response(reply.status)
+        for key, value in reply.headers.items():
+            self.send_header(key, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        if reply.drop:
+            self.close_connection = True
+
+    do_CONNECT = do_POST
+
+    def log_message(self, *args):
+        pass
+
+
+class _Server(http.server.ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out hung up before its reply
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.teacher._closed(request)
+
+
+class ScriptedTeacher:
+    """A loopback HTTP/1.1 server (keep-alive, one thread per connection).
+
+    Each request gets the next reply of ``replies`` or, once they run out,
+    ``respond(received)``. It records every request in ``received`` and
+    counts the TCP connections it accepted and closed.
+    """
+
+    def __init__(self, respond=None):
+        self.replies = []
+        self.respond = respond or (lambda received: Reply(404, {"error": "unscripted"}))
+        self.received = []
+        self.connections = 0
+        self.closed = 0
+        self._open = set()
+        self._lock = threading.Condition()
+        self._stopping = threading.Event()
+        self._server = _Server(("127.0.0.1", 0), _Handler)
+        self._server.teacher = self
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self._server.server_address[1]}"
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stopping.set()
+        self._server.shutdown()
+        with self._lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+    def wait_closed(self, count: int, timeout: float = 5.0) -> None:
+        with self._lock:
+            assert self._lock.wait_for(lambda: self.closed >= count, timeout)
+
+    def _opened(self, sock) -> int:
+        with self._lock:
+            self._open.add(sock)
+            self.connections += 1
+            return self.connections
+
+    def _closed(self, sock) -> None:
+        with self._lock:
+            self._open.discard(sock)
+            self.closed += 1
+            self._lock.notify_all()
+
+    def _received(self, received: Received) -> Reply:
+        with self._lock:
+            self.received.append(received)
+            if self.replies:
+                return self.replies.pop(0)
+        return self.respond(received)
+
+
+@pytest.fixture(autouse=True)
+def _no_proxy_from_the_host(monkeypatch):
+    """Loopback servers are reached directly, whatever proxy the host sets."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def scripted_teacher():
+    """A running ``ScriptedTeacher``, stopped after the test."""
+    with ScriptedTeacher() as teacher:
+        yield teacher

@@ -23,7 +23,7 @@ from mcqa_distill.prompts import PromptTemplateSet
 from mcqa_distill.scoring import ScoringConfig
 from mcqa_distill.students import ToyStudent
 
-from conftest import SCIENCE_EXAMPLES, make_instance
+from conftest import SCIENCE_EXAMPLES, Reply, make_instance
 from test_students import MALFORMED_MODELS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -508,7 +508,8 @@ class TestDataCommands:
 
 
 # Each command imports only the layers it runs: a fresh interpreter runs the
-# command in process, then reports which top-level packages it loaded.
+# command in process, then reports which modules and top-level packages it
+# loaded.
 LOADED_AFTER = """
 import json, sys
 from mcqa_distill import cli
@@ -518,7 +519,7 @@ if sys.argv[1:]:
         cli.main(args=sys.argv[1:], prog_name="mcqa")
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"exit": code, "loaded": sorted({m.split(".")[0] for m in sys.modules})}))
+print(json.dumps({"exit": code, "loaded": sorted(sys.modules)}))
 """
 
 
@@ -532,7 +533,8 @@ def loaded_after(*args, expect=None):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit"] == expect, proc.stdout + proc.stderr
-    return set(result["loaded"])
+    modules = set(result["loaded"])
+    return modules | {m.split(".")[0] for m in modules}
 
 
 class TestCommandImports:
@@ -543,13 +545,13 @@ class TestCommandImports:
     def test_start_up_loads_neither_requests_nor_numpy(self, args, expect):
         loaded = loaded_after(*args, expect=expect)
         assert "click" in loaded
-        assert not {"requests", "numpy"} & loaded
+        assert not {"requests", "numpy", "http.client"} & loaded
 
     def test_mock_generate_loads_neither_requests_nor_numpy(self, workspace):
         loaded = loaded_after("generate", "--config", workspace["config"],
                               "--fewshot", workspace["fewshot"],
                               "--out", workspace["dir"] / "corpus.jsonl", expect=0)
-        assert not {"requests", "numpy"} & loaded
+        assert not {"requests", "numpy", "http.client"} & loaded
 
     def test_mock_score_train_eval_do_not_load_requests(self, workspace):
         d = workspace["dir"]
@@ -568,25 +570,24 @@ class TestCommandImports:
             # score stores raw teacher scores; only train and eval need numpy.
             assert ("numpy" in loaded) == (args[0] in ("train", "eval")), args[0]
             assert "requests" not in loaded, args[0]
+            if args[0] == "score":
+                assert "http.client" not in loaded
 
-    def test_http_backend_loads_requests_and_maps_its_timeout(self):
+    def test_http_backend_loads_http_client_and_maps_its_timeout(self):
         program = """
-import sys
+import socket, sys
 from mcqa_distill.core import ChatMessage
 from mcqa_distill.gateway import (
     BackendConfig, CompletionRequest, HttpBackend, RequestTimeout,
 )
+assert "http.client" not in sys.modules
+
+# Accepts the connection (the kernel's backlog) but never answers.
+silent = socket.create_server(("127.0.0.1", 0))
+url = "http://127.0.0.1:%d" % silent.getsockname()[1]
+backend = HttpBackend(BackendConfig(base_url=url, retry_limit=0, request_timeout=0.2))
+assert "http.client" in sys.modules
 assert "requests" not in sys.modules
-
-
-class TimingOut:
-    def post(self, *args, **kwargs):
-        import requests
-        raise requests.Timeout("slow")
-
-
-backend = HttpBackend(BackendConfig(retry_limit=0), session=TimingOut())
-assert "requests" in sys.modules
 req = CompletionRequest((ChatMessage("user", "hi"),), 0.0, 1)
 try:
     backend.complete(req)
@@ -597,6 +598,83 @@ except RequestTimeout:
                               capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "RequestTimeout"
+
+
+def teacher_reply(received):
+    """A plausible teacher: a question, an answer or choice logprobs, each a
+    function of the request body."""
+    body = received.json
+    number = int.from_bytes(hashlib.sha256(received.body).digest()[:6], "big")
+    system = " ".join(m["content"] for m in body["messages"] if m["role"] == "system")
+    choice = {}
+    if body.get("logprobs"):
+        last_user = body["messages"][-1]["content"].split("\n", 1)[-1]
+        letters = re.findall(r"^([A-Z])\. ", last_user, re.MULTILINE)
+        top = [{"token": letter, "logprob": -0.5 * (1 + k)} for k, letter in enumerate(letters)]
+        text = letters[0]
+        choice["logprobs"] = {"content": [{"token": text, "logprob": -0.5, "top_logprobs": top}]}
+    elif "creating question" in system:
+        text = f"Which of the planets is number {number}?"
+    else:
+        text = f"planet {number}"
+    return Reply(200, {"choices": [{"message": {"content": text}, **choice}]})
+
+
+class TestHttpTeacher:
+    """The teacher commands over real HTTP, to a loopback server."""
+
+    def http_config(self, tmp_path, base_url, width=2):
+        path = tmp_path / "http.ini"
+        path.write_text(
+            "[backend]\n"
+            "kind = http\n"
+            f"base_url = {base_url}\n"
+            f"max_parallel_requests = {width}\n"
+            "retry_limit = 0\n"
+        )
+        return path
+
+    def test_generate_and_score(self, workspace, scripted_teacher):
+        scripted_teacher.respond = teacher_reply
+        d = workspace["dir"]
+        config = self.http_config(d, scripted_teacher.base_url, width=2)
+        loaded = loaded_after("generate", "--config", config, "--fewshot", workspace["fewshot"],
+                              "--strategy", "decompose", "--count", 2, "--seed", 3,
+                              "--out", d / "corpus.jsonl", expect=0)
+        assert "http.client" in loaded and "requests" not in loaded
+        # Two attempts: a question, its answer and five negatives each.
+        assert len(scripted_teacher.received) == 2 * (2 + 5)
+        assert 1 <= scripted_teacher.connections <= 2
+        assert len(read_jsonl(d / "corpus.jsonl")) == 2
+
+        generate_connections = scripted_teacher.connections
+        loaded = loaded_after("score", "--config", config, "--fewshot", workspace["fewshot"],
+                              "--in", d / "corpus.jsonl", "--out", d / "scored.jsonl", expect=0)
+        assert "requests" not in loaded
+        scoring = scripted_teacher.received[2 * (2 + 5):]
+        assert len(scoring) == 2
+        assert all(r.json["logprobs"] is True for r in scoring)
+        assert 1 <= scripted_teacher.connections - generate_connections <= 2
+        assert {r.target for r in scripted_teacher.received} == {"/v1/chat/completions"}
+        scored = read_jsonl(d / "scored.jsonl").instances
+        assert len(scored) == 2
+        assert all(inst.teacher_scores is not None for inst in scored)
+        counts = json.loads((d / "scored.jsonl.manifest.json").read_text())["counts"]
+        assert counts == {"scored": 2, "fallback": 0, "skipped": 0}
+
+    @pytest.mark.parametrize("command", ["generate", "score"])
+    def test_base_url_without_scheme_exits_2_at_once(self, workspace, command):
+        d = workspace["dir"]
+        config = self.http_config(d, "localhost:8000")
+        if command == "generate":
+            args = ("generate", "--count", 4)
+        else:
+            write_jsonl(Corpus((make_instance("q0"),), CorpusMeta(source="seed")), d / "in.jsonl")
+            args = ("score", "--fallback", "one_hot", "--in", d / "in.jsonl")
+        proc = run_cli(*args, "--config", config, "--fewshot", workspace["fewshot"],
+                       "--out", d / "out.jsonl", expect=2)
+        assert "base_url" in proc.stderr and "'localhost:8000'" in proc.stderr
+        assert not (d / "out.jsonl").exists()
 
 
 # (command, flag, [section] key, value in the config file, value on the flag)

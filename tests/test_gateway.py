@@ -1,4 +1,5 @@
-"""Backends: scripted mock behavior, HTTP retry/parse contracts, the in-order executor."""
+"""Backends: scripted mock behavior, HTTP retry/parse/connection contracts
+against a loopback server, proxies, the in-order executor."""
 
 import threading
 import time
@@ -22,6 +23,8 @@ from mcqa_distill.gateway import (
     request_digest,
     save_script,
 )
+
+from conftest import Reply, ScriptedTeacher
 
 MESSAGES = (ChatMessage("user", "say wood"),)
 
@@ -70,32 +73,6 @@ class TestMockBackend:
         assert loaded == script
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="body", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-        self.headers = headers or {}
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "timeout": timeout})
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 def ok_payload(text="wood", top_logprobs=None):
     choice = {"message": {"content": text}}
     if top_logprobs is not None:
@@ -107,124 +84,120 @@ def ok_payload(text="wood", top_logprobs=None):
     return {"choices": [choice]}
 
 
-def http_backend(responses, retry_limit=2, sleep=lambda _s: None):
-    session = FakeSession(responses)
-    backend = HttpBackend(
-        BackendConfig(base_url="http://api.test", retry_limit=retry_limit),
-        session=session,
+def http_backend(teacher, replies, retry_limit=2, sleep=lambda _s: None, **config):
+    teacher.replies.extend(replies)
+    return HttpBackend(
+        BackendConfig(base_url=teacher.base_url, retry_limit=retry_limit, **config),
         sleep=sleep,
     )
-    return backend, session
 
 
 class TestHttpBackend:
-    def test_success_path_and_wire_shape(self):
-        backend, session = http_backend([FakeResponse(200, ok_payload("wood"))])
+    def test_success_path_and_wire_shape(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(200, ok_payload("wood"))])
         result = backend.complete(req(temperature=2.0, max_new_tokens=64))
         assert result.text == "wood"
-        call = session.calls[0]
-        assert call["url"] == "http://api.test/v1/chat/completions"
-        assert call["json"]["messages"] == [{"role": "user", "content": "say wood"}]
-        assert call["json"]["temperature"] == 2.0
-        assert call["json"]["max_tokens"] == 64
-        assert "logprobs" not in call["json"]
+        (call,) = scripted_teacher.received
+        assert call.method == "POST"
+        assert call.target == "/v1/chat/completions"
+        assert call.headers["Host"] == scripted_teacher.base_url.removeprefix("http://")
+        assert call.headers["Content-Type"] == "application/json"
+        assert set(call.json) == {"model", "messages", "temperature", "max_tokens"}
+        assert call.json["model"] == "default"
+        assert call.json["messages"] == [{"role": "user", "content": "say wood"}]
+        assert call.json["temperature"] == 2.0
+        assert call.json["max_tokens"] == 64
+        assert "logprobs" not in call.json
 
-    def test_logprob_request_fields(self):
-        backend, session = http_backend(
-            [FakeResponse(200, ok_payload("A", [("A", -0.1)]))]
+    def test_logprob_request_fields(self, scripted_teacher):
+        backend = http_backend(
+            scripted_teacher, [Reply(200, ok_payload("A", [("A", -0.1)]))]
         )
         result = backend.complete(req(want=20, max_new_tokens=1))
         assert result.first_token_logprobs == {"A": -0.1}
-        assert session.calls[0]["json"]["logprobs"] is True
-        assert session.calls[0]["json"]["top_logprobs"] == 20
+        assert scripted_teacher.received[0].json["logprobs"] is True
+        assert scripted_teacher.received[0].json["top_logprobs"] == 20
 
-    def test_500_thrice_with_retry_limit_2_is_transport_error(self):
-        backend, session = http_backend([FakeResponse(500)] * 3, retry_limit=2)
+    def test_500_thrice_with_retry_limit_2_is_transport_error(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(500)] * 3, retry_limit=2)
         with pytest.raises(TransportError):
             backend.complete(req())
-        assert len(session.calls) == 3
+        assert len(scripted_teacher.received) == 3
 
-    def test_500_then_success_recovers(self):
-        backend, _ = http_backend([FakeResponse(500), FakeResponse(200, ok_payload())])
+    def test_500_then_success_recovers(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(500), Reply(200, ok_payload())])
         assert backend.complete(req()).text == "wood"
 
-    def test_timeout_surfaces_after_retries(self):
-        import requests
-
-        backend, session = http_backend(
-            [requests.Timeout("slow")] * 2, retry_limit=1
+    def test_timeout_surfaces_after_retries(self, scripted_teacher):
+        backend = http_backend(
+            scripted_teacher, [Reply(200, ok_payload(), delay=5.0)] * 2,
+            retry_limit=1, request_timeout=0.1,
         )
         with pytest.raises(RequestTimeout):
             backend.complete(req())
-        assert len(session.calls) == 2
+        assert len(scripted_teacher.received) == 2
 
-    def test_429_waits_retry_after_seconds(self):
+    def test_429_waits_retry_after_seconds(self, scripted_teacher):
         sleeps = []
-        backend, session = http_backend(
-            [FakeResponse(429, headers={"Retry-After": "3"}), FakeResponse(200, ok_payload())],
+        backend = http_backend(
+            scripted_teacher,
+            [Reply(429, headers={"Retry-After": "3"}), Reply(200, ok_payload())],
             sleep=sleeps.append,
         )
         assert backend.complete(req()).text == "wood"
         assert sleeps == [3]
-        assert len(session.calls) == 2
+        assert len(scripted_teacher.received) == 2
 
     @pytest.mark.parametrize(
         "retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT", "soon", "-1", "1.5", "\u00b2"]
     )
-    def test_429_without_delta_seconds_backs_off(self, retry_after):
+    def test_429_without_delta_seconds_backs_off(self, scripted_teacher, retry_after):
         sleeps = []
         headers = {} if retry_after is None else {"Retry-After": retry_after}
-        backend, _ = http_backend(
-            [FakeResponse(429, headers=headers), FakeResponse(200, ok_payload())],
+        backend = http_backend(
+            scripted_teacher,
+            [Reply(429, headers=headers), Reply(200, ok_payload())],
             sleep=sleeps.append,
         )
         assert backend.complete(req()).text == "wood"
         assert sleeps == [0.25]
 
-    def test_429_thrice_with_retry_limit_2_is_transport_error(self):
-        backend, session = http_backend([FakeResponse(429)] * 3, retry_limit=2)
+    def test_429_thrice_with_retry_limit_2_is_transport_error(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(429)] * 3, retry_limit=2)
         with pytest.raises(TransportError):
             backend.complete(req())
-        assert len(session.calls) == 3
+        assert len(scripted_teacher.received) == 3
 
-    def test_client_error_fails_fast(self):
-        backend, session = http_backend([FakeResponse(401)], retry_limit=3)
+    def test_client_error_fails_fast(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(401)], retry_limit=3)
         with pytest.raises(RequestRejected):
             backend.complete(req())
-        assert len(session.calls) == 1
+        assert len(scripted_teacher.received) == 1
 
-    def test_missing_content_is_protocol_error(self):
-        backend, _ = http_backend([FakeResponse(200, {"choices": [{"message": {}}]})])
+    def test_missing_content_is_protocol_error(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(200, {"choices": [{"message": {}}]})])
         with pytest.raises(ProtocolError):
             backend.complete(req())
 
-    def test_non_json_body_is_protocol_error(self):
-        backend, _ = http_backend([FakeResponse(200, None)])
+    def test_non_json_body_is_protocol_error(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(200, body=b"body")])
         with pytest.raises(ProtocolError):
             backend.complete(req())
 
-
-    def test_retry_after_is_capped_at_request_timeout(self):
+    def test_retry_after_is_capped_at_request_timeout(self, scripted_teacher):
         sleeps = []
-        session = FakeSession(
-            [FakeResponse(429, headers={"Retry-After": "3600"}), FakeResponse(200, ok_payload())]
-        )
-        backend = HttpBackend(
-            BackendConfig(request_timeout=30.0), session=session, sleep=sleeps.append
+        backend = http_backend(
+            scripted_teacher,
+            [Reply(429, headers={"Retry-After": "3600"}), Reply(200, ok_payload())],
+            request_timeout=30.0,
+            sleep=sleeps.append,
         )
         assert backend.complete(req()).text == "wood"
         assert sleeps == [30]
 
-    def test_backoff_does_not_hold_the_slot(self):
+    def test_backoff_does_not_hold_the_slot(self, scripted_teacher):
         """With one slot, another thread's request completes while the first
         request waits out its Retry-After."""
-        session = FakeSession(
-            [
-                FakeResponse(429, headers={"Retry-After": "5"}),
-                FakeResponse(200, ok_payload("other")),
-                FakeResponse(200, ok_payload("first")),
-            ]
-        )
         other_texts = []
         other = threading.Thread(
             target=lambda: other_texts.append(backend.complete(req()).text)
@@ -236,8 +209,15 @@ class TestHttpBackend:
             other.join(timeout=5)
             done_during_backoff.append(not other.is_alive())
 
-        backend = HttpBackend(
-            BackendConfig(max_parallel_requests=1), session=session, sleep=sleep
+        backend = http_backend(
+            scripted_teacher,
+            [
+                Reply(429, headers={"Retry-After": "5"}),
+                Reply(200, ok_payload("other")),
+                Reply(200, ok_payload("first")),
+            ],
+            max_parallel_requests=1,
+            sleep=sleep,
         )
         assert backend.complete(req()).text == "first"
         other.join(timeout=5)
@@ -245,16 +225,99 @@ class TestHttpBackend:
         assert done_during_backoff == [True]
         assert other_texts == ["other"]
 
-    def test_own_session_pools_one_connection_per_slot(self):
-        backend = HttpBackend(BackendConfig(max_parallel_requests=16))
-        for url in ("http://api.test", "https://api.test"):
-            pool_kw = backend._session.get_adapter(url).poolmanager.connection_pool_kw
-            assert pool_kw["maxsize"] == 16
+    def test_sequential_calls_share_one_connection(self, scripted_teacher):
+        backend = http_backend(scripted_teacher, [Reply(200, ok_payload())] * 20)
+        for _ in range(20):
+            assert backend.complete(req()).text == "wood"
+        assert len(scripted_teacher.received) == 20
+        assert scripted_teacher.connections == 1
 
-    def test_injected_session_is_used_as_given(self):
-        session = FakeSession([])
-        backend = HttpBackend(BackendConfig(max_parallel_requests=16), session=session)
-        assert backend._session is session
+    def test_concurrent_calls_open_at_most_one_connection_per_slot(self, scripted_teacher):
+        backend = http_backend(
+            scripted_teacher, [Reply(200, ok_payload(), delay=0.01)] * 24,
+            max_parallel_requests=3,
+        )
+        texts = []
+
+        def worker():
+            for _ in range(4):
+                texts.append(backend.complete(req()).text)
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert texts == ["wood"] * 24
+        assert 1 <= scripted_teacher.connections <= 3
+
+    def test_idle_connection_closed_by_the_server_is_reopened(self, scripted_teacher):
+        sleeps = []
+        backend = http_backend(
+            scripted_teacher,
+            [Reply(200, ok_payload("first"), drop=True), Reply(200, ok_payload("second"))],
+            sleep=sleeps.append,
+        )
+        assert backend.complete(req()).text == "first"
+        scripted_teacher.wait_closed(1)
+        assert backend.complete(req()).text == "second"
+        assert sleeps == []
+        assert [r.connection for r in scripted_teacher.received] == [1, 2]
+
+    def test_server_slower_than_request_timeout_is_request_timeout(self, scripted_teacher):
+        backend = http_backend(
+            scripted_teacher, [Reply(200, ok_payload(), delay=5.0)],
+            retry_limit=0, request_timeout=0.2,
+        )
+        started = time.monotonic()
+        with pytest.raises(RequestTimeout):
+            backend.complete(req())
+        assert time.monotonic() - started < 2.0
+        assert len(scripted_teacher.received) == 1
+
+
+class TestProxies:
+    @pytest.fixture
+    def proxy(self, monkeypatch):
+        with ScriptedTeacher() as recorder:
+            port = recorder.base_url.rpartition(":")[2]
+            monkeypatch.setenv("http_proxy", f"http://us%40er:pw@127.0.0.1:{port}")
+            monkeypatch.setenv("https_proxy", f"http://us%40er:pw@127.0.0.1:{port}")
+            yield recorder
+
+    def test_http_goes_to_the_proxy_with_an_absolute_target(self, proxy):
+        proxy.replies.append(Reply(200, ok_payload("proxied")))
+        backend = HttpBackend(BackendConfig(base_url="http://teacher.test:9000/api/"))
+        assert backend.complete(req()).text == "proxied"
+        (call,) = proxy.received
+        assert call.method == "POST"
+        assert call.target == "http://teacher.test:9000/api/v1/chat/completions"
+        assert call.headers["Host"] == "teacher.test:9000"
+        assert call.headers["Proxy-Authorization"] == "Basic dXNAZXI6cHc="  # us@er:pw
+        assert call.json["messages"] == [{"role": "user", "content": "say wood"}]
+
+    def test_https_opens_a_tunnel_through_the_proxy(self, proxy):
+        proxy.replies.append(Reply(403, {"error": "no tunnels here"}))
+        backend = HttpBackend(BackendConfig(base_url="https://teacher.test", retry_limit=0))
+        with pytest.raises(TransportError, match="403"):
+            backend.complete(req())
+        (call,) = proxy.received
+        assert call.method == "CONNECT"
+        assert call.target == "teacher.test:443"
+        assert call.headers["Proxy-Authorization"] == "Basic dXNAZXI6cHc="
+
+    def test_no_proxy_host_is_reached_directly(self, proxy, scripted_teacher, monkeypatch):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        scripted_teacher.replies.append(Reply(200, ok_payload("direct")))
+        backend = HttpBackend(BackendConfig(base_url=scripted_teacher.base_url))
+        assert backend.complete(req()).text == "direct"
+        assert proxy.received == []
+        assert scripted_teacher.received[0].target == "/v1/chat/completions"
+
+    def test_proxy_must_be_an_http_url(self, proxy, monkeypatch):
+        monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1080")
+        with pytest.raises(ValueError, match="http_proxy must be an http:// URL"):
+            HttpBackend(BackendConfig(base_url="http://teacher.test"))
 
 
 class TestInOrder:
@@ -345,3 +408,19 @@ class TestRequestValidation:
             BackendConfig(retry_limit=-1)
         with pytest.raises(ValueError, match="unknown backend kind 'grpc'"):
             BackendConfig(kind="grpc")
+
+    @pytest.mark.parametrize(
+        "base_url",
+        ["localhost:8000", "ftp://teacher.test", "http://", "http:///v1", "teacher.test",
+         "http://teacher.test:port", "http://[::1"],
+    )
+    def test_base_url_must_be_requestable(self, base_url):
+        with pytest.raises(ValueError, match="base_url") as excinfo:
+            BackendConfig(kind="http", base_url=base_url)
+        assert repr(base_url) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "base_url", ["http://localhost:8000", "https://api.test/openai/", "http://[::1]:80"]
+    )
+    def test_http_and_https_urls_with_a_host_are_accepted(self, base_url):
+        assert BackendConfig(kind="http", base_url=base_url).base_url == base_url

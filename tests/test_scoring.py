@@ -39,7 +39,7 @@ from mcqa_distill.scoring import (
     score_instances,
 )
 
-from conftest import make_instance
+from conftest import Reply, make_instance
 
 finite_scores = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=8
@@ -291,18 +291,15 @@ class TestScoreInstances:
         assert scored[1].teacher_scores == one_hot_scores(0, 2)
 
     @pytest.mark.parametrize("fallback", FALLBACKS)
-    def test_rejected_http_request_stops_the_run(self, science_fewshot, fallback):
-        class Unauthorized:
-            status_code, text, headers = 401, "invalid api key", {}
-
-        class Session:
-            def post(self, url, **kwargs):
-                return Unauthorized()
-
-        backend = HttpBackend(BackendConfig(kind="http"), session=Session())
+    def test_rejected_http_request_stops_the_run(
+        self, science_fewshot, scripted_teacher, fallback
+    ):
+        scripted_teacher.respond = lambda received: Reply(401, body=b"invalid api key")
+        backend = HttpBackend(BackendConfig(kind="http", base_url=scripted_teacher.base_url))
         corpus = [make_instance(f"q{i}", question=f"Question number {i}?") for i in range(3)]
-        with pytest.raises(RequestRejected, match="HTTP 401"):
+        with pytest.raises(RequestRejected, match="HTTP 401: invalid api key"):
             score_instances(corpus, science_fewshot, ScoringConfig(fallback=fallback), backend)
+        assert len(scripted_teacher.received) == 1
 
     def test_margin_is_twenty(self):
         assert ONE_HOT_MARGIN == 20.0
