@@ -1,15 +1,13 @@
-"""Student evaluation: MCQA accuracy (what ``mcqa eval`` reports), multi-seed
-aggregation, and embedding-similarity statistics.
+"""Student evaluation: MCQA accuracy (what ``mcqa eval`` reports) and
+embedding-similarity statistics (what ``mcqa similarity`` reports).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .core import atomic_write
 from .students import SparseVector, _count_and_normalize, _hash_terms, instance_logits
 
 EMBED_DIM = 2**16
@@ -17,32 +15,6 @@ EMBED_DIM = 2**16
 
 class EmptyCorpus(ValueError):
     """An evaluation was asked to run over zero instances."""
-
-
-class SeedPipelineError(RuntimeError):
-    """A per-seed pipeline run failed; carries the seed."""
-
-    def __init__(self, seed: int, message: str):
-        super().__init__(f"seed {seed}: {message}")
-        self.seed = seed
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    metric_name: str
-    per_seed: tuple
-    mean: float
-    std: float
-
-    @classmethod
-    def from_values(cls, metric_name: str, values: Sequence[float]) -> "EvalResult":
-        arr = np.asarray(list(values), dtype=np.float64)
-        return cls(
-            metric_name=metric_name,
-            per_seed=tuple(float(v) for v in arr),
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-        )
 
 
 def evaluate_accuracy(student, corpus) -> float:
@@ -59,26 +31,6 @@ def evaluate_accuracy(student, corpus) -> float:
         int(np.argmax(row)) == inst.answer_index for inst, row in zip(instances, logits)
     )
     return hits / len(instances)
-
-
-def multi_seed(
-    pipeline: Callable[[int], float], seeds: Sequence[int], metric_name: str = "accuracy"
-) -> EvalResult:
-    """Run a train-then-eval pipeline once per seed and aggregate.
-
-    Reports per-seed values with their mean and population std; a failing
-    seed aborts the sweep with the seed attached.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    values = []
-    for seed in seeds:
-        try:
-            values.append(float(pipeline(seed)))
-        except Exception as exc:
-            raise SeedPipelineError(seed, str(exc)) from exc
-    return EvalResult.from_values(metric_name, values)
 
 
 class HashedTfEmbedder:
@@ -137,20 +89,3 @@ def similarity_stats(generated, reference, embedder) -> Dict[str, float]:
         best[k] = np.bincount(ref_row[pos], weights=products, minlength=len(ref)).max()
     return {"avg_of_max": float(best.mean()), "max_of_max": float(best.max())}
 
-
-def write_metric_csv(result: EvalResult, seeds: Sequence[int], path) -> None:
-    """Per-seed rows as CSV (metric, seed, value), moved into place once fully
-    written."""
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,seed,value\n")
-        for seed, value in zip(seeds, result.per_seed):
-            fh.write(f"{result.metric_name},{seed},{value!r}\n")
-
-
-def write_summary_csv(results: Sequence[EvalResult], path) -> None:
-    """Summary rows as CSV (metric, mean, std), moved into place once fully
-    written."""
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,mean,std\n")
-        for result in results:
-            fh.write(f"{result.metric_name},{result.mean!r},{result.std!r}\n")

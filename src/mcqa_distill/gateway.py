@@ -63,6 +63,13 @@ class ScriptMiss(GatewayError):
     """The mock backend has no scripted response for a request digest."""
 
 
+# The one per-request failure policy of both teacher stages: a request that
+# still fails after the backend's retries costs only its own attempt or
+# instance. Any other ``GatewayError`` would fail every request alike, so it
+# stops the run.
+ABSORBED_ERRORS = (TransportError, RequestTimeout)
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     messages: tuple

@@ -34,7 +34,7 @@ from .core import (
     stable_seed,
     validate_parts,
 )
-from .gateway import CompletionRequest, GatewayError, ScriptMiss, in_order
+from .gateway import ABSORBED_ERRORS, CompletionRequest, in_order
 from .prompts import (
     DEFAULT_TEMPLATES,
     PromptTemplateSet,
@@ -305,8 +305,11 @@ def generate(
 ) -> Tuple[List[McqaInstance], GenerationReport]:
     """Run cfg.strategy's attempt until target_count instances or the budget.
 
-    A gateway failure discards only its attempt and is counted as
-    STAGE_FAILURE; a ScriptMiss is a scripting defect and propagates. A run
+    A request that still fails after the backend's retries (one of
+    ``gateway.ABSORBED_ERRORS``: a ``TransportError`` or ``RequestTimeout``)
+    discards only its attempt and is counted as STAGE_FAILURE. Any other
+    backend error (``ScriptMiss``, ``RequestRejected``, ``ProtocolError``)
+    would fail every attempt alike: it propagates and stops the run. A run
     that exhausts its budget returns the partial set; the report accounts
     every attempt either way. Up to ``width`` attempts run at once, never
     more than the instances still missing, and results commit in attempt
@@ -317,9 +320,7 @@ def generate(
     def run(attempt):
         try:
             return attempt_fn(fs, cfg, gw, templates, attempt)
-        except ScriptMiss:
-            raise
-        except GatewayError:
+        except ABSORBED_ERRORS:
             return STAGE_FAILURE
 
     out: List[McqaInstance] = []

@@ -20,13 +20,7 @@ from .core import (
     index_to_identifier,
 )
 from .datasets import simple_token_count
-from .gateway import (
-    CompletionRequest,
-    NoLogprobSupport,
-    RequestTimeout,
-    TransportError,
-    in_order,
-)
+from .gateway import ABSORBED_ERRORS, CompletionRequest, NoLogprobSupport, in_order
 from .prompts import build_scoring_prompt, scoring_user_block
 
 # Raw-score margin for the one-hot fallback: softening at any temperature <= 1
@@ -122,7 +116,7 @@ def _score_one(
     identifiers = [index_to_identifier(i) for i in range(inst.num_choices)]
     try:
         by_identifier = score_identifiers(gw, messages, identifiers)
-    except (TransportError, RequestTimeout):
+    except ABSORBED_ERRORS:
         return _unscored(inst, cfg)
     scores = tuple(by_identifier[i] for i in identifiers)
     return replace(inst, teacher_scores=scores), SCORED
@@ -141,8 +135,9 @@ def score_instances(
     are never altered.
 
     An instance whose prompt is over the token limit, or whose request still
-    fails after the backend's retries (a ``TransportError`` or
-    ``RequestTimeout``), takes ``cfg.fallback``. Any other backend error
+    fails after the backend's retries (one of ``gateway.ABSORBED_ERRORS``: a
+    ``TransportError`` or ``RequestTimeout``), takes ``cfg.fallback``, the
+    policy ``generate`` follows too. Any other backend error
     (``ScriptMiss``, ``RequestRejected``, ``ProtocolError``,
     ``NoLogprobSupport``) means the backend can score no instance: it is
     raised under either fallback.

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from mcqa_distill.core import FewShotSet, McqaInstance
+from mcqa_distill.core import FewShotSet, McqaInstance, stable_seed
+from mcqa_distill.datasets import Corpus, CorpusMeta
 
 
 def make_instance(
@@ -26,6 +27,39 @@ def make_instance(
         answer_index=answer_index,
         teacher_scores=teacher_scores,
     )
+
+
+def build_separable_corpus(
+    count: int, num_choices: int = 4, seed: int = 0, marker: str = "lodestone"
+) -> Corpus:
+    """Instances whose gold choice contains a marker token; linearly separable."""
+    rng = np.random.default_rng(stable_seed(seed, "separable"))
+    vocab = [f"word{k:02d}" for k in range(30)]
+    instances = []
+    for i in range(count):
+        answer = int(rng.integers(num_choices))
+        choices = []
+        seen = set()
+        for j in range(num_choices):
+            while True:
+                tokens = list(rng.choice(vocab, size=3, replace=False))
+                if j == answer:
+                    tokens.append(marker)
+                text = " ".join(tokens)
+                if text not in seen:
+                    break
+            seen.add(text)
+            choices.append(text)
+        instances.append(
+            McqaInstance(
+                f"sep-{seed}-{i:05d}",
+                "synthetic",
+                f"which entry is marked in batch {i}?",
+                choices,
+                answer,
+            )
+        )
+    return Corpus(tuple(instances), CorpusMeta(source="separable-synthetic"))
 
 
 SCIENCE_EXAMPLES = (

@@ -1,5 +1,6 @@
 """End-to-end command surface: exit codes, artifacts, manifests."""
 
+import ast
 import hashlib
 import json
 import os
@@ -600,6 +601,30 @@ except RequestTimeout:
         assert proc.stdout.strip() == "RequestTimeout"
 
 
+# The one package module no command runs: the mock-script fabricator that
+# scripts/run_mock_pipeline.py and the benchmark call.
+NOT_RUN_BY_THE_CLI = {"mock_script"}
+
+
+def test_every_package_module_is_reached_from_the_cli():
+    """Every package module is imported, at module level or inside a
+    function, on some path from ``cli`` (``mcqa``) or ``__main__``
+    (``python -m mcqa_distill``)."""
+    package = REPO / "src" / "mcqa_distill"
+    modules = {path.stem for path in package.glob("*.py")}
+    reached, todo = set(), ["__init__", "cli", "__main__"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+                todo += [n for n in names if n in modules]
+    assert sorted(modules - reached - NOT_RUN_BY_THE_CLI) == []
+
+
 def teacher_reply(received):
     """A plausible teacher: a question, an answer or choice logprobs, each a
     function of the request body."""
@@ -661,6 +686,16 @@ class TestHttpTeacher:
         assert all(inst.teacher_scores is not None for inst in scored)
         counts = json.loads((d / "scored.jsonl.manifest.json").read_text())["counts"]
         assert counts == {"scored": 2, "fallback": 0, "skipped": 0}
+
+    def test_rejected_request_stops_generate(self, workspace, scripted_teacher):
+        scripted_teacher.respond = lambda received: Reply(401, body=b"invalid api key")
+        d = workspace["dir"]
+        config = self.http_config(d, scripted_teacher.base_url, width=2)
+        proc = run_cli("generate", "--count", 4, "--config", config,
+                       "--fewshot", workspace["fewshot"], "--out", d / "corpus.jsonl", expect=2)
+        assert "HTTP 401" in proc.stderr
+        assert 1 <= len(scripted_teacher.received) <= 2
+        assert not list(d.glob("corpus.jsonl*"))
 
     @pytest.mark.parametrize("command", ["generate", "score"])
     def test_base_url_without_scheme_exits_2_at_once(self, workspace, command):

@@ -26,9 +26,8 @@ from mcqa_distill.students import (
     feature_logits,
     instance_logits,
 )
-from mcqa_distill.synthetic import build_separable_corpus
 
-from conftest import FixedLogitStudent, make_instance
+from conftest import FixedLogitStudent, build_separable_corpus, make_instance
 from test_students import reference_pair_features
 
 

@@ -1,4 +1,4 @@
-"""Accuracy, multi-seed aggregation, similarity."""
+"""Accuracy and similarity."""
 
 import tracemalloc
 import zlib
@@ -11,19 +11,13 @@ from mcqa_distill.distillation import TrainConfig, train
 from mcqa_distill.evaluation import (
     EMBED_DIM,
     EmptyCorpus,
-    EvalResult,
     HashedTfEmbedder,
-    SeedPipelineError,
     evaluate_accuracy,
-    multi_seed,
     similarity_stats,
-    write_metric_csv,
-    write_summary_csv,
 )
 from mcqa_distill.students import FEATURIZE_CHUNK, ToyStudent
-from mcqa_distill.synthetic import build_separable_corpus
 
-from conftest import FixedLogitStudent, make_instance
+from conftest import FixedLogitStudent, build_separable_corpus, make_instance
 from test_students import reference_logit
 
 
@@ -122,38 +116,6 @@ class TestEvaluateStreams:
         eight_chunks = corpus_of(*instances)
         evaluate_accuracy(student, one_chunk)  # warm lazy imports and caches
         assert peak(eight_chunks) <= 1.5 * peak(one_chunk)
-
-
-class TestMultiSeed:
-    def test_five_seeds(self):
-        result = multi_seed(lambda seed: seed / 10.0, [1, 2, 3, 4, 5])
-        assert len(result.per_seed) == 5
-        assert result.mean == pytest.approx(0.3)
-
-    def test_repeated_seed_has_zero_std(self):
-        result = multi_seed(lambda seed: 0.25 + seed * 0.0, [7, 7, 7])
-        assert result.std == 0.0
-
-    def test_mean_and_std_match_recomputation(self):
-        values = [0.61, 0.58, 0.66, 0.59, 0.63]
-        result = multi_seed(lambda seed: values[seed], [0, 1, 2, 3, 4])
-        assert result.mean == pytest.approx(np.mean(values), abs=1e-12)
-        assert result.std == pytest.approx(np.std(values), abs=1e-12)
-        assert abs(result.mean - np.mean(result.per_seed)) <= 1e-12
-
-    def test_failure_is_tagged_with_seed(self):
-        def pipeline(seed):
-            if seed == 3:
-                raise RuntimeError("model diverged")
-            return 0.5
-
-        with pytest.raises(SeedPipelineError) as excinfo:
-            multi_seed(pipeline, [1, 2, 3])
-        assert excinfo.value.seed == 3
-
-    def test_no_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            multi_seed(lambda seed: 0.0, [])
 
 
 def dense_embedding(text, dim, hash_seed=0):
@@ -288,31 +250,3 @@ class TestEmbedder:
             expected = dense_embedding(text, embedder.dim, hash_seed=3)
             assert np.array_equal(dense(embedder, text), expected), text
 
-
-class TestCsvExports:
-    def test_metric_csv(self, tmp_path):
-        result = EvalResult.from_values("accuracy", [0.5, 0.6])
-        path = tmp_path / "metrics.csv"
-        write_metric_csv(result, [1, 2], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "metric,seed,value"
-        assert lines[1] == "accuracy,1,0.5"
-
-    def test_summary_csv(self, tmp_path):
-        results = [EvalResult.from_values("accuracy", [0.5, 0.7])]
-        path = tmp_path / "summary.csv"
-        write_summary_csv(results, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "metric,mean,std"
-        assert lines[1].startswith("accuracy,0.6")
-
-    def test_failed_summary_write_leaves_previous_file_intact(self, tmp_path):
-        ok = EvalResult.from_values("accuracy", [0.5, 0.7])
-        path = tmp_path / "summary.csv"
-        write_summary_csv([EvalResult.from_values("f1", [0.25])], path)
-        before = path.read_bytes()
-        # The first row is written before the second result fails.
-        with pytest.raises(AttributeError):
-            write_summary_csv([ok, object()], path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]

@@ -1,5 +1,6 @@
 """Backends: scripted mock behavior, HTTP retry/parse/connection contracts
-against a loopback server, proxies, the in-order executor."""
+against a loopback server, proxies, the in-order executor, and the
+per-request failure policy both teacher stages share."""
 
 import threading
 import time
@@ -8,9 +9,11 @@ import pytest
 
 from mcqa_distill.core import ChatMessage
 from mcqa_distill.gateway import (
+    ABSORBED_ERRORS,
     BackendConfig,
     CompletionRequest,
     CompletionResult,
+    GatewayError,
     HttpBackend,
     MockBackend,
     ProtocolError,
@@ -23,8 +26,17 @@ from mcqa_distill.gateway import (
     request_digest,
     save_script,
 )
+from mcqa_distill.generation import STAGE_FAILURE, GenerationConfig, generate
+from mcqa_distill.scoring import (
+    FALLBACK,
+    SCORED,
+    SKIPPED,
+    ScoringConfig,
+    one_hot_scores,
+    score_instances,
+)
 
-from conftest import Reply, ScriptedTeacher
+from conftest import Reply, ScriptedTeacher, make_instance
 
 MESSAGES = (ChatMessage("user", "say wood"),)
 
@@ -424,3 +436,44 @@ class TestRequestValidation:
     )
     def test_http_and_https_urls_with_a_host_are_accepted(self, base_url):
         assert BackendConfig(kind="http", base_url=base_url).base_url == base_url
+
+
+class Failing:
+    """A backend whose every request raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def complete(self, request):
+        raise self.error("failed")
+
+
+GATEWAY_ERRORS = sorted(GatewayError.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+class TestFailurePolicy:
+    """Both teacher stages absorb exactly ``ABSORBED_ERRORS``; every other
+    backend error propagates."""
+
+    @pytest.mark.parametrize("error", GATEWAY_ERRORS, ids=lambda cls: cls.__name__)
+    def test_generate(self, science_fewshot, error):
+        cfg = GenerationConfig(strategy="json", target_count=1, max_attempts=3)
+        if error in ABSORBED_ERRORS:
+            instances, report = generate(science_fewshot, cfg, Failing(error))
+            assert instances == []
+            assert report.rejected_by_reason == {STAGE_FAILURE: 3}
+        else:
+            with pytest.raises(error):
+                generate(science_fewshot, cfg, Failing(error))
+
+    @pytest.mark.parametrize("error", GATEWAY_ERRORS, ids=lambda cls: cls.__name__)
+    def test_score_instances(self, science_fewshot, error):
+        inst = make_instance(answer_index=1)
+        cfg = ScoringConfig(fallback="one_hot")
+        if error in ABSORBED_ERRORS:
+            scored, counts = score_instances([inst], science_fewshot, cfg, Failing(error))
+            assert counts == {SCORED: 0, FALLBACK: 1, SKIPPED: 0}
+            assert scored[0].teacher_scores == one_hot_scores(1, 4)
+        else:
+            with pytest.raises(error):
+                score_instances([inst], science_fewshot, cfg, Failing(error))

@@ -1,10 +1,13 @@
-"""Synthetic universes used by the training experiments."""
+"""Synthetic universes used by the training experiments, and the noisy-teacher
+experiment's CSVs."""
+
+import numpy as np
+import pytest
 
 from mcqa_distill.core import validate_instance
-from mcqa_distill.synthetic import (
-    build_noisy_teacher_universe,
-    build_separable_corpus,
-)
+from noisy_teacher_experiment import build_noisy_teacher_universe, write_csvs
+
+from conftest import build_separable_corpus
 
 
 class TestSeparableCorpus:
@@ -24,9 +27,7 @@ class TestSeparableCorpus:
 
 class TestNoisyTeacherUniverse:
     def test_teacher_accuracy_calibrated_near_target(self):
-        universe = build_noisy_teacher_universe(
-            n_train=256, n_heldout=64, seed=0, teacher_accuracy=0.7
-        )
+        universe = build_noisy_teacher_universe(n_train=256, n_heldout=64, seed=0)
         assert 0.6 <= universe.teacher_argmax_accuracy <= 0.8
 
     def test_split_shapes_and_scores(self):
@@ -61,3 +62,33 @@ class TestNoisyTeacherUniverse:
         train_questions = {inst.question for inst in universe.train_true}
         assert not train_questions & {inst.question for inst in universe.heldout}
 
+
+class TestCsvExports:
+    def test_metric_csv(self, tmp_path):
+        write_csvs({"generate": [0.5, 0.6]}, tmp_path)
+        lines = (tmp_path / "generate_per_seed.csv").read_text().strip().splitlines()
+        assert lines[0] == "metric,seed,value"
+        assert lines[1] == "accuracy/generate,1,0.5"
+
+    def test_summary_csv(self, tmp_path):
+        values = [0.61, 0.58, 0.66, 0.59, 0.63]
+        write_csvs({"generate": [0.5, 0.7], "distill_r1": values}, tmp_path)
+        lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
+        assert lines[0] == "metric,mean,std"
+        assert lines[1].startswith("accuracy/generate,0.6")
+        # Mean and population std of the per-seed values.
+        metric, mean, std = lines[2].split(",")
+        assert metric == "accuracy/distill_r1"
+        assert float(mean) == pytest.approx(np.mean(values), abs=1e-12)
+        assert float(std) == pytest.approx(np.std(values), abs=1e-12)
+
+    def test_failed_summary_write_leaves_previous_file_intact(self, tmp_path):
+        write_csvs({"generate": [0.25]}, tmp_path)
+        before = (tmp_path / "summary.csv").read_bytes()
+        # The first summary row is written before the second mode fails.
+        with pytest.raises(TypeError):
+            write_csvs({"generate": [0.5, 0.7], "distill_r1": [object()]}, tmp_path)
+        assert (tmp_path / "summary.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "distill_r1_per_seed.csv", "generate_per_seed.csv", "summary.csv"
+        ]
