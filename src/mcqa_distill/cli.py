@@ -165,12 +165,9 @@ def generate_cmd(config_path, fewshot, topic, out):
     gen_cfg = stage_config(cfg, "generation")
     fs = _load_fewshot(fewshot, topic)
     backend = _build_backend(stage_config(cfg, "backend"))
-    templates = stage_config(cfg, "templates")
 
     started = time.perf_counter()
-    instances, report = generate(
-        fs, gen_cfg, backend, templates, _request_width(backend)
-    )
+    instances, report = generate(fs, gen_cfg, backend, _request_width(backend))
     elapsed = time.perf_counter() - started
 
     _write_corpus(instances, out, f"generate:{gen_cfg.strategy}", digest)

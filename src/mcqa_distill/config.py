@@ -28,7 +28,6 @@ from . import __version__
 from .core import write_json
 from .gateway import BackendConfig
 from .generation import GenerationConfig
-from .prompts import PromptTemplateSet
 
 DEFAULT_FEATURES = 2**18
 DEFAULT_HASH_SEED = 0
@@ -81,7 +80,6 @@ SECTIONS = {
     "generation": GenerationConfig,
     "scoring": ScoringConfig,
     "training": TrainConfig,
-    "templates": PromptTemplateSet,
 }
 
 DEFAULTS: Dict[str, dict] = {
@@ -121,8 +119,11 @@ def effective_config(
 ) -> Dict[str, dict]:
     """defaults <- config file <- flag overrides, with typed values throughout.
 
-    override values of None mean "flag not given" and are skipped.
+    override values of None mean "flag not given" and are skipped. Every
+    command calls this first, so a bad ``SOURCE_DATE_EPOCH`` stops it here,
+    before it sends a request or writes a file.
     """
+    fixed_epoch()
     effective = copy.deepcopy(DEFAULTS)
     if config_path:
         for section, entries in load_config_file(config_path).items():
@@ -153,11 +154,23 @@ def stage_config(effective: Dict[str, dict], section: str):
 
 
 def fixed_epoch() -> Optional[int]:
-    """SOURCE_DATE_EPOCH when set: run in reproducible-output mode."""
+    """SOURCE_DATE_EPOCH when set: run in reproducible-output mode.
+
+    A value that is not an integer, or not a time ``datetime`` can hold,
+    raises ValueError naming the variable.
+    """
     raw = os.environ.get("SOURCE_DATE_EPOCH")
     if raw is None or not raw.strip():
         return None
-    return int(raw)
+    try:
+        epoch = int(raw)
+        datetime.fromtimestamp(epoch, timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH must be an integer count of seconds since "
+            f"1970-01-01 UTC within years 1-9999, got {raw!r}"
+        ) from None
+    return epoch
 
 
 def now_iso() -> str:

@@ -11,7 +11,9 @@ Each strategy is one per-attempt function; ``generate`` is the single driver
 that owns the attempt budget and rejection accounting, and runs attempts
 concurrently while committing them in attempt order. ``attempt_instance``
 gives an attempt's instance its id and provenance, for ``generate`` and for
-the mock script fabricators alike.
+the mock script fabricators alike. Every attempt's prompts come from the
+``prompts`` builders, whose texts are fixed; only the few-shot set (and its
+topic) varies.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .core import (
 )
 from .gateway import ABSORBED_ERRORS, CompletionRequest, in_order
 from .prompts import (
-    DEFAULT_TEMPLATES,
-    PromptTemplateSet,
     build_json_generation_prompt,
     build_negative_prompt,
     build_paraphrase_prompt,
@@ -191,22 +191,15 @@ def _ask(gw, cfg: GenerationConfig, messages) -> str:
     ).text.strip()
 
 
-def _json_attempt(fs, cfg, gw, templates, attempt):
+def _json_attempt(fs, cfg, gw, attempt):
     """One complete object per attempt, on a fresh exemplar shuffle; the
     driver validates it."""
-    messages = build_json_generation_prompt(
-        fs, attempt_seed(cfg.seed, "json", attempt), templates
-    )
+    messages = build_json_generation_prompt(fs, attempt_seed(cfg.seed, "json", attempt))
     return _parse_json_fields(_ask(gw, cfg, messages))
 
 
 def _decomposed_choices(
-    fs: FewShotSet,
-    cfg: GenerationConfig,
-    gw,
-    templates: PromptTemplateSet,
-    question: str,
-    positive: str,
+    fs: FewShotSet, cfg: GenerationConfig, gw, question: str, positive: str
 ) -> List[str]:
     """Sequential negatives against a growing forbidden list.
 
@@ -221,9 +214,7 @@ def _decomposed_choices(
     forbidden = [positive]
     for _slot in range(cfg.negatives_n):
         for _try in range(1 + NEGATIVE_SLOT_RETRIES):
-            candidate = _ask(
-                gw, cfg, build_negative_prompt(fs, question, forbidden, templates)
-            )
+            candidate = _ask(gw, cfg, build_negative_prompt(fs, question, forbidden))
             if candidate and canonical_choice(candidate) not in {
                 canonical_choice(c) for c in choices
             }:
@@ -236,17 +227,17 @@ def _decomposed_choices(
     return choices
 
 
-def _decompose_attempt(fs, cfg, gw, templates, attempt):
+def _decompose_attempt(fs, cfg, gw, attempt):
     """Question, positive answer, then N sequential negatives; the answer
     index is 0 unless shuffle_choices remaps it."""
     question_seed = attempt_seed(cfg.seed, "question", attempt)
-    question = _ask(gw, cfg, build_question_prompt(fs, question_seed, templates))
+    question = _ask(gw, cfg, build_question_prompt(fs, question_seed))
     if not question:
         return EMPTY_FIELD
-    positive = _ask(gw, cfg, build_positive_prompt(fs, question, templates))
+    positive = _ask(gw, cfg, build_positive_prompt(fs, question))
     if not positive:
         return EMPTY_FIELD
-    choices = _decomposed_choices(fs, cfg, gw, templates, question, positive)
+    choices = _decomposed_choices(fs, cfg, gw, question, positive)
     answer_index = 0
     if cfg.shuffle_choices:
         order = list(range(len(choices)))
@@ -256,20 +247,17 @@ def _decompose_attempt(fs, cfg, gw, templates, attempt):
     return question, choices, answer_index
 
 
-def _paraphrase_attempt(fs, cfg, gw, templates, attempt):
+def _paraphrase_attempt(fs, cfg, gw, attempt):
     """Paraphrase each field of seed example ``attempt mod K`` independently,
     keeping its answer index. Textual duplicates across the corpus are allowed
     here (corpus statistics surface them)."""
     source = fs.examples[attempt % len(fs.examples)]
-    question = _ask(gw, cfg, build_paraphrase_prompt(source.question, templates))
-    choices = [
-        _ask(gw, cfg, build_paraphrase_prompt(choice, templates))
-        for choice in source.choices
-    ]
+    question = _ask(gw, cfg, build_paraphrase_prompt(source.question))
+    choices = [_ask(gw, cfg, build_paraphrase_prompt(choice)) for choice in source.choices]
     return question, choices, source.answer_index
 
 
-# strategy -> attempt(fs, cfg, gw, templates, attempt), which returns
+# strategy -> attempt(fs, cfg, gw, attempt), which returns
 # (question, choices, answer_index) or a rejection reason and lets gateway
 # errors propagate to the driver.
 ATTEMPTS = {
@@ -300,7 +288,6 @@ def generate(
     fs: FewShotSet,
     cfg: GenerationConfig,
     gw,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
     width: int = 1,
 ) -> Tuple[List[McqaInstance], GenerationReport]:
     """Run cfg.strategy's attempt until target_count instances or the budget.
@@ -319,7 +306,7 @@ def generate(
 
     def run(attempt):
         try:
-            return attempt_fn(fs, cfg, gw, templates, attempt)
+            return attempt_fn(fs, cfg, gw, attempt)
         except ABSORBED_ERRORS:
             return STAGE_FAILURE
 

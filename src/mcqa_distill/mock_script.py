@@ -2,23 +2,25 @@
 
 A script covers one planned pipeline run end to end: every prompt the run
 will issue maps to a deterministic fabricated reply, including first-token
-log-probabilities for the scoring stage. A fabricator only plans the reply
-texts of each attempt; the script is recorded by running the generation
-module's own attempt functions against a backend that answers from that plan,
-and scoring replies are keyed by the scoring module's own prompt fitting, so
-the resulting runs never miss.
+log-probabilities for the scoring stage. ``fabricate_json_run`` (what the
+demo script and the benchmark run) only plans the reply texts of each
+attempt; ``_record_run`` records the script by running the generation
+module's own attempt functions against a backend that answers from that
+plan, and scoring replies are keyed by the scoring module's own prompt
+fitting, so the resulting runs never miss. The test suite's decompose and
+paraphrase fabricators record through ``_record_run`` too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .core import FewShotSet, McqaInstance, stable_seed
 from .gateway import CompletionResult, request_digest
 from .generation import ATTEMPTS, GenerationConfig, attempt_instance
-from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet, format_example_object
+from .prompts import format_example_object
 from .scoring import ScoringConfig, fit_scoring_prompt
 
 Script = Dict[str, CompletionResult]
@@ -46,7 +48,7 @@ class _PlanRecorder:
         return reply
 
 
-def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg):
+def _record_run(strategy, fs, cfg, plans, expected, scoring_cfg):
     """Record the script of a run whose attempt ``i`` gets the replies
     ``plans[i]`` and emits ``expected[i]``, plus scoring replies when asked.
 
@@ -58,7 +60,7 @@ def _record_run(strategy, fs, cfg, templates, plans, expected, scoring_cfg):
     for attempt, replies in enumerate(plans):
         recorder.replies = list(replies)
         try:
-            ATTEMPTS[strategy](fs, cfg, recorder, templates, attempt)
+            ATTEMPTS[strategy](fs, cfg, recorder, attempt)
         except _AttemptRecorded:
             continue
         raise ValueError(f"{strategy} attempt {attempt} left planned replies unused")
@@ -111,7 +113,6 @@ def fabricate_json_run(
     fs: FewShotSet,
     cfg: GenerationConfig,
     scoring_cfg: Optional[ScoringConfig] = None,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
 ) -> Tuple[Script, List[McqaInstance]]:
     """Script a JSON-strategy run where every attempt parses.
 
@@ -125,45 +126,4 @@ def fabricate_json_run(
         for attempt in range(cfg.target_count)
     ]
     plans = [[format_example_object(inst)] for inst in expected]
-    return _record_run("json", fs, cfg, templates, plans, expected, scoring_cfg)
-
-
-def fabricate_decomposed_run(
-    fs: FewShotSet,
-    cfg: GenerationConfig,
-    scoring_cfg: Optional[ScoringConfig] = None,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-) -> Tuple[Script, List[McqaInstance]]:
-    """Script a decomposed run with distinct negatives for every slot.
-
-    ``expected`` holds the choices in generation order (answer first), as a
-    run without shuffle_choices emits them.
-    """
-    expected = []
-    for attempt in range(cfg.target_count):
-        question = f"Synthetic staged {fs.topic} question {attempt}?"
-        choices = [f"right answer {attempt}"] + [
-            f"wrong answer {attempt}-{slot}" for slot in range(cfg.negatives_n)
-        ]
-        fields = (question, choices, 0)
-        expected.append(attempt_instance("decompose", fs, cfg, attempt, fields))
-    plans = [[inst.question, *inst.choices] for inst in expected]
-    return _record_run("decompose", fs, cfg, templates, plans, expected, scoring_cfg)
-
-
-def fabricate_paraphrase_run(
-    fs: FewShotSet,
-    cfg: GenerationConfig,
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
-    rewrite: Callable[[str], str] = lambda text: f"{text} (reworded)",
-) -> Tuple[Script, List[McqaInstance]]:
-    """Script a paraphrase run; ``rewrite`` fabricates each rewritten field."""
-    expected = []
-    for attempt in range(cfg.target_count):
-        source = fs.examples[attempt % len(fs.examples)]
-        question = rewrite(source.question)
-        choices = [rewrite(c) for c in source.choices]
-        fields = (question, choices, source.answer_index)
-        expected.append(attempt_instance("paraphrase", fs, cfg, attempt, fields))
-    plans = [[inst.question, *inst.choices] for inst in expected]
-    return _record_run("paraphrase", fs, cfg, templates, plans, expected, None)
+    return _record_run("json", fs, cfg, plans, expected, scoring_cfg)

@@ -1,59 +1,34 @@
 """Chat prompt construction for every stage of the pipeline.
 
 Every builder is a pure function of its arguments: identical inputs give
-byte-identical message lists. The default template strings are the exact
-production prompts; all of them can be overridden through a
-``PromptTemplateSet`` (the CLI exposes this via the ``[templates]`` config
-section) when targeting a new domain.
+byte-identical message lists. The prompt texts are the paper's fixed
+production prompts; across subjects only the topic changes, and it comes
+from the few-shot set (or ``mcqa generate --topic``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
 from typing import List, Sequence
 
 from .core import ChatMessage, FewShotSet, McqaInstance, index_to_identifier
 
-TOPIC_SLOT = "{topic}"
-
-
-@dataclass(frozen=True)
-class PromptTemplateSet:
-    """System prompts plus the per-topic instruction pattern."""
-
-    json_system: str = (
-        "You are a bot that excel at creating question about the given topics, "
-        "and will create question in JSON format!"
-    )
-    decompose_question_system: str = (
-        "You are a bot that excel at creating question about the given topics!"
-    )
-    decompose_positive_system: str = (
-        "You are a bot that excel at answering question and will answer all "
-        "question correctly(answer shortly)!"
-    )
-    decompose_negative_system: str = (
-        "You are a bot that always answer question with possible but wrong answer "
-        "and reply with diverse answer(answer shortly)!"
-    )
-    paraphrase_system: str = "You are a bot that excel at paraphrasing."
-    topic_instruction_pattern: str = "create a question about {topic}!"
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name).strip():
-                raise ValueError(f"template field {f.name} must not be empty")
-        if self.topic_instruction_pattern.count(TOPIC_SLOT) != 1:
-            raise ValueError(
-                f"topic_instruction_pattern must contain {TOPIC_SLOT} exactly once"
-            )
-
-    def topic_instruction(self, topic: str) -> str:
-        return self.topic_instruction_pattern.replace(TOPIC_SLOT, topic)
-
-
-DEFAULT_TEMPLATES = PromptTemplateSet()
+JSON_SYSTEM = (
+    "You are a bot that excel at creating question about the given topics, "
+    "and will create question in JSON format!"
+)
+QUESTION_SYSTEM = "You are a bot that excel at creating question about the given topics!"
+POSITIVE_SYSTEM = (
+    "You are a bot that excel at answering question and will answer all "
+    "question correctly(answer shortly)!"
+)
+NEGATIVE_SYSTEM = (
+    "You are a bot that always answer question with possible but wrong answer "
+    "and reply with diverse answer(answer shortly)!"
+)
+PARAPHRASE_SYSTEM = "You are a bot that excel at paraphrasing."
+# The user turn of the json and question prompts; only the topic varies.
+TOPIC_INSTRUCTION = "create a question about {topic}!"
 
 # Fixed few-shot pairs for the paraphrase baseline prompt.
 PARAPHRASE_FEW_SHOT = (
@@ -121,17 +96,15 @@ def _shuffled(examples: Sequence[McqaInstance], seed: int) -> List[McqaInstance]
     return [examples[i] for i in order]
 
 
-def build_json_generation_prompt(
-    fs: FewShotSet, seed: int, templates: PromptTemplateSet = DEFAULT_TEMPLATES
-) -> List[ChatMessage]:
+def build_json_generation_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]:
     """Prompt asking for a complete instance as a JSON-style object.
 
     One system message, then one user/assistant pair per few-shot example in a
     seed-shuffled order (shuffling the exemplars encourages output diversity),
     then a trailing user turn repeating the topic instruction.
     """
-    instruction = templates.topic_instruction(fs.topic)
-    messages = [ChatMessage("system", templates.json_system)]
+    instruction = TOPIC_INSTRUCTION.format(topic=fs.topic)
+    messages = [ChatMessage("system", JSON_SYSTEM)]
     for example in _shuffled(fs.examples, seed):
         messages.append(ChatMessage("user", instruction))
         messages.append(ChatMessage("assistant", format_example_object(example)))
@@ -139,12 +112,10 @@ def build_json_generation_prompt(
     return messages
 
 
-def build_question_prompt(
-    fs: FewShotSet, seed: int, templates: PromptTemplateSet = DEFAULT_TEMPLATES
-) -> List[ChatMessage]:
+def build_question_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]:
     """First decomposed stage: ask for a bare question about the topic."""
-    instruction = templates.topic_instruction(fs.topic)
-    messages = [ChatMessage("system", templates.decompose_question_system)]
+    instruction = TOPIC_INSTRUCTION.format(topic=fs.topic)
+    messages = [ChatMessage("system", QUESTION_SYSTEM)]
     for example in _shuffled(fs.examples, seed):
         messages.append(ChatMessage("user", instruction))
         messages.append(ChatMessage("assistant", example.question))
@@ -152,13 +123,11 @@ def build_question_prompt(
     return messages
 
 
-def build_positive_prompt(
-    fs: FewShotSet, question: str, templates: PromptTemplateSet = DEFAULT_TEMPLATES
-) -> List[ChatMessage]:
+def build_positive_prompt(fs: FewShotSet, question: str) -> List[ChatMessage]:
     """Second decomposed stage: ask for the correct answer to a new question."""
     if not question.strip():
         raise ValueError("question must not be empty")
-    messages = [ChatMessage("system", templates.decompose_positive_system)]
+    messages = [ChatMessage("system", POSITIVE_SYSTEM)]
     for example in fs.examples:
         messages.append(ChatMessage("user", example.question))
         messages.append(ChatMessage("assistant", example.gold_choice))
@@ -188,10 +157,7 @@ def _negative_user_turn(question: str, forbidden: Sequence[str]) -> str:
 
 
 def build_negative_prompt(
-    fs: FewShotSet,
-    question: str,
-    forbidden: Sequence[str],
-    templates: PromptTemplateSet = DEFAULT_TEMPLATES,
+    fs: FewShotSet, question: str, forbidden: Sequence[str]
 ) -> List[ChatMessage]:
     """Third decomposed stage: ask for a wrong answer avoiding the forbidden list.
 
@@ -205,7 +171,7 @@ def build_negative_prompt(
         raise ValueError("forbidden list must not be empty")
     if not question.strip():
         raise ValueError("question must not be empty")
-    messages = [ChatMessage("system", templates.decompose_negative_system)]
+    messages = [ChatMessage("system", NEGATIVE_SYSTEM)]
     for k, example in enumerate(fs.examples):
         wrongs = [c for i, c in enumerate(example.choices) if i != example.answer_index]
         take = k % len(wrongs)
@@ -234,13 +200,11 @@ def build_scoring_prompt(fs: FewShotSet, inst: McqaInstance) -> List[ChatMessage
     return messages
 
 
-def build_paraphrase_prompt(
-    text_to_rewrite: str, templates: PromptTemplateSet = DEFAULT_TEMPLATES
-) -> List[ChatMessage]:
+def build_paraphrase_prompt(text_to_rewrite: str) -> List[ChatMessage]:
     """Paraphrase-baseline prompt: system + five fixed pairs + the new text."""
     if not text_to_rewrite.strip():
         raise ValueError("text to rewrite must not be empty")
-    messages = [ChatMessage("system", templates.paraphrase_system)]
+    messages = [ChatMessage("system", PARAPHRASE_SYSTEM)]
     for user, assistant in PARAPHRASE_FEW_SHOT:
         messages.append(ChatMessage("user", user))
         messages.append(ChatMessage("assistant", assistant))

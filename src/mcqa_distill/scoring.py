@@ -9,6 +9,7 @@ into probability vectors (``distillation.soften``), so this module and
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +75,9 @@ def score_identifiers(
 
     Identifiers absent from the returned top-K get the smallest present value
     minus ``MISSING_LOGPROB_MARGIN``; if none are present at all, every
-    identifier gets an equal 0.0 (uniform after the downstream softmax).
+    identifier gets an equal 0.0 (uniform after the downstream softmax). A
+    non-finite log-probability (``-inf``, NaN) counts as absent, so the
+    scores are always finite, as a corpus line must hold them.
     """
     request = CompletionRequest(
         messages,
@@ -90,7 +93,7 @@ def score_identifiers(
     by_token: Dict[str, float] = {}
     for token, logprob in result.first_token_logprobs.items():
         key = token.strip()
-        if key not in by_token or logprob > by_token[key]:
+        if math.isfinite(logprob) and (key not in by_token or logprob > by_token[key]):
             by_token[key] = logprob
     present = {i: by_token[i] for i in identifiers if i in by_token}
     if not present:

@@ -9,6 +9,8 @@ import pytest
 
 from mcqa_distill.core import FewShotSet, McqaInstance, stable_seed
 from mcqa_distill.datasets import Corpus, CorpusMeta
+from mcqa_distill.generation import attempt_instance
+from mcqa_distill.mock_script import _record_run
 
 
 def make_instance(
@@ -60,6 +62,37 @@ def build_separable_corpus(
             )
         )
     return Corpus(tuple(instances), CorpusMeta(source="separable-synthetic"))
+
+
+def fabricate_decomposed_run(fs, cfg, scoring_cfg=None):
+    """Script a decomposed run with distinct negatives for every slot.
+
+    ``expected`` holds the choices in generation order (answer first), as a
+    run without shuffle_choices emits them.
+    """
+    expected = []
+    for attempt in range(cfg.target_count):
+        question = f"Synthetic staged {fs.topic} question {attempt}?"
+        choices = [f"right answer {attempt}"] + [
+            f"wrong answer {attempt}-{slot}" for slot in range(cfg.negatives_n)
+        ]
+        fields = (question, choices, 0)
+        expected.append(attempt_instance("decompose", fs, cfg, attempt, fields))
+    plans = [[inst.question, *inst.choices] for inst in expected]
+    return _record_run("decompose", fs, cfg, plans, expected, scoring_cfg)
+
+
+def fabricate_paraphrase_run(fs, cfg, rewrite=lambda text: f"{text} (reworded)"):
+    """Script a paraphrase run; ``rewrite`` fabricates each rewritten field."""
+    expected = []
+    for attempt in range(cfg.target_count):
+        source = fs.examples[attempt % len(fs.examples)]
+        question = rewrite(source.question)
+        choices = [rewrite(c) for c in source.choices]
+        fields = (question, choices, source.answer_index)
+        expected.append(attempt_instance("paraphrase", fs, cfg, attempt, fields))
+    plans = [[inst.question, *inst.choices] for inst in expected]
+    return _record_run("paraphrase", fs, cfg, plans, expected, None)
 
 
 SCIENCE_EXAMPLES = (

@@ -36,12 +36,17 @@ from mcqa_distill.distillation import (
 )
 from mcqa_distill.gateway import MockBackend, save_script
 from mcqa_distill.generation import GenerationConfig, generate
-from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
+from mcqa_distill.mock_script import fabricate_json_run
 from mcqa_distill.scoring import ScoringConfig
 from mcqa_distill.students import ToyStudent, instance_logits
 from noisy_teacher_experiment import build_noisy_teacher_universe, run_noisy_teacher_experiment
 
-from conftest import SCIENCE_EXAMPLES, build_separable_corpus, make_instance
+from conftest import (
+    SCIENCE_EXAMPLES,
+    build_separable_corpus,
+    fabricate_decomposed_run,
+    make_instance,
+)
 from test_distillation import cross_entropy, loss_and_gradient
 from test_generation import PARSER_FIXTURES, SequencedBackend, judge_reply
 

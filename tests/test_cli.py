@@ -19,12 +19,11 @@ from mcqa_distill.core import FewShotSet
 from mcqa_distill.datasets import Corpus, CorpusMeta, read_jsonl, write_jsonl
 from mcqa_distill.gateway import save_script
 from mcqa_distill.generation import GenerationConfig
-from mcqa_distill.mock_script import fabricate_decomposed_run, fabricate_json_run
-from mcqa_distill.prompts import PromptTemplateSet
+from mcqa_distill.mock_script import fabricate_json_run
 from mcqa_distill.scoring import ScoringConfig
 from mcqa_distill.students import ToyStudent
 
-from conftest import SCIENCE_EXAMPLES, Reply, make_instance
+from conftest import SCIENCE_EXAMPLES, Reply, fabricate_decomposed_run, make_instance
 from test_students import MALFORMED_MODELS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -38,17 +37,21 @@ def cli_env():
     return env
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, epoch="1700000000"):
     proc = subprocess.run(
         [sys.executable, "-m", "mcqa_distill", *map(str, args)],
         capture_output=True,
         text=True,
-        env=cli_env(),
+        env={**cli_env(), "SOURCE_DATE_EPOCH": epoch},
     )
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
     )
     return proc
+
+
+# A SOURCE_DATE_EPOCH that is not an integer, and one past datetime's range.
+BAD_EPOCHS = ["abc", "99999999999999999999"]
 
 
 def science_fewshot_set():
@@ -205,27 +208,6 @@ class TestGenerateCommand:
         assert all(len(inst.choices) == 6 for inst in corpus)
         assert all(inst.answer_index == 0 for inst in corpus)
 
-    def test_template_override_changes_prompts(self, tmp_path):
-        fs = science_fewshot_set()
-        fewshot_path = tmp_path / "fewshot.jsonl"
-        write_jsonl(Corpus(fs.examples, CorpusMeta()), fewshot_path)
-        templates = PromptTemplateSet(topic_instruction_pattern="gimme a {topic} item!")
-        cfg = GenerationConfig(strategy="json", target_count=2, seed=0)
-        script, _ = fabricate_json_run(fs, cfg, templates=templates)
-        script_path = tmp_path / "script.json"
-        save_script(script, script_path)
-        config = tmp_path / "run.ini"
-        config.write_text(
-            f"[backend]\nkind = mock\nscript = {script_path}\n"
-            "[generation]\ntarget_count = 2\nseed = 0\n"
-            "[templates]\ntopic_instruction_pattern = gimme a {topic} item!\n"
-        )
-        out = tmp_path / "corpus.jsonl"
-        # The script only answers prompts built from the overridden template,
-        # so success proves the override reached the builders.
-        run_cli("generate", "--config", config, "--fewshot", fewshot_path, "--out", out)
-        assert len(read_jsonl(out)) == 2
-
 
 class TestScoreCommand:
     def generate_first(self, workspace):
@@ -308,6 +290,17 @@ class TestTrainEvalCommands:
         assert manifest["counts"]["visited_instances"] == 16
         weights = ToyStudent.load(model).weights
         assert manifest["counts"]["active_features"] == np.count_nonzero(weights)
+
+    @pytest.mark.parametrize("epoch", BAD_EPOCHS)
+    def test_bad_source_date_epoch_exits_2_before_training(
+        self, workspace, scored_corpus, epoch
+    ):
+        d = workspace["dir"]
+        proc = run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
+                       "--out", d / "model.bin", "--iterations", 2, expect=2, epoch=epoch)
+        assert proc.stderr.startswith("mcqa train: SOURCE_DATE_EPOCH must be an integer")
+        assert "Traceback" not in proc.stderr
+        assert not list(d.glob("model.bin*"))
 
     def test_distill_without_scores_exits_2(self, workspace):
         corpus_path = workspace["dir"] / "corpus.jsonl"
@@ -696,6 +689,26 @@ class TestHttpTeacher:
         assert "HTTP 401" in proc.stderr
         assert 1 <= len(scripted_teacher.received) <= 2
         assert not list(d.glob("corpus.jsonl*"))
+
+    @pytest.mark.parametrize("epoch", BAD_EPOCHS)
+    @pytest.mark.parametrize("command", ["generate", "score"])
+    def test_bad_source_date_epoch_exits_2_before_any_request(
+        self, workspace, scripted_teacher, command, epoch
+    ):
+        scripted_teacher.respond = teacher_reply
+        d = workspace["dir"]
+        config = self.http_config(d, scripted_teacher.base_url)
+        if command == "generate":
+            args = ("generate", "--count", 2)
+        else:
+            write_jsonl(Corpus((make_instance("q0"),), CorpusMeta(source="seed")), d / "in.jsonl")
+            args = ("score", "--in", d / "in.jsonl")
+        proc = run_cli(*args, "--config", config, "--fewshot", workspace["fewshot"],
+                       "--out", d / "out.jsonl", expect=2, epoch=epoch)
+        assert proc.stderr.startswith(f"mcqa {command}: SOURCE_DATE_EPOCH must be an integer")
+        assert repr(epoch) in proc.stderr and "Traceback" not in proc.stderr
+        assert scripted_teacher.received == []
+        assert not list(d.glob("out.jsonl*"))
 
     @pytest.mark.parametrize("command", ["generate", "score"])
     def test_base_url_without_scheme_exits_2_at_once(self, workspace, command):

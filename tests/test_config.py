@@ -15,7 +15,6 @@ from mcqa_distill.config import (
 )
 from mcqa_distill.gateway import BackendConfig
 from mcqa_distill.generation import GenerationConfig
-from mcqa_distill.prompts import PromptTemplateSet
 
 # Every key of every section, each set to a value that is not its default.
 EVERY_KEY_INI = """\
@@ -51,14 +50,6 @@ distill_temperature_r = 0.5
 seed = 9
 n_features = 4096
 hash_seed = 3
-
-[templates]
-json_system = J
-decompose_question_system = Q
-decompose_positive_system = P
-decompose_negative_system = N
-paraphrase_system = R
-topic_instruction_pattern = ask about {topic}
 """
 
 
@@ -75,12 +66,12 @@ def test_defaults_are_the_reference_run():
     assert cfg["generation"]["max_attempts"] == 0
     assert gen.attempt_budget == 20 * 1024
     assert train.learning_rate == 0.5
-    assert list(cfg) == ["backend", "generation", "scoring", "training", "templates"]
+    assert list(cfg) == ["backend", "generation", "scoring", "training"]
 
 
 # Every corpus meta line and every run manifest records this digest, so a
 # change to it changes them all and must be declared in CHANGES.md.
-DEFAULT_CONFIG_DIGEST = "aa01cba9a5187488102fa6c6f4bb06cb0e1cf979c83a637067eb6a817d446707"
+DEFAULT_CONFIG_DIGEST = "466a6d0080500d60e87882a9c946208b5f6fe970ac8f608a82ee00c4fb7b2d96"
 
 
 def test_default_config_digest_is_pinned():
@@ -126,14 +117,6 @@ def test_every_key_from_file_reaches_its_stage(tmp_path):
         n_features=4096,
         hash_seed=3,
     )
-    assert stage_config(cfg, "templates") == PromptTemplateSet(
-        json_system="J",
-        decompose_question_system="Q",
-        decompose_positive_system="P",
-        decompose_negative_system="N",
-        paraphrase_system="R",
-        topic_instruction_pattern="ask about {topic}",
-    )
 
 
 def test_flag_beats_file_beats_default(tmp_path):
@@ -167,15 +150,26 @@ def test_boolean_words(tmp_path, word, value):
         ("[backend]\nrequest_timeout = soon\n",
          r"\[backend\] request_timeout must be a number, got 'soon'"),
         ("[datasets]\nmax_tokens = 320\n", r"unknown config section \[datasets\]"),
+        # The prompts are constants of ``prompts``, not config.
+        ("[templates]\njson_system = J\n", r"unknown config section \[templates\]"),
         ("[scoring]\nnot_a_key = 1\n", r"unknown config key \[scoring\] not_a_key"),
     ],
-    ids=["bool", "int", "float", "section", "key"],
+    ids=["bool", "int", "float", "section", "templates", "key"],
 )
 def test_bad_file_values_name_section_and_key(tmp_path, line, message):
     path = tmp_path / "run.ini"
     path.write_text(line)
     with pytest.raises(ValueError, match=message):
         effective_config(path)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "99999999999999999999", "253402300800"])
+def test_bad_source_date_epoch_fails_config_resolution(monkeypatch, raw):
+    """Not an integer, or not a time in years 1-9999: every command resolves
+    its config first, so it stops before it does any work."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", raw)
+    with pytest.raises(ValueError, match=rf"SOURCE_DATE_EPOCH .*got {raw!r}"):
+        effective_config()
 
 
 def test_readme_example_config_loads(tmp_path):

@@ -38,18 +38,14 @@ from mcqa_distill.generation import (
     generate,
 )
 from mcqa_distill.prompts import (
-    DEFAULT_TEMPLATES,
     build_json_generation_prompt,
     build_negative_prompt,
     build_positive_prompt,
     build_question_prompt,
 )
-from mcqa_distill.mock_script import (
-    _record_run,
-    fabricate_decomposed_run,
-    fabricate_json_run,
-    fabricate_paraphrase_run,
-)
+from mcqa_distill.mock_script import _record_run, fabricate_json_run
+
+from conftest import fabricate_decomposed_run, fabricate_paraphrase_run
 
 VALID_SINGLE_QUOTED = (
     "{'question': 'Which energy resource is non-renewable?', "
@@ -515,9 +511,7 @@ def test_script_miss_propagates_for_every_strategy(science_fewshot, strategy, fa
 def test_fabricator_plan_must_fit_its_attempt(science_fewshot, plan):
     cfg = GenerationConfig(strategy="decompose", target_count=1, negatives_n=1)
     with pytest.raises(ValueError):
-        _record_run(
-            "decompose", science_fewshot, cfg, DEFAULT_TEMPLATES, [plan], [], None
-        )
+        _record_run("decompose", science_fewshot, cfg, [plan], [], None)
 
 
 class JitteryBackend:
@@ -606,13 +600,13 @@ def test_script_miss_surfaces_past_later_attempts_in_flight(
     lock = threading.Lock()
     real_attempt = generation.ATTEMPTS["json"]
 
-    def attempt(fs, cfg, gw, templates, index):
+    def attempt(fs, cfg, gw, index):
         with lock:
             started.append(index)
         if index == 3:
             time.sleep(0.2)
             raise ScriptMiss("no scripted response for attempt 3")
-        return real_attempt(fs, cfg, gw, templates, index)
+        return real_attempt(fs, cfg, gw, index)
 
     monkeypatch.setitem(generation.ATTEMPTS, "json", attempt)
     cfg = GenerationConfig(strategy="json", target_count=20, seed=2)

@@ -1,14 +1,14 @@
-"""Prompt builders: structure, determinism, and the fixed template texts."""
+"""Prompt builders: structure, determinism, and the fixed prompt texts."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mcqa_distill.core import FewShotSet, identifier_to_index
 from mcqa_distill.prompts import (
-    DEFAULT_TEMPLATES,
-    PromptTemplateSet,
     build_json_generation_prompt,
     build_negative_prompt,
     build_paraphrase_prompt,
@@ -231,25 +231,6 @@ class TestParaphrasePrompt:
         assert messages[0].content == "You are a bot that excel at paraphrasing."
 
 
-class TestTemplateSet:
-    def test_slot_must_appear_exactly_once(self):
-        with pytest.raises(ValueError):
-            PromptTemplateSet(topic_instruction_pattern="no slot here!")
-        with pytest.raises(ValueError):
-            PromptTemplateSet(topic_instruction_pattern="{topic} and {topic}")
-
-    def test_empty_field_rejected(self):
-        with pytest.raises(ValueError):
-            PromptTemplateSet(json_system="  ")
-
-    def test_override_flows_through(self, science_fewshot):
-        templates = PromptTemplateSet(
-            topic_instruction_pattern="write one {topic} item."
-        )
-        messages = build_json_generation_prompt(science_fewshot, 0, templates)
-        assert messages[-1].content == "write one grade school science item."
-
-
 def test_all_builders_keep_roles_well_formed(science_fewshot):
     inst = make_instance()
     for messages in (
@@ -274,6 +255,36 @@ def test_builders_are_pure(seed):
     assert build_question_prompt(fs, seed) == build_question_prompt(fs, seed)
 
 
-def test_default_templates_are_frozen_strings():
-    assert DEFAULT_TEMPLATES.paraphrase_system.endswith("paraphrasing.")
-    assert "{topic}" in DEFAULT_TEMPLATES.topic_instruction_pattern
+QUESTION = "Which energy resource is non-renewable?"
+
+# SHA-256 of each builder's messages below. Mock scripts are keyed by the same
+# builders, so no other test notices a changed byte in a prompt text.
+PROMPT_DIGESTS = {
+    "json": "d1e36c8c3b7e32ac48d1dd3692e94438da190007920fa9dfe418c165351ab502",
+    "question": "c64abe512df6e918bbf149e3726751757cce8c7f1b6839585cff7fd05f043a8c",
+    "positive": "bed5487fdf388053deb9c4f7e721d4a10391d679fcae6f926ace07d322a5569d",
+    "negative": "d9c3a61b0949f81daf2e4363ab455ea83467710c547f392358c140cbbc720d72",
+    "scoring": "45cbbea6abb23df91ddadc49483daaa3ac1d15d3ecd92597ee822ce0ba578eae",
+    "paraphrase": "d56d3e3923fc243ff70677fe3ba065f45949e0e91222cdbd587dc2383d5ed4d6",
+}
+
+
+def builder_prompts(fs):
+    return {
+        "json": [build_json_generation_prompt(fs, seed) for seed in range(4)],
+        "question": [build_question_prompt(fs, seed) for seed in range(4)],
+        "positive": [build_positive_prompt(fs, QUESTION)],
+        "negative": [build_negative_prompt(fs, QUESTION, ["oil", "solar", "coal"])],
+        "scoring": [build_scoring_prompt(fs, make_instance())],
+        "paraphrase": [build_paraphrase_prompt(QUESTION)],
+    }
+
+
+@pytest.mark.parametrize("builder", sorted(PROMPT_DIGESTS))
+def test_prompt_texts_are_pinned(science_fewshot, builder):
+    prompts = builder_prompts(science_fewshot)[builder]
+    canon = json.dumps(
+        [[[m.role, m.content] for m in messages] for messages in prompts],
+        ensure_ascii=False,
+    )
+    assert hashlib.sha256(canon.encode("utf-8")).hexdigest() == PROMPT_DIGESTS[builder]

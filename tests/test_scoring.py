@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcqa_distill.datasets import simple_token_count
+from mcqa_distill.datasets import Corpus, CorpusMeta, read_jsonl, simple_token_count, write_jsonl
 from mcqa_distill.distillation import TieAtZeroTemperature, soften
 from mcqa_distill.config import FALLBACKS
-from mcqa_distill.core import ChatMessage
+from mcqa_distill.core import ChatMessage, validate_instance
 from mcqa_distill.gateway import (
     BackendConfig,
     CompletionResult,
@@ -191,6 +191,22 @@ class TestScoreInstance:
         assert (scored.id, scored.question, scored.choices, scored.answer_index) == (
             inst.id, inst.question, inst.choices, inst.answer_index,
         )
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan], ids=["-inf", "nan"])
+    def test_non_finite_logprob_takes_the_floor(self, science_fewshot, tmp_path, bad):
+        """A teacher's -inf or NaN logprob is absent, not a score: the corpus
+        validates and reads back."""
+        inst = make_instance()
+        cfg = ScoringConfig()
+        logprobs = {"A": bad, "B": -0.1, "C": -3.0, "D": -1.0}
+        backend = scripted_for(inst, science_fewshot, cfg, CompletionResult("B", logprobs))
+        scored, counts = score_instances([inst], science_fewshot, cfg, backend)
+        assert counts[SCORED] == 1
+        assert scored[0].teacher_scores == pytest.approx((-13.0, -0.1, -3.0, -1.0))
+        assert validate_instance(scored[0]) == []
+        path = tmp_path / "scored.jsonl"
+        write_jsonl(Corpus(tuple(scored), CorpusMeta()), path)
+        assert read_jsonl(path).instances == tuple(scored)
 
     def test_six_choice_instance_scores_six(self, science_fewshot):
         inst = make_instance(
