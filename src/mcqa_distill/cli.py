@@ -166,6 +166,9 @@ def generate_cmd(config_path, fewshot, topic, out):
     fs = _load_fewshot(fewshot, topic)
     backend = _build_backend(stage_config(cfg, "backend"))
 
+    # A run the teacher stops raises a GatewayError and writes nothing: no
+    # corpus, report or manifest. Keeping the committed prefix needs a
+    # request journal to resume from.
     started = time.perf_counter()
     instances, report = generate(fs, gen_cfg, backend, _request_width(backend))
     elapsed = time.perf_counter() - started
@@ -175,6 +178,7 @@ def generate_cmd(config_path, fewshot, topic, out):
     write_manifest(
         out, cfg, gen_cfg.seed, {"generate": elapsed},
         {"attempted": report.attempted, "parsed": report.parsed, "target": gen_cfg.target_count},
+        topic=fs.topic,
     )
     click.echo(
         f"generated {len(instances)}/{gen_cfg.target_count} instances "

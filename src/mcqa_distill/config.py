@@ -193,11 +193,14 @@ def write_manifest(
     seed: int,
     timings: Dict[str, float],
     counts: Dict[str, int],
+    **fields,
 ) -> None:
     """Write ``<out>.manifest.json`` for the artifact ``out``: the tool
     version, the seed, the resolved config and its digest, the stage
-    timings (raw seconds, passed through ``stage_duration``) and counts."""
+    timings (raw seconds, passed through ``stage_duration``) and counts,
+    plus any further ``fields`` (``generate`` records its prompt topic)."""
     manifest = {
+        **fields,
         "tool_version": __version__,
         "seed": seed,
         "config_digest": config_digest(effective),

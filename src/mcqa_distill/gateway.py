@@ -7,8 +7,14 @@ library's ``http.client``, one keep-alive connection per request slot, and
 extracts the first generated token's top log-probabilities when asked; the
 mock backend replays scripted responses keyed by a digest of the exact
 message sequence, so whole pipeline runs are bit-reproducible without a
-server. ``in_order`` is the executor both teacher stages run on: bounded
-concurrency, results in order.
+server.
+
+``in_order`` is the executor both teacher stages run on. It keeps
+``max_parallel_requests`` worker threads busy, starting the next call whenever
+any of them frees, while results are yielded in call order from a reorder
+buffer of at most ``AHEAD`` calls per thread. A call that fails stops any
+later call from starting, and ``FailureStreak`` stops a run whose teacher
+answers nothing.
 """
 
 from __future__ import annotations
@@ -68,6 +74,40 @@ class ScriptMiss(GatewayError):
 # instance. Any other ``GatewayError`` would fail every request alike, so it
 # stops the run.
 ABSORBED_ERRORS = (TransportError, RequestTimeout)
+
+
+class TeacherUnavailable(GatewayError):
+    """So many absorbed failures in a row that the teacher answers nothing."""
+
+
+# Absorbed failures in a row, with no answer between them, after which a run
+# stops. Each one already outlasted the backend's retries: a teacher that
+# fails even half its calls at random fails 16 in a row about once in 2**17
+# calls, while a dead one (a refused port, a wrong host) costs at most 16
+# calls plus the reorder buffer, not the whole attempt budget.
+UNAVAILABLE_AFTER = 16
+
+
+class FailureStreak:
+    """The run-level stop both teacher stages share: absorbed failures in a
+    row, counted as results commit (in call order), so the stop falls on the
+    same call at any width."""
+
+    def __init__(self) -> None:
+        self.length = 0
+
+    def answered(self) -> None:
+        self.length = 0
+
+    def failed(self, error: GatewayError) -> None:
+        """Count ``error``; raise ``TeacherUnavailable`` naming it once
+        ``UNAVAILABLE_AFTER`` have come in a row."""
+        self.length += 1
+        if self.length >= UNAVAILABLE_AFTER:
+            raise TeacherUnavailable(
+                f"teacher unavailable: {self.length} calls in a row failed after "
+                f"their retries; the last with {type(error).__name__}: {error}"
+            ) from error
 
 
 @dataclass(frozen=True)
@@ -386,6 +426,12 @@ def _readable(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+# Calls ``in_order`` keeps submitted but not yet yielded (queued, running, or
+# finished and buffered), per worker thread. A slow call at the head then
+# holds up at most this many results per thread, not every other thread.
+AHEAD = 4
+
+
 class _Inline:
     """The width-1 executor: runs each call on the calling thread at submit."""
 
@@ -404,28 +450,57 @@ def in_order(
     width: int,
     room: Optional[Callable[[], int]] = None,
 ) -> Iterator:
-    """Yield ``fn(0), ..., fn(count - 1)`` in index order, up to ``width``
-    calls running at once.
+    """Yield ``fn(0), ..., fn(count - 1)`` in index order, on ``width``
+    worker threads.
 
+    Up to ``AHEAD * width`` calls are submitted but not yet yielded: queued,
+    running, or finished and held until every earlier result has been
+    yielded. A thread that frees starts the next queued call, so one slow
+    call holds up no other thread, and at most ``width`` calls run at once.
     ``room()``, when given, is how many more results the caller can still
-    use; the calls in flight never exceed it, so every call made is one a
-    serial loop would also have made. An exception from ``fn(i)`` is raised
-    where result ``i`` is due, after every earlier result. On any exit
-    (an exception, Ctrl-C or closing the generator) calls not yet started
-    are cancelled and running ones are waited for. Width 1 runs each call
-    inline, with no thread.
+    use; the calls submitted and not yet yielded never exceed it, so every
+    call made is one a serial loop would also have made.
+
+    An exception from ``fn(i)`` is raised where result ``i`` is due, after
+    every earlier result, and no call after ``i`` starts once it is raised.
+    On any exit (an exception, Ctrl-C or closing the generator) no further
+    call starts, and running ones are waited for; a caller that stops early
+    closes the generator (``contextlib.closing``), so this happens on its
+    own thread. Width 1 runs each call inline, with no thread, when its
+    result is due.
     """
-    pool = ThreadPoolExecutor(width, "teacher") if width > 1 else _Inline()
+    if width > 1:
+        pool, window = ThreadPoolExecutor(width, "teacher"), AHEAD * width
+    else:
+        pool, window = _Inline(), 1
+    # Calls past this index do not start: the earliest that has raised, or
+    # -1 once the generator exits.
+    last_to_start = count
+    lock = threading.Lock()
+
+    def call(i):
+        nonlocal last_to_start
+        if i > last_to_start:
+            return None  # never yielded: an earlier call's error comes first
+        try:
+            return fn(i)
+        except BaseException:
+            with lock:
+                last_to_start = min(last_to_start, i)
+            raise
+
     pending: deque = deque()
     issued = 0
     try:
         while True:
-            limit = width if room is None else min(width, room())
+            limit = window if room is None else min(window, room())
             while issued < count and len(pending) < limit:
-                pending.append(pool.submit(fn, issued))
+                pending.append(pool.submit(call, issued))
                 issued += 1
             if not pending:
                 return
             yield pending.popleft().result()
     finally:
+        with lock:
+            last_to_start = -1
         pool.shutdown(wait=True, cancel_futures=True)

@@ -10,6 +10,7 @@ into probability vectors (``distillation.soften``), so this module and
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +22,13 @@ from .core import (
     index_to_identifier,
 )
 from .datasets import simple_token_count
-from .gateway import ABSORBED_ERRORS, CompletionRequest, NoLogprobSupport, in_order
+from .gateway import (
+    ABSORBED_ERRORS,
+    CompletionRequest,
+    FailureStreak,
+    NoLogprobSupport,
+    in_order,
+)
 from .prompts import build_scoring_prompt, scoring_user_block
 
 # Raw-score margin for the one-hot fallback: softening at any temperature <= 1
@@ -110,17 +117,17 @@ def _unscored(inst: McqaInstance, cfg: ScoringConfig) -> Tuple[McqaInstance, str
     return replace(inst, teacher_scores=None), SKIPPED
 
 
-def _score_one(
-    inst: McqaInstance, fs: FewShotSet, cfg: ScoringConfig, gw
-) -> Tuple[McqaInstance, str]:
+def _score_one(inst: McqaInstance, fs: FewShotSet, cfg: ScoringConfig, gw):
+    """The scored instance and its status, or the absorbed error its request
+    still raised after the backend's retries."""
     messages = fit_scoring_prompt(inst, fs, cfg)
     if messages is None:
         return _unscored(inst, cfg)
     identifiers = [index_to_identifier(i) for i in range(inst.num_choices)]
     try:
         by_identifier = score_identifiers(gw, messages, identifiers)
-    except ABSORBED_ERRORS:
-        return _unscored(inst, cfg)
+    except ABSORBED_ERRORS as exc:
+        return exc
     scores = tuple(by_identifier[i] for i in identifiers)
     return replace(inst, teacher_scores=scores), SCORED
 
@@ -140,18 +147,30 @@ def score_instances(
     An instance whose prompt is over the token limit, or whose request still
     fails after the backend's retries (one of ``gateway.ABSORBED_ERRORS``: a
     ``TransportError`` or ``RequestTimeout``), takes ``cfg.fallback``, the
-    policy ``generate`` follows too. Any other backend error
-    (``ScriptMiss``, ``RequestRejected``, ``ProtocolError``,
-    ``NoLogprobSupport``) means the backend can score no instance: it is
-    raised under either fallback.
+    policy ``generate`` follows too. The ``gateway.UNAVAILABLE_AFTER``-th
+    failed request in a row (instances over the token limit send none and
+    neither count nor break the run) raises ``TeacherUnavailable`` instead,
+    so a teacher that answers nothing never passes one-hot labels off as
+    scores. Any other backend error (``ScriptMiss``, ``RequestRejected``,
+    ``ProtocolError``, ``NoLogprobSupport``) means the backend can score no
+    instance: it is raised at once under either fallback.
 
-    Up to ``width`` instances are scored at once; results and errors come in
-    instance order, as in a serial run.
+    Instances are scored on ``width`` threads through ``gateway.in_order``,
+    each thread starting the next instance as soon as it frees; results and
+    errors come in instance order, as in a serial run.
     """
     counts = {SCORED: 0, FALLBACK: 0, SKIPPED: 0}
     out = []
+    streak = FailureStreak()
     results = in_order(lambda i: _score_one(instances[i], fs, cfg, gw), len(instances), width)
-    for scored, status in results:
-        counts[status] += 1
-        out.append(scored)
+    with closing(results):  # a stop raised here ends the pool here, too
+        for result, inst in zip(results, instances):
+            if isinstance(result, ABSORBED_ERRORS):
+                streak.failed(result)
+                result = _unscored(inst, cfg)
+            elif result[1] == SCORED:
+                streak.answered()
+            scored, status = result
+            counts[status] += 1
+            out.append(scored)
     return out, counts

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from mcqa_distill import cli
 from mcqa_distill.config import effective_config
 from mcqa_distill.core import FewShotSet
 from mcqa_distill.datasets import Corpus, CorpusMeta, read_jsonl, write_jsonl
-from mcqa_distill.gateway import save_script
+from mcqa_distill.gateway import AHEAD, UNAVAILABLE_AFTER, HttpBackend, save_script
 from mcqa_distill.generation import GenerationConfig
 from mcqa_distill.mock_script import fabricate_json_run
 from mcqa_distill.scoring import ScoringConfig
@@ -108,6 +109,26 @@ class TestGenerateCommand:
         manifest = json.loads((workspace["dir"] / "corpus.jsonl.manifest.json").read_text())
         assert manifest["counts"] == {"attempted": 16, "parsed": 16, "target": 16}
         assert manifest["seed"] == 11
+
+    def test_manifest_records_the_prompt_topic(self, workspace):
+        """Two runs that differ only in ``--topic`` write manifests that
+        differ only in ``topic``."""
+        d = workspace["dir"]
+        astronomy = FewShotSet("astronomy", workspace["fs"].examples)
+        cfg = GenerationConfig(strategy="json", target_count=16, seed=11)
+        script, _ = fabricate_json_run(workspace["fs"], cfg)
+        script.update(fabricate_json_run(astronomy, cfg)[0])
+        save_script(script, workspace["script"])
+        run_cli("generate", "--config", workspace["config"], "--fewshot", workspace["fewshot"],
+                "--out", d / "science.jsonl")
+        run_cli("generate", "--config", workspace["config"], "--fewshot", workspace["fewshot"],
+                "--topic", "astronomy", "--out", d / "astronomy.jsonl")
+        science = json.loads((d / "science.jsonl.manifest.json").read_text())
+        other = json.loads((d / "astronomy.jsonl.manifest.json").read_text())
+        assert science.pop("topic") == "grade school science"
+        assert other.pop("topic") == "astronomy"
+        assert science == other
+        assert {i.topic for i in read_jsonl(d / "astronomy.jsonl").instances} == {"astronomy"}
 
     def test_manifest_digest_recomputable_from_stored_config(self, workspace):
         out = workspace["dir"] / "corpus.jsonl"
@@ -689,6 +710,68 @@ class TestHttpTeacher:
         assert "HTTP 401" in proc.stderr
         assert 1 <= len(scripted_teacher.received) <= 2
         assert not list(d.glob("corpus.jsonl*"))
+
+    @pytest.mark.parametrize("command", ["generate", "score"])
+    def test_refused_port_stops_the_run(self, workspace, monkeypatch, command):
+        """Nothing listens: the run stops after UNAVAILABLE_AFTER failed
+        requests in a row (plus the calls already ahead of them), exits 2
+        naming the last error and writes no corpus, one-hot or other."""
+        d = workspace["dir"]
+        with socket.socket() as unlistened:  # bound, never listening: refused
+            unlistened.bind(("127.0.0.1", 0))
+            base_url = "http://127.0.0.1:%d" % unlistened.getsockname()[1]
+            config = self.http_config(d, base_url, width=2)
+            posts = []
+            real_post = HttpBackend._post
+
+            def post(backend, body, headers):
+                posts.append(body)
+                return real_post(backend, body, headers)
+
+            monkeypatch.setattr(HttpBackend, "_post", post)
+            if command == "generate":
+                args = ["generate", "--count", "64"]
+            else:
+                corpus = [make_instance(f"q{i}", question=f"Question {i}?") for i in range(64)]
+                write_jsonl(Corpus(tuple(corpus), CorpusMeta(source="seed")), d / "in.jsonl")
+                args = ["score", "--fallback", "one_hot", "--in", str(d / "in.jsonl")]
+            result = CliRunner().invoke(
+                cli.main,
+                [*args, "--config", str(config), "--fewshot", str(workspace["fewshot"]),
+                 "--out", str(d / "out.jsonl")],
+            )
+        assert result.exit_code == 2, result.output
+        assert f"mcqa {command}: teacher unavailable" in result.output
+        assert "TransportError" in result.output
+        assert UNAVAILABLE_AFTER <= len(posts) <= UNAVAILABLE_AFTER + AHEAD * 2 - 1
+        assert not list(d.glob("out.jsonl*"))
+
+    def test_isolated_failures_do_not_stop_the_run(self, workspace, scripted_teacher):
+        """A teacher that fails one request in four: generate and score finish
+        with those failures counted, at width 2 as at width 1."""
+
+        def flaky(received):
+            if hashlib.sha256(received.body).digest()[0] % 4 == 0:
+                return Reply(500, body=b"overloaded")
+            return teacher_reply(received)
+
+        scripted_teacher.respond = flaky
+        d = workspace["dir"]
+        outputs = []
+        for width in (1, 2):
+            config = self.http_config(d, scripted_teacher.base_url, width=width)
+            corpus, scored = d / f"corpus{width}.jsonl", d / f"scored{width}.jsonl"
+            run_cli("generate", "--config", config, "--fewshot", workspace["fewshot"],
+                    "--strategy", "decompose", "--negatives", 2, "--count", 24, "--seed", 3,
+                    "--out", corpus, expect=0)
+            run_cli("score", "--config", config, "--fewshot", workspace["fewshot"],
+                    "--in", corpus, "--out", scored, expect=0)
+            report = json.loads((d / f"corpus{width}.jsonl.report.json").read_text())
+            counts = json.loads((d / f"scored{width}.jsonl.manifest.json").read_text())["counts"]
+            outputs.append((read_jsonl(corpus).instances, report, read_jsonl(scored).instances))
+            assert report["rejected_by_reason"]["STAGE_FAILURE"] > 0
+            assert counts["scored"] + counts["fallback"] == 24 and counts["fallback"] > 0
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("epoch", BAD_EPOCHS)
     @pytest.mark.parametrize("command", ["generate", "score"])

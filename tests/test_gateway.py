@@ -10,6 +10,7 @@ import pytest
 from mcqa_distill.core import ChatMessage
 from mcqa_distill.gateway import (
     ABSORBED_ERRORS,
+    AHEAD,
     BackendConfig,
     CompletionRequest,
     CompletionResult,
@@ -332,6 +333,11 @@ class TestProxies:
             HttpBackend(BackendConfig(base_url="http://teacher.test"))
 
 
+def window(width):
+    """Calls ``in_order`` keeps submitted but not yet yielded at ``width``."""
+    return AHEAD * width if width > 1 else 1
+
+
 class TestInOrder:
     @pytest.mark.parametrize("width", [1, 3])
     def test_results_in_index_order(self, width):
@@ -341,7 +347,8 @@ class TestInOrder:
 
         assert list(in_order(slow_first, 8, width)) == [i * i for i in range(8)]
 
-    def test_earliest_error_surfaces_and_queued_calls_never_start(self):
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_earliest_error_surfaces_and_queued_calls_never_start(self, width):
         started = []
         lock = threading.Lock()
 
@@ -357,10 +364,10 @@ class TestInOrder:
 
         seen = []
         with pytest.raises(KeyError):
-            for value in in_order(call, 100, 4):
+            for value in in_order(call, 100, width):
                 seen.append(value)
         assert seen == [0, 1]
-        assert max(started) <= 2 + 3
+        assert max(started) <= 2 + window(width) - 1
         assert len(started) == len(set(started))
 
     def test_closing_early_cancels_queued_calls(self):
@@ -379,7 +386,7 @@ class TestInOrder:
         assert next(results) == 0
         results.close()
         assert sorted(started) == sorted(finished)
-        assert max(started) <= 4
+        assert max(started) <= window(4) - 1
 
     def test_room_bounds_calls_in_flight(self):
         in_flight = high = 0
@@ -400,6 +407,84 @@ class TestInOrder:
             taken.append(value)
         assert taken == [0, 1, 2, 3, 4]
         assert 2 <= high <= 5
+
+    def test_a_slow_head_holds_up_no_other_thread(self):
+        """Call 0 returns only once calls 1 .. window - 1 have all finished:
+        the other threads keep working past it, never more than ``width``
+        at once. A pool that refills only as the head is taken waits out
+        the timeout instead."""
+        width = 4
+        rest = set(range(1, window(width)))
+        finished = set()
+        rest_finished = threading.Event()
+        running = high = 0
+        lock = threading.Lock()
+
+        def call(i):
+            nonlocal running, high
+            with lock:
+                running += 1
+                high = max(high, running)
+            try:
+                if i == 0:
+                    return rest_finished.wait(timeout=5)
+                time.sleep(0.002)
+                return i
+            finally:
+                with lock:
+                    running -= 1
+                    finished.add(i)
+                    if rest <= finished:
+                        rest_finished.set()
+
+        results = list(in_order(call, 2 * window(width), width))
+        assert results == [True, *range(1, 2 * window(width))]
+        assert 2 <= high <= width
+
+    def test_no_call_after_a_failure_starts_while_earlier_results_wait(self):
+        """Call 1 fails while call 0 still runs: the thread it frees starts
+        none of the calls queued behind it."""
+        started = []
+        release = threading.Event()
+
+        def call(i):
+            started.append(i)
+            if i == 0:
+                assert release.wait(timeout=5)
+            if i == 1:
+                raise KeyError(i)
+            return i
+
+        results = in_order(call, 100, 2)
+        timer = threading.Timer(0.05, release.set)
+        timer.start()
+        assert next(results) == 0
+        with pytest.raises(KeyError):
+            next(results)
+        timer.join(timeout=5)
+        assert sorted(started) == [0, 1]
+
+    @pytest.mark.parametrize("stop", ["raise", "close"])
+    def test_no_call_starts_after_the_generator_exits(self, stop):
+        started = []
+
+        def call(i):
+            started.append(i)
+            time.sleep(0.002)
+            if i == 5:
+                raise KeyError(i)
+            return i
+
+        results = in_order(call, 1000, 4)
+        if stop == "raise":
+            with pytest.raises(KeyError):
+                list(results)
+        else:
+            next(results)
+            results.close()
+        count = len(started)
+        time.sleep(0.05)
+        assert len(started) == count <= 5 + window(4)
 
 
 class TestRequestValidation:

@@ -18,6 +18,7 @@ from mcqa_distill.core import (
     validate_parts,
 )
 from mcqa_distill.gateway import (
+    AHEAD,
     CompletionResult,
     MockBackend,
     ScriptMiss,
@@ -518,22 +519,30 @@ class JitteryBackend:
     """A thread-safe FaultyBackend. Each request's delay, failure and reply
     are a function of the seed and the request digest, not of the order in
     which threads send requests. Counts request digests and the most
-    requests in flight at once."""
+    requests in flight at once. The first request it receives sleeps
+    ``slow_first`` seconds more; ``done_meanwhile`` counts the requests
+    that finished in that time."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, slow_first=0.0):
         self.seed = seed
+        self.slow_first = slow_first
         self.digests = Counter()
         self.in_flight = self.in_flight_max = 0
+        self.done = self.done_meanwhile = 0
         self._lock = threading.Lock()
 
     def complete(self, req):
         digest = request_digest(req.messages)
         rng = random.Random(f"{self.seed}:{digest}")
         with self._lock:
+            first = not self.digests
             self.digests[digest] += 1
             self.in_flight += 1
             self.in_flight_max = max(self.in_flight_max, self.in_flight)
         try:
+            if first and self.slow_first:
+                time.sleep(self.slow_first)
+                self.done_meanwhile = self.done
             time.sleep(rng.uniform(0.0005, 0.002))
             roll = rng.random()
             if roll < 0.15:
@@ -547,6 +556,7 @@ class JitteryBackend:
         finally:
             with self._lock:
                 self.in_flight -= 1
+                self.done += 1
 
 
 @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
@@ -576,6 +586,25 @@ def test_width_changes_no_output_and_no_request(science_fewshot, strategy, shuff
             assert 2 <= backend.in_flight_max <= width
     finally:
         sys.setswitchinterval(switch_interval)
+
+
+@pytest.mark.parametrize("strategy", ["json", "decompose"])
+def test_slow_first_request_at_width_4_changes_no_output(science_fewshot, strategy):
+    """The other threads work past a slow first request, and what they make
+    commits as a serial run would."""
+    cfg = GenerationConfig(
+        strategy=strategy, target_count=12, max_attempts=30, negatives_n=2, seed=5
+    )
+    serial_backend = JitteryBackend(seed=3, slow_first=0.2)
+    serial, serial_report = generate(science_fewshot, cfg, serial_backend, width=1)
+    assert serial_backend.done_meanwhile == 0
+    backend = JitteryBackend(seed=3, slow_first=0.2)
+    instances, report = generate(science_fewshot, cfg, backend, width=4)
+    assert instances == serial
+    assert report.to_dict() == serial_report.to_dict()
+    assert backend.digests == serial_backend.digests
+    assert backend.in_flight_max <= 4
+    assert backend.done_meanwhile >= cfg.target_count - 1
 
 
 def test_budget_bounds_attempts_at_any_width(science_fewshot):
@@ -616,7 +645,7 @@ def test_script_miss_surfaces_past_later_attempts_in_flight(
     if width == 1:
         assert max(started) == 3
     else:
-        assert 3 < max(started) <= 3 + width - 1
+        assert 3 < max(started) <= 3 + AHEAD * width - 1
 
 
 def test_single_quoted_fallback_parses_one_reply_at_a_time(science_fewshot, monkeypatch):

@@ -4,6 +4,7 @@ import math
 import random
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -325,11 +326,15 @@ class TestScoreInstances:
 class JitteryScorer:
     """Thread-safe scoring backend: delay and logprobs are a function of the
     request digest; a request naming a question in ``fail`` raises ``error``
-    after ``fail[question]`` seconds. Records the most requests in flight."""
+    after ``fail[question]`` seconds, and one naming a question in ``slow``
+    answers ``slow[question]`` seconds late. Records the requests' digests
+    and the most requests in flight."""
 
-    def __init__(self, fail=None, error=TransportError):
+    def __init__(self, fail=None, error=TransportError, slow=None):
         self.fail = fail or {}
         self.error = error
+        self.slow = slow or {}
+        self.digests = Counter()
         self.in_flight = self.in_flight_max = 0
         self._lock = threading.Lock()
 
@@ -337,10 +342,14 @@ class JitteryScorer:
         digest = request_digest(req.messages)
         rng = random.Random(digest)
         with self._lock:
+            self.digests[digest] += 1
             self.in_flight += 1
             self.in_flight_max = max(self.in_flight_max, self.in_flight)
         try:
             time.sleep(rng.uniform(0.0005, 0.002))
+            for question, delay in self.slow.items():
+                if question in req.messages[-1].content:
+                    time.sleep(delay)
             for question, delay in self.fail.items():
                 if question in req.messages[-1].content:
                     time.sleep(delay)
@@ -376,6 +385,20 @@ def test_score_width_changes_no_output(science_fewshot, fallback):
     backend = JitteryScorer(fail)
     pooled = score_instances(corpus, science_fewshot, cfg, backend, width=4)
     assert pooled == serial
+    assert 2 <= backend.in_flight_max <= 4
+
+
+def test_slow_first_request_at_width_4_changes_no_output(science_fewshot):
+    cfg = ScoringConfig(fallback="one_hot")
+    corpus = numbered_corpus(24)
+    fail = {"Question number 9?": 0.0}
+    slow = {"Question number 0?": 0.2}
+    serial_backend = JitteryScorer(fail, slow=slow)
+    serial = score_instances(corpus, science_fewshot, cfg, serial_backend, width=1)
+    backend = JitteryScorer(fail, slow=slow)
+    pooled = score_instances(corpus, science_fewshot, cfg, backend, width=4)
+    assert pooled == serial
+    assert backend.digests == serial_backend.digests
     assert 2 <= backend.in_flight_max <= 4
 
 
