@@ -108,9 +108,13 @@ def _coerce(section: str, key: str, raw: str, default):
 
 
 def load_config_file(path) -> Dict[str, Dict[str, str]]:
+    """``{section: {key: raw value}}``; ValueError naming ``path`` if unparsable."""
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return {section: dict(parser[section]) for section in parser.sections()}
 
 

@@ -12,9 +12,10 @@ server.
 ``in_order`` is the executor both teacher stages run on. It keeps
 ``max_parallel_requests`` worker threads busy, starting the next call whenever
 any of them frees, while results are yielded in call order from a reorder
-buffer of at most ``AHEAD`` calls per thread. A call that fails stops any
-later call from starting, and ``FailureStreak`` stops a run whose teacher
-answers nothing.
+buffer of at most ``AHEAD`` calls per thread. It also owns the teacher
+failure policy: a request that outlasts its retries is yielded as its error,
+any other failure stops later calls from starting, and a run whose teacher
+answers nothing stops with ``TeacherUnavailable``.
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ class ScriptMiss(GatewayError):
     """The mock backend has no scripted response for a request digest."""
 
 
-# The one per-request failure policy of both teacher stages: a request that
-# still fails after the backend's retries costs only its own attempt or
-# instance. Any other ``GatewayError`` would fail every request alike, so it
-# stops the run.
+# Requests that still fail after the backend's retries. ``in_order`` yields
+# such an error in its call's slot, so it costs only that call; any other
+# ``GatewayError`` would fail every request alike, so it stops the run.
 ABSORBED_ERRORS = (TransportError, RequestTimeout)
 
 
@@ -87,27 +87,9 @@ class TeacherUnavailable(GatewayError):
 # calls plus the reorder buffer, not the whole attempt budget.
 UNAVAILABLE_AFTER = 16
 
-
-class FailureStreak:
-    """The run-level stop both teacher stages share: absorbed failures in a
-    row, counted as results commit (in call order), so the stop falls on the
-    same call at any width."""
-
-    def __init__(self) -> None:
-        self.length = 0
-
-    def answered(self) -> None:
-        self.length = 0
-
-    def failed(self, error: GatewayError) -> None:
-        """Count ``error``; raise ``TeacherUnavailable`` naming it once
-        ``UNAVAILABLE_AFTER`` have come in a row."""
-        self.length += 1
-        if self.length >= UNAVAILABLE_AFTER:
-            raise TeacherUnavailable(
-                f"teacher unavailable: {self.length} calls in a row failed after "
-                f"their retries; the last with {type(error).__name__}: {error}"
-            ) from error
+# What a call that sends no request returns: to ``in_order`` it is neither
+# an answer nor a failure.
+NO_REQUEST = object()
 
 
 @dataclass(frozen=True)
@@ -133,6 +115,19 @@ class CompletionRequest:
 class CompletionResult:
     text: str
     first_token_logprobs: Optional[dict] = None
+
+
+def _logprob_map(pairs) -> Dict[str, float]:
+    """``{token: logprob}`` from ``(token, logprob)`` pairs read from outside
+    the program; ValueError unless each is a string and a number."""
+    logprobs = {}
+    for token, logprob in pairs:
+        if not isinstance(token, str):
+            raise ValueError(f"token {token!r} is not a string")
+        if isinstance(logprob, bool) or not isinstance(logprob, (int, float)):
+            raise ValueError(f"log-probability of token {token!r} is not a number: {logprob!r}")
+        logprobs[token] = float(logprob)
+    return logprobs
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,13 @@ def load_script(path) -> Dict[str, CompletionResult]:
             and isinstance(entry.get("first_token_logprobs"), (dict, type(None)))
         ):
             raise ValueError(f"{path}: response {digest} is not a text with optional logprobs")
-        script[digest] = CompletionResult(entry["text"], entry.get("first_token_logprobs"))
+        logprobs = entry.get("first_token_logprobs")
+        if logprobs is not None:
+            try:
+                logprobs = _logprob_map(logprobs.items())
+            except ValueError as exc:
+                raise ValueError(f"{path}: response {digest}: {exc}") from None
+        script[digest] = CompletionResult(entry["text"], logprobs)
     return script
 
 
@@ -368,12 +369,12 @@ class HttpBackend:
             raise ProtocolError(f"completion content is not text: {type(text)}")
         logprobs = None
         lp = choice.get("logprobs")
-        if lp and lp.get("content"):
-            try:
+        try:
+            if lp and lp.get("content"):
                 top = lp["content"][0]["top_logprobs"]
-                logprobs = {e["token"]: float(e["logprob"]) for e in top}
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ProtocolError(f"malformed logprob payload: {exc!r}") from exc
+                logprobs = _logprob_map((e["token"], e["logprob"]) for e in top)
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed logprob payload: {exc!r}") from exc
         return CompletionResult(text=text, first_token_logprobs=logprobs)
 
 
@@ -461,8 +462,16 @@ def in_order(
     use; the calls submitted and not yet yielded never exceed it, so every
     call made is one a serial loop would also have made.
 
-    An exception from ``fn(i)`` is raised where result ``i`` is due, after
-    every earlier result, and no call after ``i`` starts once it is raised.
+    The failure policy of both teacher stages lives here. A call that
+    raises one of ``ABSORBED_ERRORS`` yields that error as its result. Such
+    errors are counted in index order, so the stop falls on the same call at
+    any width: any other result resets the count, except ``NO_REQUEST``,
+    which neither counts nor resets. Where the ``UNAVAILABLE_AFTER``-th in a
+    row is due, ``TeacherUnavailable`` is raised instead, naming it and
+    chained from it. Any other exception from ``fn(i)`` is raised where
+    result ``i`` is due, after every earlier result, and no call after ``i``
+    starts once it is raised.
+
     On any exit (an exception, Ctrl-C or closing the generator) no further
     call starts, and running ones are waited for; a caller that stops early
     closes the generator (``contextlib.closing``), so this happens on its
@@ -484,13 +493,15 @@ def in_order(
             return None  # never yielded: an earlier call's error comes first
         try:
             return fn(i)
+        except ABSORBED_ERRORS as error:
+            return error
         except BaseException:
             with lock:
                 last_to_start = min(last_to_start, i)
             raise
 
     pending: deque = deque()
-    issued = 0
+    issued = failures = 0
     try:
         while True:
             limit = window if room is None else min(window, room())
@@ -499,7 +510,17 @@ def in_order(
                 issued += 1
             if not pending:
                 return
-            yield pending.popleft().result()
+            result = pending.popleft().result()
+            if isinstance(result, ABSORBED_ERRORS):
+                failures += 1
+                if failures == UNAVAILABLE_AFTER:
+                    raise TeacherUnavailable(
+                        f"teacher unavailable: {failures} calls in a row failed after "
+                        f"their retries; the last with {type(result).__name__}: {result}"
+                    ) from result
+            elif result is not NO_REQUEST:
+                failures = 0
+            yield result
     finally:
         with lock:
             last_to_start = -1

@@ -19,6 +19,7 @@ topic) varies.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import random
@@ -37,7 +38,7 @@ from .core import (
     stable_seed,
     validate_parts,
 )
-from .gateway import ABSORBED_ERRORS, CompletionRequest, FailureStreak, in_order
+from .gateway import ABSORBED_ERRORS, CompletionRequest, in_order
 from .prompts import (
     build_json_generation_prompt,
     build_negative_prompt,
@@ -293,46 +294,30 @@ def generate(
 ) -> Tuple[List[McqaInstance], GenerationReport]:
     """Run cfg.strategy's attempt until target_count instances or the budget.
 
-    A request that still fails after the backend's retries (one of
-    ``gateway.ABSORBED_ERRORS``: a ``TransportError`` or ``RequestTimeout``)
-    discards only its attempt and is counted as STAGE_FAILURE, unless it is
-    the ``gateway.UNAVAILABLE_AFTER``-th such attempt in a row: then the
-    teacher answers nothing and ``TeacherUnavailable`` stops the run. Any
-    other backend error (``ScriptMiss``, ``RequestRejected``,
-    ``ProtocolError``) would fail every attempt alike: it propagates and
-    stops the run at once. A stopped run returns nothing; a run that
+    Attempts run on ``width`` threads through ``gateway.in_order``, under its
+    failure policy; an attempt whose request outlasted its retries counts as
+    STAGE_FAILURE. A run the policy stops returns nothing; a run that
     exhausts its budget returns the partial set, and the report accounts
     every attempt.
 
-    Attempts run on ``width`` threads through ``gateway.in_order``: each
-    thread starts the next attempt as soon as it frees, a few attempts ahead
-    of the one due next but never more than the instances still missing, and
-    results commit in attempt order. Instances, report, teacher requests and
-    the attempt that stops a run are those of a serial run.
+    Each thread starts the next attempt as soon as it frees, a few attempts
+    ahead of the one due next but never more than the instances still
+    missing, and results commit in attempt order. Instances, report, teacher
+    requests and the attempt that stops a run are those of a serial run.
     """
-    attempt_fn = ATTEMPTS[cfg.strategy]
-
-    def run(attempt):
-        try:
-            return attempt_fn(fs, cfg, gw, attempt)
-        except ABSORBED_ERRORS as exc:
-            return exc
-
+    attempt_fn = functools.partial(ATTEMPTS[cfg.strategy], fs, cfg, gw)
     out: List[McqaInstance] = []
     rejected: Counter = Counter()
     attempted = 0
-    streak = FailureStreak()
     results = in_order(
-        run, cfg.attempt_budget, width, lambda: cfg.target_count - len(out)
+        attempt_fn, cfg.attempt_budget, width, lambda: cfg.target_count - len(out)
     )
     with closing(results):  # a stop raised here ends the pool here, too
         for attempt, result in enumerate(results):
             attempted += 1
             if isinstance(result, ABSORBED_ERRORS):
                 rejected[STAGE_FAILURE] += 1
-                streak.failed(result)
                 continue
-            streak.answered()
             if isinstance(result, str):
                 rejected[result] += 1
                 continue

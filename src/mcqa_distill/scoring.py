@@ -24,8 +24,8 @@ from .core import (
 from .datasets import simple_token_count
 from .gateway import (
     ABSORBED_ERRORS,
+    NO_REQUEST,
     CompletionRequest,
-    FailureStreak,
     NoLogprobSupport,
     in_order,
 )
@@ -118,16 +118,13 @@ def _unscored(inst: McqaInstance, cfg: ScoringConfig) -> Tuple[McqaInstance, str
 
 
 def _score_one(inst: McqaInstance, fs: FewShotSet, cfg: ScoringConfig, gw):
-    """The scored instance and its status, or the absorbed error its request
-    still raised after the backend's retries."""
+    """The scored instance and its status, or ``NO_REQUEST`` when its prompt
+    is over the token limit."""
     messages = fit_scoring_prompt(inst, fs, cfg)
     if messages is None:
-        return _unscored(inst, cfg)
+        return NO_REQUEST
     identifiers = [index_to_identifier(i) for i in range(inst.num_choices)]
-    try:
-        by_identifier = score_identifiers(gw, messages, identifiers)
-    except ABSORBED_ERRORS as exc:
-        return exc
+    by_identifier = score_identifiers(gw, messages, identifiers)
     scores = tuple(by_identifier[i] for i in identifiers)
     return replace(inst, teacher_scores=scores), SCORED
 
@@ -144,32 +141,19 @@ def score_instances(
     Only ``teacher_scores`` is attached; question, choices and answer_index
     are never altered.
 
-    An instance whose prompt is over the token limit, or whose request still
-    fails after the backend's retries (one of ``gateway.ABSORBED_ERRORS``: a
-    ``TransportError`` or ``RequestTimeout``), takes ``cfg.fallback``, the
-    policy ``generate`` follows too. The ``gateway.UNAVAILABLE_AFTER``-th
-    failed request in a row (instances over the token limit send none and
-    neither count nor break the run) raises ``TeacherUnavailable`` instead,
-    so a teacher that answers nothing never passes one-hot labels off as
-    scores. Any other backend error (``ScriptMiss``, ``RequestRejected``,
-    ``ProtocolError``, ``NoLogprobSupport``) means the backend can score no
-    instance: it is raised at once under either fallback.
-
     Instances are scored on ``width`` threads through ``gateway.in_order``,
-    each thread starting the next instance as soon as it frees; results and
-    errors come in instance order, as in a serial run.
+    in instance order as in a serial run, and under its failure policy: an
+    instance whose prompt is over the token limit, or whose request
+    outlasted its retries, takes ``cfg.fallback``, and a run the policy
+    stops returns nothing under either fallback.
     """
     counts = {SCORED: 0, FALLBACK: 0, SKIPPED: 0}
     out = []
-    streak = FailureStreak()
     results = in_order(lambda i: _score_one(instances[i], fs, cfg, gw), len(instances), width)
     with closing(results):  # a stop raised here ends the pool here, too
         for result, inst in zip(results, instances):
-            if isinstance(result, ABSORBED_ERRORS):
-                streak.failed(result)
+            if result is NO_REQUEST or isinstance(result, ABSORBED_ERRORS):
                 result = _unscored(inst, cfg)
-            elif result[1] == SCORED:
-                streak.answered()
             scored, status = result
             counts[status] += 1
             out.append(scored)

@@ -194,8 +194,10 @@ class TestGenerateCommand:
     @pytest.mark.parametrize(
         "text",
         ["{}", "[1]", '{"version": 1, "responses": {"abc": {"first_token_logprobs": null}}}',
-         '{"version": 2, "responses": {}}', "not json"],
-        ids=["empty_object", "list", "entry_without_text", "version_2", "not_json"],
+         '{"version": 2, "responses": {}}', "not json",
+         '{"version": 1, "responses": {"abc": {"text": "A", "first_token_logprobs": {"A": "x"}}}}'],
+        ids=["empty_object", "list", "entry_without_text", "version_2", "not_json",
+             "text_logprob"],
     )
     def test_malformed_script_exits_2_naming_path(self, workspace, text):
         workspace["script"].write_text(text)
@@ -494,6 +496,20 @@ class TestDataCommands:
                        "--out", workspace["dir"] / "x.jsonl", expect=2)
         assert proc.stderr.startswith("mcqa generate: ")
         assert "not_a_key" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text",
+        ["iterations = 3\n", "[backend]\nkind = mock\n[backend]\n",
+         "[training]\niterations = 3\niterations = 4\n", "[training]\niterations\n"],
+        ids=["no_section_header", "repeated_section", "repeated_key", "line_without_equals"],
+    )
+    def test_unparsable_config_file_exits_2_naming_path(self, workspace, corpus_path, text):
+        bad = workspace["dir"] / "bad.ini"
+        bad.write_text(text)
+        proc = run_cli("stats", "--config", bad, "--in", corpus_path,
+                       "--out", workspace["dir"] / "s.json", expect=2)
+        assert proc.stderr.startswith(f"mcqa stats: {bad}: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "line, message",

@@ -1,6 +1,6 @@
 """Backends: scripted mock behavior, HTTP retry/parse/connection contracts
-against a loopback server, proxies, the in-order executor, and the
-per-request failure policy both teacher stages share."""
+against a loopback server, proxies, and the in-order executor with the
+failure policy both teacher stages share."""
 
 import threading
 import time
@@ -11,6 +11,7 @@ from mcqa_distill.core import ChatMessage
 from mcqa_distill.gateway import (
     ABSORBED_ERRORS,
     AHEAD,
+    UNAVAILABLE_AFTER,
     BackendConfig,
     CompletionRequest,
     CompletionResult,
@@ -21,6 +22,7 @@ from mcqa_distill.gateway import (
     RequestRejected,
     RequestTimeout,
     ScriptMiss,
+    TeacherUnavailable,
     TransportError,
     in_order,
     load_script,
@@ -191,6 +193,20 @@ class TestHttpBackend:
         backend = http_backend(scripted_teacher, [Reply(200, {"choices": [{"message": {}}]})])
         with pytest.raises(ProtocolError):
             backend.complete(req())
+
+    @pytest.mark.parametrize(
+        "logprobs",
+        ["yes",
+         {"content": [{"top_logprobs": [{"token": 1, "logprob": -0.1}]}]},
+         {"content": [{"top_logprobs": [{"token": "A", "logprob": "-0.1"}]}]},
+         {"content": [{"top_logprobs": [{"token": "A", "logprob": True}]}]}],
+        ids=["not_an_object", "number_token", "text_logprob", "boolean_logprob"],
+    )
+    def test_malformed_logprobs_are_a_protocol_error(self, scripted_teacher, logprobs):
+        payload = {"choices": [{"message": {"content": "A"}, "logprobs": logprobs}]}
+        backend = http_backend(scripted_teacher, [Reply(200, payload)])
+        with pytest.raises(ProtocolError, match="malformed logprob payload"):
+            backend.complete(req(want=2))
 
     def test_non_json_body_is_protocol_error(self, scripted_teacher):
         backend = http_backend(scripted_teacher, [Reply(200, body=b"body")])
@@ -486,6 +502,47 @@ class TestInOrder:
         time.sleep(0.05)
         assert len(started) == count <= 5 + window(4)
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_an_answer_resets_the_failure_run(self, width):
+        """15 absorbed failures, one answer, 15 more: no stop, and every
+        error is yielded in its call's slot."""
+
+        def call(i):
+            if i == UNAVAILABLE_AFTER - 1:
+                return "answer"
+            raise TransportError(f"call {i}")
+
+        results = list(in_order(call, 2 * UNAVAILABLE_AFTER - 1, width))
+        errors = results[: UNAVAILABLE_AFTER - 1] + results[UNAVAILABLE_AFTER:]
+        assert results[UNAVAILABLE_AFTER - 1] == "answer"
+        assert all(isinstance(error, TransportError) for error in errors)
+        assert [str(error) for error in results] == [
+            "answer" if i == UNAVAILABLE_AFTER - 1 else f"call {i}"
+            for i in range(2 * UNAVAILABLE_AFTER - 1)
+        ]
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_failures_in_a_row_stop_where_the_last_is_due(self, width):
+        def call(i):
+            raise RequestTimeout(f"call {i}")
+
+        results = in_order(call, 100, width)
+        seen = []
+        with pytest.raises(TeacherUnavailable) as excinfo:
+            for value in results:
+                seen.append(value)
+        assert [str(error) for error in seen] == [
+            f"call {i}" for i in range(UNAVAILABLE_AFTER - 1)
+        ]
+        assert list(results) == []
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, RequestTimeout)
+        assert str(cause) == f"call {UNAVAILABLE_AFTER - 1}"
+        assert str(excinfo.value) == (
+            f"teacher unavailable: {UNAVAILABLE_AFTER} calls in a row failed after their "
+            f"retries; the last with RequestTimeout: call {UNAVAILABLE_AFTER - 1}"
+        )
+
 
 class TestRequestValidation:
     def test_empty_messages_rejected(self):
@@ -536,29 +593,30 @@ class Failing:
 GATEWAY_ERRORS = sorted(GatewayError.__subclasses__(), key=lambda cls: cls.__name__)
 
 
+@pytest.mark.parametrize("width", [1, 4])
 class TestFailurePolicy:
     """Both teacher stages absorb exactly ``ABSORBED_ERRORS``; every other
     backend error propagates."""
 
     @pytest.mark.parametrize("error", GATEWAY_ERRORS, ids=lambda cls: cls.__name__)
-    def test_generate(self, science_fewshot, error):
+    def test_generate(self, science_fewshot, error, width):
         cfg = GenerationConfig(strategy="json", target_count=1, max_attempts=3)
         if error in ABSORBED_ERRORS:
-            instances, report = generate(science_fewshot, cfg, Failing(error))
+            instances, report = generate(science_fewshot, cfg, Failing(error), width)
             assert instances == []
             assert report.rejected_by_reason == {STAGE_FAILURE: 3}
         else:
             with pytest.raises(error):
-                generate(science_fewshot, cfg, Failing(error))
+                generate(science_fewshot, cfg, Failing(error), width)
 
     @pytest.mark.parametrize("error", GATEWAY_ERRORS, ids=lambda cls: cls.__name__)
-    def test_score_instances(self, science_fewshot, error):
+    def test_score_instances(self, science_fewshot, error, width):
         inst = make_instance(answer_index=1)
         cfg = ScoringConfig(fallback="one_hot")
         if error in ABSORBED_ERRORS:
-            scored, counts = score_instances([inst], science_fewshot, cfg, Failing(error))
+            scored, counts = score_instances([inst], science_fewshot, cfg, Failing(error), width)
             assert counts == {SCORED: 0, FALLBACK: 1, SKIPPED: 0}
             assert scored[0].teacher_scores == one_hot_scores(1, 4)
         else:
             with pytest.raises(error):
-                score_instances([inst], science_fewshot, cfg, Failing(error))
+                score_instances([inst], science_fewshot, cfg, Failing(error), width)

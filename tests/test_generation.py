@@ -19,6 +19,7 @@ from mcqa_distill.core import (
 )
 from mcqa_distill.gateway import (
     AHEAD,
+    UNAVAILABLE_AFTER,
     CompletionResult,
     MockBackend,
     ScriptMiss,
@@ -646,6 +647,29 @@ def test_script_miss_surfaces_past_later_attempts_in_flight(
         assert max(started) == 3
     else:
         assert 3 < max(started) <= 3 + AHEAD * width - 1
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_parse_rejection_resets_the_failure_run_at_any_width(
+    science_fewshot, monkeypatch, width
+):
+    """Attempt 15's reply holds no object; every other attempt's request
+    fails after its retries. 30 failures, never 16 in a row, do not stop
+    the run."""
+    real_attempt = generation.ATTEMPTS["json"]
+
+    def attempt(fs, cfg, gw, index):
+        if index == UNAVAILABLE_AFTER - 1:
+            return real_attempt(fs, cfg, SequencedBackend(["no object here"]), index)
+        raise TransportError(f"attempt {index}")
+
+    monkeypatch.setitem(generation.ATTEMPTS, "json", attempt)
+    budget = 2 * UNAVAILABLE_AFTER - 1
+    cfg = GenerationConfig(strategy="json", target_count=1, max_attempts=budget)
+    instances, report = generate(science_fewshot, cfg, None, width=width)
+    assert instances == []
+    assert report.attempted == budget
+    assert report.rejected_by_reason == {STAGE_FAILURE: budget - 1, NO_OBJECT: 1}
 
 
 def test_single_quoted_fallback_parses_one_reply_at_a_time(science_fewshot, monkeypatch):

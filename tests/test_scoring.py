@@ -23,7 +23,9 @@ from mcqa_distill.gateway import (
     ProtocolError,
     RequestRejected,
     RequestTimeout,
+    UNAVAILABLE_AFTER,
     ScriptMiss,
+    TeacherUnavailable,
     TransportError,
     request_digest,
 )
@@ -429,6 +431,24 @@ def test_score_first_failure_in_order_surfaces(science_fewshot, width):
             backend,
             width=width,
         )
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_over_limit_prompt_neither_counts_nor_resets_failures_at_any_width(
+    science_fewshot, width
+):
+    """Instance 4 is over the token limit and sends no request; every other
+    request fails. 15 failures around it do not stop the run, and a 16th
+    after it does."""
+    corpus = numbered_corpus(UNAVAILABLE_AFTER + 1)
+    fail = {f"Question number {i}?": 0.0 for i in range(len(corpus))}
+    cfg = ScoringConfig(fallback="one_hot")
+    _, counts = score_instances(
+        corpus[:-1], science_fewshot, cfg, JitteryScorer(fail), width=width
+    )
+    assert counts == {SCORED: 0, FALLBACK: UNAVAILABLE_AFTER, SKIPPED: 0}
+    with pytest.raises(TeacherUnavailable, match=f"Question number {UNAVAILABLE_AFTER}\\?"):
+        score_instances(corpus, science_fewshot, cfg, JitteryScorer(fail), width=width)
 
 
 MESSAGES = (ChatMessage("user", "say wood"),)
