@@ -218,7 +218,7 @@ def read_jsonl(path) -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:  # bad syntax, or an integer past the digit limit
+            except (ValueError, RecursionError) as exc:  # syntax, digit limit, nesting
                 raise MalformedLine(number, f"invalid JSON: {exc}") from exc
             if number == 1 and type(record) is dict and record.keys() == {"meta"}:
                 meta = _decode_meta(record["meta"])

@@ -220,7 +220,7 @@ def load_script(path) -> Dict[str, CompletionResult]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # syntax, digit limit, nesting
             raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("responses"), dict):
         raise ValueError(f"{path}: not a mock script: expected an object with 'responses'")
@@ -358,7 +358,7 @@ class HttpBackend:
     def _parse(data: bytes) -> CompletionResult:
         try:
             payload = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"response body is not JSON: {exc}") from exc
         try:
             choice = payload["choices"][0]

@@ -163,7 +163,7 @@ def _parse_json_fields(raw: str):
     obj = None
     try:
         obj = json.loads(block)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):
         try:
             with _LITERAL_EVAL_LOCK:
                 obj = ast.literal_eval(block)

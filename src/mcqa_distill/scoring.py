@@ -84,7 +84,9 @@ def score_identifiers(
     minus ``MISSING_LOGPROB_MARGIN``; if none are present at all, every
     identifier gets an equal 0.0 (uniform after the downstream softmax). A
     non-finite log-probability (``-inf``, NaN) counts as absent, so the
-    scores are always finite, as a corpus line must hold them.
+    scores are always finite, as a corpus line must hold them. A reply with
+    no log-probabilities at all, over HTTP or from the mock, raises
+    ``NoLogprobSupport``.
     """
     request = CompletionRequest(
         messages,
@@ -93,7 +95,7 @@ def score_identifiers(
         want_top_logprobs=max(len(identifiers), MIN_TOP_LOGPROBS),
     )
     result = backend.complete(request)
-    if result.first_token_logprobs is None:
+    if not result.first_token_logprobs:
         raise NoLogprobSupport("backend returned no log-probability data")
     # Tokens may carry whitespace (' A'); collapse to the stripped form,
     # keeping the most probable variant.

@@ -207,7 +207,7 @@ class ToyStudent:
             blob = fh.read()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except ValueError:
+        except (ValueError, RecursionError):
             raise ValueError(f"{path}: not a {MODEL_FORMAT} file: bad header") from None
         if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path}: not a {MODEL_FORMAT} file")

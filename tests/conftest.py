@@ -95,6 +95,11 @@ def fabricate_paraphrase_run(fs, cfg, rewrite=lambda text: f"{text} (reworded)")
     return _record_run("paraphrase", fs, cfg, plans, expected, None)
 
 
+# JSON nested past the interpreter's recursion limit: ``json.loads`` raises
+# RecursionError on it, not ValueError.
+NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
+
+
 SCIENCE_EXAMPLES = (
     (
         "Which of the following materials would best slow the transfer of heat?",

@@ -24,7 +24,13 @@ from mcqa_distill.mock_script import fabricate_json_run
 from mcqa_distill.scoring import ScoringConfig
 from mcqa_distill.students import ToyStudent
 
-from conftest import SCIENCE_EXAMPLES, Reply, fabricate_decomposed_run, make_instance
+from conftest import (
+    NESTED_TOO_DEEPLY,
+    SCIENCE_EXAMPLES,
+    Reply,
+    fabricate_decomposed_run,
+    make_instance,
+)
 from test_students import MALFORMED_MODELS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -38,12 +44,13 @@ def cli_env():
     return env
 
 
-def run_cli(*args, expect=0, epoch="1700000000"):
+def run_cli(*args, expect=0, epoch="1700000000", cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "mcqa_distill", *map(str, args)],
         capture_output=True,
         text=True,
         env={**cli_env(), "SOURCE_DATE_EPOCH": epoch},
+        cwd=cwd,
     )
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
@@ -195,9 +202,10 @@ class TestGenerateCommand:
         "text",
         ["{}", "[1]", '{"version": 1, "responses": {"abc": {"first_token_logprobs": null}}}',
          '{"version": 2, "responses": {}}', "not json",
-         '{"version": 1, "responses": {"abc": {"text": "A", "first_token_logprobs": {"A": "x"}}}}'],
+         '{"version": 1, "responses": {"abc": {"text": "A", "first_token_logprobs": {"A": "x"}}}}',
+         NESTED_TOO_DEEPLY, '{"version": 1, "responses": {}, "n": %s}' % ("9" * 5000)],
         ids=["empty_object", "list", "entry_without_text", "version_2", "not_json",
-             "text_logprob"],
+             "text_logprob", "nested_too_deeply", "integer_past_the_digit_limit"],
     )
     def test_malformed_script_exits_2_naming_path(self, workspace, text):
         workspace["script"].write_text(text)
@@ -397,8 +405,8 @@ class TestTrainEvalCommands:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("name", [
-        "missing_hash_seed", "header_is_a_list", "n_features_is_a_string", "too_few_weights",
-        "nan_weight",
+        "missing_hash_seed", "header_is_a_list", "header_nested_too_deeply",
+        "n_features_is_a_string", "too_few_weights", "nan_weight",
     ])
     def test_eval_malformed_model_exits_2_naming_it(self, workspace, scored_corpus, name):
         header, blob = MALFORMED_MODELS[name]
@@ -439,26 +447,27 @@ class TestDataCommands:
         assert payload["token_len_mean"] > 0
 
     @pytest.mark.parametrize(
-        "report",
+        "text",
         [
-            {"parsed": 3},
-            [16, 16],
-            {"attempted": "16", "parsed": 16},
-            {"attempted": 2, "parsed": 9},
-            {"attempted": True, "parsed": True},
-            {"attempted": -4, "parsed": -2},
+            json.dumps({"parsed": 3}),
+            json.dumps([16, 16]),
+            json.dumps({"attempted": "16", "parsed": 16}),
+            json.dumps({"attempted": 2, "parsed": 9}),
+            json.dumps({"attempted": True, "parsed": True}),
+            json.dumps({"attempted": -4, "parsed": -2}),
+            NESTED_TOO_DEEPLY,
         ],
         ids=["missing-attempted", "json-array", "text-count", "parsed-over-attempted",
-             "boolean-counts", "negative-counts"],
+             "boolean-counts", "negative-counts", "nested-too-deeply"],
     )
-    def test_stats_malformed_report_exits_2(self, workspace, corpus_path, report):
+    def test_stats_malformed_report_exits_2(self, workspace, corpus_path, text):
         report_path = workspace["dir"] / "bad.report.json"
-        report_path.write_text(json.dumps(report))
+        report_path.write_text(text)
         proc = run_cli("stats", "--in", corpus_path, "--out", workspace["dir"] / "s.json",
                        "--report", report_path, expect=2)
-        assert proc.stderr.startswith("mcqa stats: ")
-        assert f"{report_path} is not a generation report" in proc.stderr
+        assert proc.stderr.startswith(f"mcqa stats: {report_path} is not a generation report")
         assert "Traceback" not in proc.stderr
+        assert not (workspace["dir"] / "s.json").exists()
 
     @pytest.mark.parametrize("meta", [5, {"source": 5}], ids=["number", "source_number"])
     def test_stats_malformed_meta_exits_2(self, tmp_path, meta):
@@ -489,13 +498,19 @@ class TestDataCommands:
         assert corpus.instances[0].answer_index == 0
         assert corpus.instances[0].choices[0] == "oil"
 
-    def test_unknown_config_key_exits_2(self, workspace):
-        bad = workspace["dir"] / "bad.ini"
-        bad.write_text("[generation]\nnot_a_key = 1\n")
-        proc = run_cli("generate", "--config", bad, "--fewshot", workspace["fewshot"],
-                       "--out", workspace["dir"] / "x.jsonl", expect=2)
-        assert proc.stderr.startswith("mcqa generate: ")
+    @pytest.mark.parametrize("command", sorted(cli.main.commands))
+    def test_unknown_config_key_exits_2(self, tmp_path, command):
+        """Every command takes one --config and resolves it before it reads
+        or writes a file (none of its input files exists here)."""
+        (tmp_path / "bad.ini").write_text("[generation]\nnot_a_key = 1\n")
+        proc = run_cli(command, "--config", "bad.ini", *REQUIRED_ARGS[command],
+                       expect=2, cwd=tmp_path)
+        assert proc.stderr.startswith(f"mcqa {command}: ")
         assert "not_a_key" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [path.name for path in tmp_path.iterdir()] == ["bad.ini"]
+        params = cli.main.commands[command].params
+        assert sum("--config" in param.opts for param in params) == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -789,6 +804,24 @@ class TestHttpTeacher:
             assert counts["scored"] + counts["fallback"] == 24 and counts["fallback"] > 0
         assert outputs[0] == outputs[1]
 
+    def test_empty_top_logprobs_stops_score(self, workspace, scripted_teacher):
+        """A teacher whose replies list no top log-probabilities cannot score:
+        ``mcqa score`` exits 2 and writes nothing, as for the mock's empty map,
+        instead of counting uniform scores as scored."""
+        logprobs = {"content": [{"token": "A", "logprob": -0.1, "top_logprobs": []}]}
+        scripted_teacher.respond = lambda received: Reply(
+            200, {"choices": [{"message": {"content": "A"}, "logprobs": logprobs}]}
+        )
+        d = workspace["dir"]
+        corpus = [make_instance(f"q{i}", question=f"Question {i}?") for i in range(4)]
+        write_jsonl(Corpus(tuple(corpus), CorpusMeta(source="seed")), d / "in.jsonl")
+        config = self.http_config(d, scripted_teacher.base_url)
+        proc = run_cli("score", "--config", config, "--fewshot", workspace["fewshot"],
+                       "--in", d / "in.jsonl", "--out", d / "scored.jsonl", expect=2)
+        assert proc.stderr.startswith("mcqa score: backend returned no log-probability data")
+        assert scripted_teacher.received[0].json["logprobs"] is True
+        assert not list(d.glob("scored.jsonl*"))
+
     @pytest.mark.parametrize("epoch", BAD_EPOCHS)
     @pytest.mark.parametrize("command", ["generate", "score"])
     def test_bad_source_date_epoch_exits_2_before_any_request(
@@ -850,6 +883,12 @@ REQUIRED_ARGS = {
     "generate": ("--fewshot", "seed.jsonl", "--out", "corpus.jsonl"),
     "score": ("--fewshot", "seed.jsonl", "--in", "corpus.jsonl", "--out", "scored.jsonl"),
     "train": ("--in", "scored.jsonl", "--out", "model.bin"),
+    "eval": ("--in", "scored.jsonl", "--model", "model.bin", "--out", "eval.json"),
+    "stats": ("--in", "corpus.jsonl", "--out", "stats.json"),
+    "subset": ("--in", "corpus.jsonl", "--sizes", "4,8", "--out-dir", "subsets"),
+    "similarity": ("--generated", "corpus.jsonl", "--reference", "seed.jsonl",
+                   "--out", "similarity.json"),
+    "import": ("--in", "arc.csv", "--format", "arc_csv", "--out", "imported.jsonl"),
 }
 
 

@@ -24,7 +24,7 @@ from mcqa_distill.datasets import (
 )
 from mcqa_distill.generation import GenerationReport
 
-from conftest import make_instance
+from conftest import NESTED_TOO_DEEPLY, make_instance
 
 
 # Any text but lone surrogates, which UTF-8 cannot encode.
@@ -149,10 +149,12 @@ class TestJsonlRoundTrip:
         assert excinfo.value.line_number == 2
         assert "choices" in str(excinfo.value)
 
-    def test_broken_json_is_malformed_line(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", NESTED_TOO_DEEPLY],
+                             ids=["bad_syntax", "nested_too_deeply"])
+    def test_broken_json_is_malformed_line(self, tmp_path, text):
         path = tmp_path / "corpus.jsonl"
-        path.write_text("{not json\n")
-        with pytest.raises(MalformedLine) as excinfo:
+        path.write_text(text + "\n")
+        with pytest.raises(MalformedLine, match="^line 1: invalid JSON") as excinfo:
             read_jsonl(path)
         assert excinfo.value.line_number == 1
 

@@ -39,7 +39,7 @@ from mcqa_distill.scoring import (
     score_instances,
 )
 
-from conftest import Reply, ScriptedTeacher, make_instance
+from conftest import NESTED_TOO_DEEPLY, Reply, ScriptedTeacher, make_instance
 
 MESSAGES = (ChatMessage("user", "say wood"),)
 
@@ -208,9 +208,11 @@ class TestHttpBackend:
         with pytest.raises(ProtocolError, match="malformed logprob payload"):
             backend.complete(req(want=2))
 
-    def test_non_json_body_is_protocol_error(self, scripted_teacher):
-        backend = http_backend(scripted_teacher, [Reply(200, body=b"body")])
-        with pytest.raises(ProtocolError):
+    @pytest.mark.parametrize("body", [b"body", NESTED_TOO_DEEPLY.encode()],
+                             ids=["bad_syntax", "nested_too_deeply"])
+    def test_non_json_body_is_protocol_error(self, scripted_teacher, body):
+        backend = http_backend(scripted_teacher, [Reply(200, body=body)])
+        with pytest.raises(ProtocolError, match="response body is not JSON"):
             backend.complete(req())
 
     def test_retry_after_is_capped_at_request_timeout(self, scripted_teacher):

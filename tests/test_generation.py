@@ -47,7 +47,7 @@ from mcqa_distill.prompts import (
 )
 from mcqa_distill.mock_script import _record_run, fabricate_json_run
 
-from conftest import fabricate_decomposed_run, fabricate_paraphrase_run
+from conftest import NESTED_TOO_DEEPLY, fabricate_decomposed_run, fabricate_paraphrase_run
 
 VALID_SINGLE_QUOTED = (
     "{'question': 'Which energy resource is non-renewable?', "
@@ -228,6 +228,20 @@ class TestGenerateJson:
         assert report.success_rate == pytest.approx(0.52)
         assert report.rejected_by_reason == {NO_OBJECT: 48}
         assert report.parsed + sum(report.rejected_by_reason.values()) == report.attempted
+
+    def test_reply_nested_too_deeply_is_one_bad_syntax(self, science_fewshot):
+        """A reply whose JSON nests past the recursion limit is rejected like
+        any unparsable reply; the run goes on to its target."""
+        cfg = GenerationConfig(strategy="json", target_count=3, seed=9)
+        replies = [f'{{"question": {NESTED_TOO_DEEPLY}}}'] + [
+            f"{{'question': 'Scripted question {attempt}?', "
+            f"'choices': ['a{attempt}', 'b{attempt}'], 'answer': 0}}"
+            for attempt in range(3)
+        ]
+        instances, report = generate(science_fewshot, cfg, SequencedBackend(replies))
+        assert len(instances) == 3
+        assert report.attempted == 4
+        assert report.rejected_by_reason == {BAD_SYNTAX: 1}
 
     def test_never_valid_mock_exhausts_budget_with_empty_set(self, science_fewshot):
         cfg = GenerationConfig(strategy="json", target_count=4, max_attempts=10, seed=1)

@@ -13,6 +13,8 @@ from mcqa_distill.students import (
     instance_logits,
 )
 
+from conftest import NESTED_TOO_DEEPLY
+
 
 def reference_pair_features(pair, n_features, hash_seed):
     """The per-pair hashing the instance featurizer replaced, kept as its oracle."""
@@ -202,6 +204,7 @@ FOUR_WEIGHTS = np.zeros(4, dtype="<f8").tobytes()
 MALFORMED_MODELS = {
     "header_not_json": (b"{not json", FOUR_WEIGHTS),
     "header_is_a_list": (b'["mcqa-toy-student", 1, 4, 0]', FOUR_WEIGHTS),
+    "header_nested_too_deeply": (NESTED_TOO_DEEPLY.encode(), FOUR_WEIGHTS),
     "missing_hash_seed": (model_header(hash_seed=None), FOUR_WEIGHTS),
     "n_features_is_a_string": (model_header(n_features="4"), FOUR_WEIGHTS),
     "n_features_is_a_bool": (model_header(n_features=True), np.zeros(1, "<f8").tobytes()),
