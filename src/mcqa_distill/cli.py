@@ -1,22 +1,20 @@
 """Command-line surface wiring the pipeline end to end.
 
-Each command is declared once, through ``command(name)``: it owns the
-``--config`` option, config resolution and exit 2. Every command reads its
-inputs, runs the corresponding module operation, and writes its outputs plus
-a run manifest (``<out>.manifest.json``) recording the resolved config, its
-digest, the seed, stage timings and counts. Exit codes: 0 success, 1 partial
-result (generation ran out of attempt budget), 2 usage or fatal error.
+Each command is declared once, through ``command(name)``, and ``main`` runs it
+on the standard library's ``argparse``. Every command reads its inputs, runs
+the corresponding module operation, and writes its outputs plus a run manifest
+(``<out>.manifest.json``) recording the resolved config, its digest, the seed,
+stage timings and counts. Exit codes: 0 success, 1 partial result (generation
+ran out of attempt budget), 2 usage or fatal error.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 import time
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .config import (
@@ -48,24 +46,26 @@ from .scoring import score_instances
 # students, distillation and evaluation load numpy: each command imports them
 # itself, so a command starts up with only the layers it runs.
 
+COMMANDS = {}  # name -> the command's function, with its ``options`` (see ``option``)
 
-_OVERRIDES = "mcqa_distill.config_flags"
+
+def option(*flags, **attrs):
+    """Prepend ``(flags, attrs)``, one ``add_argument`` call, to the decorated
+    command's ``options``: stacked, the decorators list them top down."""
+
+    def declare(fn):
+        fn.options = [(flags, attrs), *getattr(fn, "options", ())]
+        return fn
+
+    return declare
 
 
-def config_flag(section: str, key: str, *decls, **attrs):
-    """A click option that sets ``[section] key`` of the command's config.
-
-    Its value, or None when the flag is not given, is recorded in the
-    context's overrides, which ``command`` resolves the config with, instead
-    of being passed to the command. Its type is that of the key's default
-    unless ``attrs`` gives one, such as a ``click.Choice``.
-    """
-
-    def record(ctx, param, value):
-        ctx.meta.setdefault(_OVERRIDES, {}).setdefault(section, {})[key] = value
-
+def config_flag(section: str, key: str, *flags, **attrs):
+    """An option that sets ``[section] key`` of the command's config: its
+    ``dest`` is ``"section.key"``, and its type that of the key's default
+    unless ``attrs`` gives one."""
     attrs.setdefault("type", type(DEFAULTS[section][key]))
-    return click.option(*decls, expose_value=False, callback=record, **attrs)
+    return option(*flags, dest=f"{section}.{key}", **attrs)
 
 
 def _teacher_flags(fn):
@@ -74,36 +74,44 @@ def _teacher_flags(fn):
     return config_flag("backend", "base_url", "--base-url", help="HTTP backend base URL.")(fn)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="mcqa")
-def main():
-    """Few-shot MCQA pipeline: generate, score, train, evaluate."""
-
-
 def command(name: str):
-    """Register the decorated ``fn`` as ``mcqa <name>``.
-
-    Adds the ``--config`` option and calls ``fn(cfg, **options)`` with the
-    resolved config: defaults <- the config file <- the command's config
-    flags. A ``GatewayError``, ``OSError`` or ``ValueError`` it raises is
-    unrecoverable: ``mcqa <name>: <message>`` on stderr and exit 2.
-    """
+    """Register the decorated ``fn`` as ``mcqa <name>`` with a ``--config``
+    option; ``main`` calls it as ``fn(cfg, **options)``."""
 
     def register(fn):
-        @functools.wraps(fn)
-        def run(config_path, **options):
-            try:
-                overrides = click.get_current_context().meta.get(_OVERRIDES, {})
-                return fn(effective_config(config_path, overrides), **options)
-            except (GatewayError, OSError, ValueError) as exc:
-                click.echo(f"mcqa {name}: {exc}", err=True)
-                sys.exit(2)
-
-        run = click.option("--config", "config_path", type=click.Path(), default=None,
-                           help="Config file.")(run)
-        return main.command(name)(run)
+        COMMANDS[name] = option("--config", dest="config_path", help="Config file.")(fn)
+        return fn
 
     return register
+
+
+def main(args=None, prog_name="mcqa"):
+    """Run the command line ``args`` (default ``sys.argv[1:]``) and exit.
+
+    The command gets the resolved config: defaults <- its ``--config`` file <-
+    its config flags. A ``GatewayError``, ``OSError`` or ``ValueError`` it
+    raises is unrecoverable: ``mcqa <name>: <message>`` on stderr and exit 2.
+    """
+    summary = "Few-shot MCQA pipeline: generate, score, train, evaluate."
+    parser = argparse.ArgumentParser(prog_name, description=summary, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, fn in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                    allow_abbrev=False)
+        for flags, attrs in fn.options:
+            sub.add_argument(*flags, **attrs)
+    options = vars(parser.parse_args(args))
+    name, config_path = options.pop("command"), options.pop("config_path")
+    overrides = {}
+    for dest in [dest for dest in options if "." in dest]:
+        section, key = dest.split(".")
+        overrides.setdefault(section, {})[key] = options.pop(dest)
+    try:
+        COMMANDS[name](effective_config(config_path, overrides), **options)
+    except (GatewayError, OSError, ValueError) as exc:
+        parser.exit(2, f"mcqa {name}: {exc}\n")
+    parser.exit()
 
 
 def timed(fn, *args):
@@ -132,12 +140,9 @@ def _load_fewshot(path: str, topic: str = None) -> FewShotSet:
 
 
 def _write_corpus(instances, path, source: str, cfg) -> None:
-    corpus = Corpus(
-        tuple(instances),
-        CorpusMeta(source=source, created_at=now_iso(), config_digest=config_digest(cfg)),
-    )
+    meta = CorpusMeta(source=source, created_at=now_iso(), config_digest=config_digest(cfg))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_jsonl(corpus, path)
+    write_jsonl(Corpus(tuple(instances), meta), path)
 
 
 def _parse_success_rate(report_path) -> float:
@@ -158,16 +163,16 @@ def _parse_success_rate(report_path) -> float:
 
 
 @command("generate")
-@click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
-@config_flag("generation", "strategy", "--strategy", type=click.Choice(tuple(ATTEMPTS)))
-@click.option("--topic", default=None, help="Override the prompt topic.")
+@option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
+@config_flag("generation", "strategy", "--strategy", choices=tuple(ATTEMPTS))
+@option("--topic", help="Override the prompt topic.")
 @config_flag("generation", "target_count", "--count", help="Target instance count.")
 @config_flag("generation", "temperature", "--temperature")
 @config_flag("generation", "negatives_n", "--negatives", help="Negatives per instance (decompose).")
 @config_flag("generation", "seed", "--seed")
 @config_flag("generation", "max_attempts", "--max-attempts")
 @_teacher_flags
-@click.option("--out", required=True, type=click.Path(), help="Output corpus JSONL.")
+@option("--out", required=True, help="Output corpus JSONL.")
 def generate_cmd(cfg, fewshot, topic, out):
     """Generate a synthetic corpus from the few-shot seed set."""
     gen_cfg = stage_config(cfg, "generation")
@@ -186,21 +191,21 @@ def generate_cmd(cfg, fewshot, topic, out):
         {"attempted": report.attempted, "parsed": report.parsed, "target": gen_cfg.target_count},
         topic=fs.topic,
     )
-    click.echo(
+    print(
         f"generated {len(instances)}/{gen_cfg.target_count} instances "
         f"({report.attempted} attempts, success rate {report.success_rate:.3f})"
     )
     if len(instances) < gen_cfg.target_count:
-        click.echo("attempt budget exhausted before reaching the target", err=True)
+        print("attempt budget exhausted before reaching the target", file=sys.stderr)
         sys.exit(1)
 
 
 @command("score")
-@click.option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--out", required=True, type=click.Path())
+@option("--fewshot", required=True, help="Few-shot seed corpus (JSONL).")
+@option("--in", dest="in_path", required=True)
+@option("--out", required=True)
 @config_flag("scoring", "prompt_token_limit", "--token-limit")
-@config_flag("scoring", "fallback", "--fallback", type=click.Choice(FALLBACKS))
+@config_flag("scoring", "fallback", "--fallback", choices=FALLBACKS)
 @_teacher_flags
 def score(cfg, fewshot, in_path, out):
     """Attach teacher scores to every instance of a corpus."""
@@ -215,15 +220,13 @@ def score(cfg, fewshot, in_path, out):
 
     _write_corpus(scored, out, f"score:{in_path}", cfg)
     write_manifest(out, cfg, 0, {"score": elapsed}, counts)
-    click.echo(
-        f"scored={counts['scored']} fallback={counts['fallback']} skipped={counts['skipped']}"
-    )
+    print(f"scored={counts['scored']} fallback={counts['fallback']} skipped={counts['skipped']}")
 
 
 @command("train")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--out", required=True, type=click.Path(), help="Trained model file.")
-@config_flag("training", "loss_mode", "--loss", type=click.Choice(LOSS_MODES))
+@option("--in", dest="in_path", required=True)
+@option("--out", required=True, help="Trained model file.")
+@config_flag("training", "loss_mode", "--loss", choices=LOSS_MODES)
 @config_flag("training", "iterations", "--iterations")
 @config_flag("training", "micro_batch", "--micro-batch")
 @config_flag("training", "grad_accumulation", "--accum", help="Gradient accumulation steps.")
@@ -254,16 +257,16 @@ def train_cmd(cfg, in_path, out):
             "active_features": result.active_features,
         },
     )
-    click.echo(
+    print(
         f"trained {train_cfg.iterations} steps ({result.instance_visits} instance visits), "
         f"final loss {result.losses[-1]:.6f}"
     )
 
 
 @command("eval")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--model", required=True, type=click.Path())
-@click.option("--out", required=True, type=click.Path())
+@option("--in", dest="in_path", required=True)
+@option("--model", required=True)
+@option("--out", required=True)
 def eval_cmd(cfg, in_path, model, out):
     """Evaluate a trained model's accuracy on a corpus."""
     from .evaluation import evaluate_accuracy
@@ -276,16 +279,15 @@ def eval_cmd(cfg, in_path, model, out):
 
     write_json({"metric": "accuracy", "value": accuracy, "instances": len(corpus)}, out)
     write_manifest(out, cfg, 0, {"eval": elapsed}, {"instances": len(corpus)})
-    click.echo(f"accuracy {accuracy:.4f} over {len(corpus)} instances")
+    print(f"accuracy {accuracy:.4f} over {len(corpus)} instances")
 
 
 @command("stats")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--out", required=True, type=click.Path())
-@click.option("--report", "report_path", type=click.Path(), default=None,
-              help="Generation report JSON to copy the parse success rate from.")
-@click.option("--max-tokens", type=int, default=None,
-              help="Also report the count remaining after token filtering.")
+@option("--in", dest="in_path", required=True)
+@option("--out", required=True)
+@option("--report", dest="report_path",
+        help="Generation report JSON to copy the parse success rate from.")
+@option("--max-tokens", type=int, help="Also report the count remaining after token filtering.")
 def stats(cfg, in_path, out, report_path, max_tokens):
     """Corpus statistics: count, token length mean/std, parse success rate."""
     corpus = read_jsonl(in_path)
@@ -301,17 +303,17 @@ def stats(cfg, in_path, out, report_path, max_tokens):
 
     write_json(payload, out)
     write_manifest(out, cfg, 0, {"stats": elapsed}, {"instances": payload["count"]})
-    click.echo(
+    print(
         f"{payload['count']} instances, token length {payload['token_len_mean']:.1f} "
         f"+- {payload['token_len_std']:.1f}"
     )
 
 
 @command("subset")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--sizes", required=True, help="Ascending sizes, e.g. 16,32,64.")
-@click.option("--seed", type=int, default=0)
-@click.option("--out-dir", required=True, type=click.Path())
+@option("--in", dest="in_path", required=True)
+@option("--sizes", required=True, help="Ascending sizes, e.g. 16,32,64.")
+@option("--seed", type=int, default=0)
+@option("--out-dir", required=True)
 def subset(cfg, in_path, sizes, seed, out_dir):
     """Cumulative subsets: each larger subset extends the smaller by prefix."""
     corpus = read_jsonl(in_path)
@@ -327,13 +329,13 @@ def subset(cfg, in_path, sizes, seed, out_dir):
         _write_corpus(sub.instances, path, f"subset:{size}:{in_path}", cfg)
         counts[f"subset_{size}"] = size
     write_manifest(out_root / "subsets", cfg, seed, {"subset": elapsed}, counts)
-    click.echo(f"wrote {len(subsets)} subsets to {out_root}")
+    print(f"wrote {len(subsets)} subsets to {out_root}")
 
 
 @command("similarity")
-@click.option("--generated", required=True, type=click.Path())
-@click.option("--reference", required=True, type=click.Path())
-@click.option("--out", required=True, type=click.Path())
+@option("--generated", required=True)
+@option("--reference", required=True)
+@option("--out", required=True)
 def similarity(cfg, generated, reference, out):
     """Embedding similarity of generated questions against a reference corpus."""
     from .evaluation import HashedTfEmbedder, similarity_stats
@@ -350,23 +352,21 @@ def similarity(cfg, generated, reference, out):
         out, cfg, 0, {"similarity": elapsed},
         {"generated": len(generated_corpus), "reference": len(reference_corpus)},
     )
-    click.echo(
-        f"avg_of_max {result['avg_of_max']:.4f}, max_of_max {result['max_of_max']:.4f}"
-    )
+    print(f"avg_of_max {result['avg_of_max']:.4f}, max_of_max {result['max_of_max']:.4f}")
 
 
 @command("import")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@click.option("--format", "fmt", required=True, type=click.Choice(IMPORT_FORMATS))
-@click.option("--topic", default=None)
-@click.option("--out", required=True, type=click.Path())
+@option("--in", dest="in_path", required=True)
+@option("--format", dest="fmt", required=True, choices=IMPORT_FORMATS)
+@option("--topic")
+@option("--out", required=True)
 def import_cmd(cfg, in_path, fmt, topic, out):
     """Import a benchmark file into the corpus JSONL format."""
     corpus, elapsed = timed(import_benchmark, in_path, fmt, topic)
 
     _write_corpus(corpus.instances, out, f"import:{fmt}:{in_path}", cfg)
     write_manifest(out, cfg, 0, {"import": elapsed}, {"instances": len(corpus)})
-    click.echo(f"imported {len(corpus)} instances from {in_path}")
+    print(f"imported {len(corpus)} instances from {in_path}")
 
 
 if __name__ == "__main__":

@@ -34,9 +34,10 @@ from .prompts import build_scoring_prompt, scoring_user_block
 # Raw-score margin for the one-hot fallback: softening at any temperature <= 1
 # is one-hot within 1e-6 (exp(-20) ~ 2e-9 per wrong choice).
 ONE_HOT_MARGIN = 20.0
-# Ask for at least this many top logprobs; letter tokens are not always the
-# most probable ones.
-MIN_TOP_LOGPROBS = 20
+# Ask for this many top logprobs: letter tokens are not always the most
+# probable ones, and 20 is the most the OpenAI Chat Completions API (and
+# vLLM's default max_logprobs) accepts, whatever the number of choices.
+TOP_LOGPROBS = 20
 # Raw log-probability assigned to identifiers absent from the returned top-K:
 # the smallest present value minus this margin, keeping absent letters ranked
 # strictly below present ones while the downstream softmax stays defined.
@@ -92,7 +93,7 @@ def score_identifiers(
         messages,
         temperature=0.0,
         max_new_tokens=1,
-        want_top_logprobs=max(len(identifiers), MIN_TOP_LOGPROBS),
+        want_top_logprobs=TOP_LOGPROBS,
     )
     result = backend.complete(request)
     if not result.first_token_logprobs:

@@ -1,6 +1,7 @@
 """End-to-end command surface: exit codes, artifacts, manifests."""
 
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -12,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from mcqa_distill import cli
 from mcqa_distill.config import effective_config
@@ -498,7 +498,7 @@ class TestDataCommands:
         assert corpus.instances[0].answer_index == 0
         assert corpus.instances[0].choices[0] == "oil"
 
-    @pytest.mark.parametrize("command", sorted(cli.main.commands))
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_unknown_config_key_exits_2(self, tmp_path, command):
         """Every command takes one --config and resolves it before it reads
         or writes a file (none of its input files exists here)."""
@@ -509,8 +509,8 @@ class TestDataCommands:
         assert "not_a_key" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert [path.name for path in tmp_path.iterdir()] == ["bad.ini"]
-        params = cli.main.commands[command].params
-        assert sum("--config" in param.opts for param in params) == 1
+        options = cli.COMMANDS[command].options
+        assert sum("--config" in flags for flags, _ in options) == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -553,6 +553,30 @@ class TestDataCommands:
         assert "unknown config key [scoring] distill_temperature_r" in proc.stderr
 
 
+class TestParsing:
+    def test_no_command_prints_usage_and_exits_2(self, tmp_path):
+        proc = run_cli(expect=2, cwd=tmp_path)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: mcqa ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_option_prefix_is_not_an_option(self, workspace):
+        """A prefix of a long option is rejected, not read as the option; a
+        negative number is still an option's value."""
+        cwd = workspace["dir"] / "cwd"
+        cwd.mkdir()
+        proc = run_cli("train", "--iter", 3, *REQUIRED_ARGS["train"], expect=2, cwd=cwd)
+        assert "unrecognized arguments: --iter 3" in proc.stderr
+        assert list(cwd.iterdir()) == []
+        corpus = workspace["dir"] / "corpus.jsonl"
+        run_cli("generate", "--config", workspace["config"],
+                "--fewshot", workspace["fewshot"], "--out", corpus)
+        out_dir = workspace["dir"] / "subsets"
+        run_cli("subset", "--in", corpus, "--sizes", "4", "--seed", -1, "--out-dir", out_dir)
+        manifest = json.loads((out_dir / "subsets.manifest.json").read_text())
+        assert manifest["seed"] == -1
+
+
 # Each command imports only the layers it runs: a fresh interpreter runs the
 # command in process, then reports which modules and top-level packages it
 # loaded.
@@ -583,6 +607,22 @@ def loaded_after(*args, expect=None):
     return modules | {m.split(".")[0] for m in modules}
 
 
+@functools.lru_cache(maxsize=None)
+def bare_interpreter_packages():
+    """The top-level packages a bare interpreter loads (its site hooks')."""
+    program = "import sys; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env=cli_env(), check=True)
+    return frozenset(m.split(".")[0] for m in proc.stdout.split())
+
+
+def third_party(loaded):
+    """The top-level packages of ``loaded`` from outside the standard library
+    and this package, past what a bare interpreter loads."""
+    packages = {m for m in loaded if "." not in m}
+    return packages - set(sys.stdlib_module_names) - {"mcqa_distill"} - bare_interpreter_packages()
+
+
 class TestCommandImports:
     @pytest.mark.parametrize(
         "args, expect", [((), None), (("--version",), 0), (("train", "--help"), 0)],
@@ -590,14 +630,15 @@ class TestCommandImports:
     )
     def test_start_up_loads_neither_requests_nor_numpy(self, args, expect):
         loaded = loaded_after(*args, expect=expect)
-        assert "click" in loaded
         assert not {"requests", "numpy", "http.client"} & loaded
+        assert third_party(loaded) == set()
 
     def test_mock_generate_loads_neither_requests_nor_numpy(self, workspace):
         loaded = loaded_after("generate", "--config", workspace["config"],
                               "--fewshot", workspace["fewshot"],
                               "--out", workspace["dir"] / "corpus.jsonl", expect=0)
         assert not {"requests", "numpy", "http.client"} & loaded
+        assert third_party(loaded) == set()
 
     def test_mock_score_train_eval_do_not_load_requests(self, workspace):
         d = workspace["dir"]
@@ -618,6 +659,7 @@ class TestCommandImports:
             assert "requests" not in loaded, args[0]
             if args[0] == "score":
                 assert "http.client" not in loaded
+                assert third_party(loaded) == set()
 
     def test_http_backend_loads_http_client_and_maps_its_timeout(self):
         program = """
@@ -743,7 +785,7 @@ class TestHttpTeacher:
         assert not list(d.glob("corpus.jsonl*"))
 
     @pytest.mark.parametrize("command", ["generate", "score"])
-    def test_refused_port_stops_the_run(self, workspace, monkeypatch, command):
+    def test_refused_port_stops_the_run(self, workspace, monkeypatch, capsys, command):
         """Nothing listens: the run stops after UNAVAILABLE_AFTER failed
         requests in a row (plus the calls already ahead of them), exits 2
         naming the last error and writes no corpus, one-hot or other."""
@@ -766,14 +808,13 @@ class TestHttpTeacher:
                 corpus = [make_instance(f"q{i}", question=f"Question {i}?") for i in range(64)]
                 write_jsonl(Corpus(tuple(corpus), CorpusMeta(source="seed")), d / "in.jsonl")
                 args = ["score", "--fallback", "one_hot", "--in", str(d / "in.jsonl")]
-            result = CliRunner().invoke(
-                cli.main,
-                [*args, "--config", str(config), "--fewshot", str(workspace["fewshot"]),
-                 "--out", str(d / "out.jsonl")],
-            )
-        assert result.exit_code == 2, result.output
-        assert f"mcqa {command}: teacher unavailable" in result.output
-        assert "TransportError" in result.output
+            with pytest.raises(SystemExit) as exited:
+                cli.main([*args, "--config", str(config), "--fewshot", str(workspace["fewshot"]),
+                          "--out", str(d / "out.jsonl")])
+        stderr = capsys.readouterr().err
+        assert exited.value.code == 2, stderr
+        assert f"mcqa {command}: teacher unavailable" in stderr
+        assert "TransportError" in stderr
         assert UNAVAILABLE_AFTER <= len(posts) <= UNAVAILABLE_AFTER + AHEAD * 2 - 1
         assert not list(d.glob("out.jsonl*"))
 
@@ -905,10 +946,8 @@ class TestConfigFlags:
             raise ConfigResolved
 
         monkeypatch.setattr(cli, "effective_config", record)
-        result = CliRunner().invoke(
-            cli.main, [command, "--config", str(config_path), *REQUIRED_ARGS[command], *flag_args]
-        )
-        assert isinstance(result.exception, ConfigResolved), result.output
+        with pytest.raises(ConfigResolved):
+            cli.main([command, "--config", str(config_path), *REQUIRED_ARGS[command], *flag_args])
         return resolved[0]
 
     @pytest.mark.parametrize(
@@ -927,13 +966,17 @@ class TestConfigFlags:
         assert unset[section][key] == file_value
 
     def test_every_config_flag_is_covered(self):
+        """Each config flag is declared with the ``[section] key`` it sets as
+        its ``dest``, and every option with such a ``dest`` is in the table."""
         declared = {
-            (name, param.opts[0])
-            for name, command in cli.main.commands.items()
-            for param in command.params
-            if not param.expose_value
+            (name, flags[0], attrs["dest"])
+            for name, command in cli.COMMANDS.items()
+            for flags, attrs in command.options
+            if "." in attrs.get("dest", "")
         }
-        assert declared == {(command, flag) for command, flag, *_ in CONFIG_FLAGS}
+        assert declared == {
+            (command, flag, f"{section}.{key}") for command, flag, section, key, *_ in CONFIG_FLAGS
+        }
 
 
 def test_readme_command_table_lists_every_flag():
@@ -942,10 +985,10 @@ def test_readme_command_table_lists_every_flag():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \|.*\| `([^`]*)` \|$", table, re.M)
-    assert sorted(name for name, _ in rows) == sorted(cli.main.commands)
+    assert sorted(name for name, _ in rows) == sorted(cli.COMMANDS)
     for name, flags in rows:
         declared = {
-            opt for param in cli.main.commands[name].params for opt in param.opts
+            flag for option_flags, _ in cli.COMMANDS[name].options for flag in option_flags
         } - {"--config"}
         assert {word for word in flags.split() if word.startswith("--")} == declared, name
 

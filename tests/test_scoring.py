@@ -31,10 +31,11 @@ from mcqa_distill.gateway import (
 )
 from mcqa_distill.scoring import (
     FALLBACK,
-    MIN_TOP_LOGPROBS,
+    MISSING_LOGPROB_MARGIN,
     ONE_HOT_MARGIN,
     SCORED,
     SKIPPED,
+    TOP_LOGPROBS,
     ScoringConfig,
     fit_scoring_prompt,
     one_hot_scores,
@@ -320,6 +321,28 @@ class TestScoreInstances:
             score_instances(corpus, science_fewshot, ScoringConfig(fallback=fallback), backend)
         assert len(scripted_teacher.received) == 1
 
+    def test_more_choices_than_top_logprobs_are_scored(self, science_fewshot, scripted_teacher):
+        """A 22-choice instance asks a server that accepts at most 20 top
+        log-probabilities for 20; the two letters its reply leaves out get
+        the missing-letter floor."""
+
+        def at_most_twenty(received):
+            if received.json["top_logprobs"] > 20:
+                return Reply(400, {"error": "top_logprobs must be at most 20"})
+            top = [{"token": chr(ord("A") + i), "logprob": -0.1 * (i + 1)} for i in range(20)]
+            logprobs = {"content": [{"token": "A", "logprob": -0.1, "top_logprobs": top}]}
+            return Reply(200, {"choices": [{"message": {"content": "A"}, "logprobs": logprobs}]})
+
+        scripted_teacher.respond = at_most_twenty
+        backend = HttpBackend(BackendConfig(kind="http", base_url=scripted_teacher.base_url))
+        inst = make_instance(choices=[f"choice {i}" for i in range(22)])
+        scored, counts = score_instances([inst], science_fewshot, ScoringConfig(), backend)
+        assert [r.json["top_logprobs"] for r in scripted_teacher.received] == [20]
+        assert counts == {SCORED: 1, FALLBACK: 0, SKIPPED: 0}
+        scores = scored[0].teacher_scores
+        assert scores[:20] == pytest.approx([-0.1 * (i + 1) for i in range(20)])
+        assert scores[20:] == pytest.approx([-2.0 - MISSING_LOGPROB_MARGIN] * 2)
+
     def test_margin_is_twenty(self):
         assert ONE_HOT_MARGIN == 20.0
         assert one_hot_scores(1, 3) == (0.0, 20.0, 0.0)
@@ -500,8 +523,8 @@ class TestScoreIdentifiers:
         with pytest.raises(NoLogprobSupport):
             score_identifiers(backend, MESSAGES, ["A", "B"])
 
-    @pytest.mark.parametrize("count", [2, MIN_TOP_LOGPROBS + 6])
-    def test_request_asks_for_every_identifier(self, count):
+    @pytest.mark.parametrize("count", [2, 26])
+    def test_request_asks_for_twenty_top_logprobs(self, count):
         identifiers = [chr(ord("A") + i) for i in range(count)]
         requests = []
 
@@ -514,4 +537,4 @@ class TestScoreIdentifiers:
         (req,) = requests
         assert req.messages == MESSAGES
         assert (req.temperature, req.max_new_tokens) == (0.0, 1)
-        assert req.want_top_logprobs == max(count, MIN_TOP_LOGPROBS)
+        assert req.want_top_logprobs == TOP_LOGPROBS == 20
