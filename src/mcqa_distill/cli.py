@@ -101,7 +101,10 @@ def main(args=None, prog_name="mcqa"):
                                     allow_abbrev=False)
         for flags, attrs in fn.options:
             sub.add_argument(*flags, **attrs)
-    options = vars(parser.parse_args(args))
+    namespace, unknown = parser.parse_known_args(args)
+    if unknown:  # under the command's own usage, which lists its options
+        subparsers.choices[namespace.command].error("unrecognized arguments: " + " ".join(unknown))
+    options = vars(namespace)
     name, config_path = options.pop("command"), options.pop("config_path")
     overrides = {}
     for dest in [dest for dest in options if "." in dest]:

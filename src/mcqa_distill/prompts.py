@@ -4,14 +4,21 @@ Every builder is a pure function of its arguments: identical inputs give
 byte-identical message lists. The prompt texts are the paper's fixed
 production prompts; across subjects only the topic changes, and it comes
 from the few-shot set (or ``mcqa generate --topic``).
+
+The exemplar turns of the json and scoring prompts, and the scoring turns'
+token counts, depend only on the few-shot set, so ``exemplars`` builds them
+once per set and every request of a run reuses them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 from .core import ChatMessage, FewShotSet, McqaInstance, index_to_identifier
+from .datasets import simple_token_count
 
 JSON_SYSTEM = (
     "You are a bot that excel at creating question about the given topics, "
@@ -90,10 +97,77 @@ def scoring_user_block(inst: McqaInstance) -> str:
     return "\n".join(lines)
 
 
-def _shuffled(examples: Sequence[McqaInstance], seed: int) -> List[McqaInstance]:
-    order = list(range(len(examples)))
+@dataclass(frozen=True)
+class Exemplars:
+    """The turns a few-shot set's examples add to every json and scoring
+    prompt, which no request changes.
+
+    - ``instruction``: the json prompt's topic instruction turn.
+    - ``json_pairs[i]``: example ``i``'s (instruction, object) turns of the
+      json prompt, in set order; a seed only reorders the pairs.
+    - ``scoring_turns``: every example's (block, letter) turns of the scoring
+      prompt, in set order.
+    - ``scoring_tokens[k]``: the token count of the first ``k`` scoring
+      pairs, for k = 0..K.
+    """
+
+    fs: FewShotSet
+    instruction: ChatMessage
+    json_pairs: Tuple[Tuple[ChatMessage, ChatMessage], ...]
+    scoring_turns: Tuple[ChatMessage, ...]
+    scoring_tokens: Tuple[int, ...]
+
+
+def _build_exemplars(fs: FewShotSet) -> Exemplars:
+    instruction = ChatMessage("user", TOPIC_INSTRUCTION.format(topic=fs.topic))
+    scoring_pairs = [
+        (
+            ChatMessage("user", scoring_user_block(example)),
+            ChatMessage("assistant", index_to_identifier(example.answer_index)),
+        )
+        for example in fs.examples
+    ]
+    return Exemplars(
+        fs=fs,
+        instruction=instruction,
+        json_pairs=tuple(
+            (instruction, ChatMessage("assistant", format_example_object(example)))
+            for example in fs.examples
+        ),
+        scoring_turns=tuple(turn for pair in scoring_pairs for turn in pair),
+        scoring_tokens=tuple(
+            accumulate(
+                (sum(simple_token_count(m.content) for m in pair) for pair in scoring_pairs),
+                initial=0,
+            )
+        ),
+    )
+
+
+_JSON_SYSTEM_TURN = ChatMessage("system", JSON_SYSTEM)
+# The exemplar turns of the last few-shot set asked for: a run uses one set.
+_last_exemplars: Optional[Exemplars] = None
+
+
+def exemplars(fs: FewShotSet) -> Exemplars:
+    """The exemplar turns of ``fs``, built once per few-shot set.
+
+    One entry is kept: a set equal to the last one reuses its turns, any
+    other set replaces them. The turns are immutable, so teacher threads
+    share them read-only; threads that miss together each build an equal
+    entry, and whichever is stored last stays.
+    """
+    global _last_exemplars
+    last = _last_exemplars
+    if last is None or (last.fs is not fs and last.fs != fs):
+        last = _last_exemplars = _build_exemplars(fs)
+    return last
+
+
+def _shuffled(items: Sequence, seed: int) -> list:
+    order = list(range(len(items)))
     random.Random(seed).shuffle(order)
-    return [examples[i] for i in order]
+    return [items[i] for i in order]
 
 
 def build_json_generation_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]:
@@ -101,14 +175,15 @@ def build_json_generation_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]
 
     One system message, then one user/assistant pair per few-shot example in a
     seed-shuffled order (shuffling the exemplars encourages output diversity),
-    then a trailing user turn repeating the topic instruction.
+    then a trailing user turn repeating the topic instruction. The pairs are
+    built once per few-shot set (``exemplars``), shared read-only across
+    teacher threads; each call only shuffles them.
     """
-    instruction = TOPIC_INSTRUCTION.format(topic=fs.topic)
-    messages = [ChatMessage("system", JSON_SYSTEM)]
-    for example in _shuffled(fs.examples, seed):
-        messages.append(ChatMessage("user", instruction))
-        messages.append(ChatMessage("assistant", format_example_object(example)))
-    messages.append(ChatMessage("user", instruction))
+    turns = exemplars(fs)
+    messages = [_JSON_SYSTEM_TURN]
+    for pair in _shuffled(turns.json_pairs, seed):
+        messages += pair
+    messages.append(turns.instruction)
     return messages
 
 
@@ -189,15 +264,11 @@ def build_scoring_prompt(fs: FewShotSet, inst: McqaInstance) -> List[ChatMessage
 
     No system message; exemplars keep the few-shot set's order (scoring does
     not shuffle). Each exemplar's assistant turn is exactly its gold letter.
+    The exemplar turns are built once per few-shot set (``exemplars``) and
+    shared read-only across teacher threads; each call adds only the
+    instance's block.
     """
-    messages = []
-    for example in fs.examples:
-        messages.append(ChatMessage("user", scoring_user_block(example)))
-        messages.append(
-            ChatMessage("assistant", index_to_identifier(example.answer_index))
-        )
-    messages.append(ChatMessage("user", scoring_user_block(inst)))
-    return messages
+    return [*exemplars(fs).scoring_turns, ChatMessage("user", scoring_user_block(inst))]
 
 
 def build_paraphrase_prompt(text_to_rewrite: str) -> List[ChatMessage]:

@@ -10,6 +10,7 @@ into probability vectors (``distillation.soften``), so this module and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import closing
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,7 +30,9 @@ from .gateway import (
     NoLogprobSupport,
     in_order,
 )
-from .prompts import build_scoring_prompt, scoring_user_block
+# build_scoring_prompt is the full prompt fit_scoring_prompt trims; it is kept
+# under this module too, where perfbench/tracer.py wraps it.
+from .prompts import build_scoring_prompt, exemplars, scoring_user_block  # noqa: F401
 
 # Raw-score margin for the one-hot fallback: softening at any temperature <= 1
 # is one-hot within 1e-6 (exp(-20) ~ 2e-9 per wrong choice).
@@ -60,20 +63,23 @@ def fit_scoring_prompt(
 ) -> Optional[List[ChatMessage]]:
     """Largest scoring prompt within the token limit.
 
-    Drops few-shot exemplars one at a time (last first) until the prompt
-    fits; with zero exemplars the prompt is the bare instance block. Returns
-    None when even that is over the limit.
+    ``build_scoring_prompt`` with the few-shot exemplars dropped one at a
+    time (last first) until the prompt fits; with zero exemplars the prompt
+    is the bare instance block. Returns None when even that is over the
+    limit.
+
+    The exemplar turns and the token count of each prefix of them are built
+    once per few-shot set (``prompts.exemplars``) and shared read-only
+    across teacher threads, so a call counts only the instance block and
+    builds one message list.
     """
-    for keep in range(len(fs.examples), -1, -1):
-        if keep:
-            messages = build_scoring_prompt(
-                FewShotSet(fs.topic, fs.examples[:keep]), inst
-            )
-        else:
-            messages = [ChatMessage("user", scoring_user_block(inst))]
-        if sum(simple_token_count(m.content) for m in messages) <= cfg.prompt_token_limit:
-            return messages
-    return None
+    turns = exemplars(fs)
+    block = scoring_user_block(inst)
+    room = cfg.prompt_token_limit - simple_token_count(block)
+    keep = bisect_right(turns.scoring_tokens, room) - 1
+    if keep < 0:
+        return None
+    return [*turns.scoring_turns[: 2 * keep], ChatMessage("user", block)]
 
 
 def score_identifiers(

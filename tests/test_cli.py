@@ -567,6 +567,7 @@ class TestParsing:
         cwd.mkdir()
         proc = run_cli("train", "--iter", 3, *REQUIRED_ARGS["train"], expect=2, cwd=cwd)
         assert "unrecognized arguments: --iter 3" in proc.stderr
+        assert proc.stderr.startswith("usage: mcqa train ")
         assert list(cwd.iterdir()) == []
         corpus = workspace["dir"] / "corpus.jsonl"
         run_cli("generate", "--config", workspace["config"],
@@ -575,6 +576,20 @@ class TestParsing:
         run_cli("subset", "--in", corpus, "--sizes", "4", "--seed", -1, "--out-dir", out_dir)
         manifest = json.loads((out_dir / "subsets.manifest.json").read_text())
         assert manifest["seed"] == -1
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_unknown_option_shows_the_commands_usage(self, name, capsys, tmp_path,
+                                                      monkeypatch):
+        """An option a command does not take is reported under that command's
+        usage, which lists the options it does take, not the group's."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as stop:
+            cli.main([name, *REQUIRED_ARGS[name], "--no-such-option", "3"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mcqa {name} [-h] [--config CONFIG_PATH]")
+        assert err.endswith(f"mcqa {name}: error: unrecognized arguments: --no-such-option 3\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 # Each command imports only the layers it runs: a fresh interpreter runs the

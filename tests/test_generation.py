@@ -26,7 +26,7 @@ from mcqa_distill.gateway import (
     TransportError,
     request_digest,
 )
-from mcqa_distill import generation
+from mcqa_distill import generation, prompts
 from mcqa_distill.generation import (
     ATTEMPTS,
     BAD_SYNTAX,
@@ -620,6 +620,27 @@ def test_slow_first_request_at_width_4_changes_no_output(science_fewshot, strate
     assert backend.digests == serial_backend.digests
     assert backend.in_flight_max <= 4
     assert backend.done_meanwhile >= cfg.target_count - 1
+
+
+def test_mock_json_run_at_width_4_from_a_cold_exemplar_memo(science_fewshot, monkeypatch):
+    """With no exemplar turns built yet, the first attempts of a width-4 run
+    build them on whichever threads get there, and the run still emits what
+    the width-1 run emits."""
+    cfg = GenerationConfig(strategy="json", target_count=64, seed=13)
+    script, _ = fabricate_json_run(science_fewshot, cfg)
+    runs = []
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (1, 4):
+            monkeypatch.setattr(prompts, "_last_exemplars", None)
+            runs.append(generate(science_fewshot, cfg, MockBackend(script), width=width))
+    finally:
+        sys.setswitchinterval(switch_interval)
+    (serial, serial_report), (pooled, report) = runs
+    assert pooled == serial
+    assert len(serial) == cfg.target_count
+    assert report.to_dict() == serial_report.to_dict()
 
 
 def test_budget_bounds_attempts_at_any_width(science_fewshot):

@@ -3,12 +3,16 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mcqa_distill.config import ScoringConfig
 from mcqa_distill.core import FewShotSet, identifier_to_index
+from mcqa_distill.gateway import CompletionRequest, MockBackend, load_script, request_digest
 from mcqa_distill.prompts import (
+    JSON_SYSTEM,
     build_json_generation_prompt,
     build_negative_prompt,
     build_paraphrase_prompt,
@@ -17,6 +21,7 @@ from mcqa_distill.prompts import (
     build_scoring_prompt,
     format_example_object,
 )
+from mcqa_distill.scoring import fit_scoring_prompt
 
 from conftest import make_instance
 
@@ -89,6 +94,28 @@ class TestJsonGenerationPrompt:
         contents = [m.content for m in messages if m.role == "assistant"]
         equator = next(c for c in contents if "equator" in c)
         assert equator.startswith('{\'question\': "Near Earth\'s equator')
+
+    def test_alternating_sets_match_a_fresh_build(self, science_fewshot):
+        """The exemplar turns are kept for one few-shot set at a time: each
+        call below asks for the other set than the call before, and each
+        prompt equals one built afresh from its own set."""
+        history = FewShotSet("world history", tuple(
+            make_instance(f"h{i}", "world history", f"Which dynasty ruled in year {i}00?",
+                          ("Han", "Tang", "Song"), i % 3)
+            for i in range(4)
+        ))
+        for seed in range(6):
+            for fs in (science_fewshot, history, science_fewshot):
+                order = list(range(len(fs.examples)))
+                random.Random(seed).shuffle(order)
+                instruction = f"create a question about {fs.topic}!"
+                fresh = [("system", JSON_SYSTEM)]
+                for i in order:
+                    fresh += [("user", instruction),
+                              ("assistant", format_example_object(fs.examples[i]))]
+                fresh.append(("user", instruction))
+                prompt = build_json_generation_prompt(fs, seed)
+                assert [(m.role, m.content) for m in prompt] == fresh, (fs.topic, seed)
 
 
 class TestQuestionPrompt:
@@ -288,3 +315,46 @@ def test_prompt_texts_are_pinned(science_fewshot, builder):
         ensure_ascii=False,
     )
     assert hashlib.sha256(canon.encode("utf-8")).hexdigest() == PROMPT_DIGESTS[builder]
+
+
+# request_digest of the prompts below for the fixture's few-shot set: the keys
+# a saved mock script holds for them. The fitted prompt's limit is one token
+# under the full scoring prompt's 266, so it keeps four exemplars.
+REQUEST_DIGESTS = {
+    "scoring": "f0a1e26dcba790ab8a9b5a09abf5d540bb62d9342d0d1ef27af308c11c7cabcc",
+    "json seed 0": "ac1f7945a600f4ea27045db974adb7bfa827afe9c98cac5d4dea4ecc62fcf897",
+    "json seed 7": "0b2ce61d518df5276a047bad81286e4344c307845d5197c6c0756887822f7dab",
+    "fitted to 265 tokens": "247da5754280c3af3ca51c1be0a1d0b142cd60ba747742bd4a90b73963675147",
+}
+
+
+def keyed_prompts(fs):
+    inst = make_instance()
+    return {
+        "scoring": build_scoring_prompt(fs, inst),
+        "json seed 0": build_json_generation_prompt(fs, 0),
+        "json seed 7": build_json_generation_prompt(fs, 7),
+        "fitted to 265 tokens": fit_scoring_prompt(
+            inst, fs, ScoringConfig(prompt_token_limit=265)
+        ),
+    }
+
+
+def test_request_digests_are_pinned(science_fewshot):
+    prompts = keyed_prompts(science_fewshot)
+    assert len(prompts["fitted to 265 tokens"]) == 9
+    assert {name: request_digest(m) for name, m in prompts.items()} == REQUEST_DIGESTS
+
+
+def test_a_saved_version_1_script_replays(science_fewshot, tmp_path):
+    """A script file as ``save_script`` wrote it at version 1, keyed by the
+    pinned digests, still answers every prompt above."""
+    path = tmp_path / "script.json"
+    responses = {
+        digest: {"text": name, "first_token_logprobs": {"A": -0.5}}
+        for name, digest in REQUEST_DIGESTS.items()
+    }
+    path.write_text(json.dumps({"version": 1, "responses": responses}), encoding="utf-8")
+    backend = MockBackend(load_script(path))
+    for name, messages in keyed_prompts(science_fewshot).items():
+        assert backend.complete(CompletionRequest(messages, 0.0, 1)).text == name

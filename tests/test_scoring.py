@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import threading
 import time
 from collections import Counter
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from mcqa_distill.datasets import Corpus, CorpusMeta, read_jsonl, simple_token_count, write_jsonl
 from mcqa_distill.distillation import TieAtZeroTemperature, soften
+from mcqa_distill import prompts
 from mcqa_distill.config import FALLBACKS
-from mcqa_distill.core import ChatMessage, validate_instance
+from mcqa_distill.core import ChatMessage, FewShotSet, index_to_identifier, validate_instance
 from mcqa_distill.gateway import (
     BackendConfig,
     CompletionResult,
@@ -42,6 +44,7 @@ from mcqa_distill.scoring import (
     score_identifiers,
     score_instances,
 )
+from mcqa_distill.prompts import scoring_user_block
 
 from conftest import Reply, make_instance
 
@@ -161,6 +164,90 @@ class TestFitScoringPrompt:
     def test_hopeless_limit_gives_none(self, science_fewshot):
         cfg = ScoringConfig(prompt_token_limit=1)
         assert fit_scoring_prompt(make_instance(), science_fewshot, cfg) is None
+
+
+def rebuilt_scoring_prompt(inst, examples):
+    messages = []
+    for example in examples:
+        messages.append(ChatMessage("user", scoring_user_block(example)))
+        messages.append(ChatMessage("assistant", index_to_identifier(example.answer_index)))
+    return messages + [ChatMessage("user", scoring_user_block(inst))]
+
+
+def prompt_tokens(messages):
+    return sum(simple_token_count(m.content) for m in messages)
+
+
+def fit_by_rebuilding(inst, fs, cfg):
+    """The scoring prompt fitted by rebuilding and recounting it for each
+    keep, from every exemplar down to none: an oracle that shares no state
+    with ``fit_scoring_prompt``."""
+    for keep in range(len(fs.examples), -1, -1):
+        messages = rebuilt_scoring_prompt(inst, fs.examples[:keep])
+        if prompt_tokens(messages) <= cfg.prompt_token_limit:
+            return messages
+    return None
+
+
+def history_fewshot():
+    """A few-shot set with another topic and other examples than the
+    fixture's, so a reused exemplar turn shows."""
+    examples = tuple(
+        make_instance(f"hist-{i}", "world history", question, choices, i % len(choices))
+        for i, (question, choices) in enumerate([
+            ("Who was the first emperor of Rome?", ("Augustus", "Nero", "Caesar")),
+            ("In which year did the Berlin Wall fall?", ("1961", "1989", "1991", "1945")),
+            ("Which empire built Machu Picchu?", ("Aztec", "Maya", "Inca", "Olmec")),
+        ])
+    )
+    return FewShotSet(topic="world history", examples=examples)
+
+
+class TestFitScoringPromptOracle:
+    """``fit_scoring_prompt`` keeps the exemplar turns and their token counts
+    per few-shot set; at every keep boundary it fits what rebuilding finds."""
+
+    def boundary_limits(self, inst, fs):
+        """Each keep's prompt total and one below it, keep = K..0; the last,
+        one below the bare instance block, fits nothing."""
+        limits = []
+        for keep in range(len(fs.examples), -1, -1):
+            total = prompt_tokens(rebuilt_scoring_prompt(inst, fs.examples[:keep]))
+            limits += [total, total - 1]
+        return limits
+
+    def test_every_keep_boundary_matches_rebuilding(self, science_fewshot):
+        inst = make_instance()
+        kept = []
+        for limit in self.boundary_limits(inst, science_fewshot):
+            cfg = ScoringConfig(prompt_token_limit=limit)
+            messages = fit_scoring_prompt(inst, science_fewshot, cfg)
+            assert messages == fit_by_rebuilding(inst, science_fewshot, cfg), limit
+            kept.append(None if messages is None else len(messages) // 2)
+        # At a keep's total that keep fits; one token below, the next one down.
+        assert kept == [5, 4, 4, 3, 3, 2, 2, 1, 1, 0, 0, None]
+
+    def test_alternating_sets_never_share_turns(self, science_fewshot):
+        """Every call below asks for the other set than the call before."""
+        inst = make_instance("q", "world history", "Who founded the Mongol Empire?",
+                             ("Genghis Khan", "Kublai Khan", "Attila"), 0)
+        science, history = science_fewshot, history_fewshot()
+        for limit in self.boundary_limits(inst, science) + self.boundary_limits(inst, history):
+            cfg = ScoringConfig(prompt_token_limit=limit)
+            for fs in (science, history, science):
+                expected = fit_by_rebuilding(inst, fs, cfg)
+                assert fit_scoring_prompt(inst, fs, cfg) == expected, (fs.topic, limit)
+
+    def test_an_equal_set_reuses_the_turns_and_another_set_does_not(self, science_fewshot):
+        turns = prompts.exemplars(science_fewshot)
+        copy = FewShotSet(science_fewshot.topic, list(science_fewshot.examples))
+        assert copy is not science_fewshot
+        assert prompts.exemplars(copy) is turns
+        retitled = FewShotSet("botany", science_fewshot.examples)
+        assert prompts.exemplars(retitled) is not turns
+        assert prompts.exemplars(retitled).scoring_turns == turns.scoring_turns
+        assert prompts.exemplars(retitled).instruction != turns.instruction
+        assert prompts.exemplars(science_fewshot) is not turns
 
 
 def scripted_for(inst, fs, cfg, result):
@@ -423,6 +510,29 @@ def test_slow_first_request_at_width_4_changes_no_output(science_fewshot):
     backend = JitteryScorer(fail, slow=slow)
     pooled = score_instances(corpus, science_fewshot, cfg, backend, width=4)
     assert pooled == serial
+    assert backend.digests == serial_backend.digests
+    assert 2 <= backend.in_flight_max <= 4
+
+
+def test_score_at_width_4_from_a_cold_exemplar_memo(science_fewshot, monkeypatch):
+    """With no exemplar turns built yet, the first requests of a width-4 run
+    build them on whichever threads get there, and the run still scores as
+    a serial one does."""
+    cfg = ScoringConfig(fallback="one_hot")
+    corpus = numbered_corpus(24)
+    runs = []
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (1, 4):
+            monkeypatch.setattr(prompts, "_last_exemplars", None)
+            backend = JitteryScorer()
+            runs.append((score_instances(corpus, science_fewshot, cfg, backend, width), backend))
+    finally:
+        sys.setswitchinterval(switch_interval)
+    (serial, serial_backend), (pooled, backend) = runs
+    assert pooled == serial
+    assert serial[1] == {SCORED: 23, FALLBACK: 1, SKIPPED: 0}
     assert backend.digests == serial_backend.digests
     assert 2 <= backend.in_flight_max <= 4
 
