@@ -292,7 +292,7 @@ def eval_cmd(cfg, in_path, model, out):
         help="Generation report JSON to copy the parse success rate from.")
 @option("--max-tokens", type=int, help="Also report the count remaining after token filtering.")
 def stats(cfg, in_path, out, report_path, max_tokens):
-    """Corpus statistics: count, token length mean/std, parse success rate."""
+    """Corpus statistics: count, token length mean/std, gold positions, parse success rate."""
     corpus = read_jsonl(in_path)
     rate = _parse_success_rate(report_path) if report_path else None
 

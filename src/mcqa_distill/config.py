@@ -87,20 +87,14 @@ DEFAULTS: Dict[str, dict] = {
 }
 
 
-_KINDS = {
-    bool: "a boolean (1/yes/true/on or 0/no/false/off)",
-    int: "an integer",
-    float: "a number",
-}
+_KINDS = {int: "an integer", float: "a number"}
 
 
 def _coerce(section: str, key: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         if isinstance(default, (int, float)):
             return type(default)(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ValueError(
             f"[{section}] {key} must be {_KINDS[type(default)]}, got {raw!r}"
         ) from None

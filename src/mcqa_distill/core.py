@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import secrets
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -67,6 +68,13 @@ def stable_seed(*parts) -> int:
     """
     blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+
+
+def shuffled(items: Sequence, seed: int) -> list:
+    """A new list of ``items`` in the order ``random.Random(seed)`` deals them."""
+    order = list(range(len(items)))
+    random.Random(seed).shuffle(order)
+    return [items[i] for i in order]
 
 
 @contextlib.contextmanager

@@ -16,15 +16,15 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from random import Random
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
     McqaInstance,
     Provenance,
     identifier_to_index,
+    shuffled,
     validate_parts,
 )
 
@@ -86,15 +86,13 @@ class CorpusStats:
     count: int
     token_len_mean: float
     token_len_std: float
+    # Item i counts the instances whose gold is choice i, for every index
+    # up to the widest instance's last, so a skewed corpus shows itself.
+    answer_positions: List[int]
     parse_success_rate: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "token_len_mean": self.token_len_mean,
-            "token_len_std": self.token_len_std,
-            "parse_success_rate": self.parse_success_rate,
-        }
+        return asdict(self)
 
 
 def instance_to_record(inst: McqaInstance) -> dict:
@@ -263,15 +261,18 @@ def cumulative_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> Dict[
         raise ValueError(
             f"size {sizes[-1]} exceeds corpus of {len(corpus)} instances"
         )
-    shuffled = list(corpus.instances)
-    Random(seed).shuffle(shuffled)
-    return {size: Corpus(tuple(shuffled[:size]), corpus.meta) for size in sizes}
+    order = shuffled(corpus.instances, seed)
+    return {size: Corpus(tuple(order[:size]), corpus.meta) for size in sizes}
 
 
 def compute_stats(corpus: Corpus, parse_success_rate: Optional[float] = None) -> CorpusStats:
-    """Token-length mean and population std over question + all choices, with
-    ``parse_success_rate`` passed through."""
+    """Token-length mean and population std over question + all choices, the
+    gold-position histogram, and ``parse_success_rate`` passed through."""
     import numpy as np
+
+    positions = [0] * max((inst.num_choices for inst in corpus.instances), default=0)
+    for inst in corpus.instances:
+        positions[inst.answer_index] += 1
 
     lengths = [
         simple_token_count(inst.question + " " + " ".join(inst.choices))
@@ -286,6 +287,7 @@ def compute_stats(corpus: Corpus, parse_success_rate: Optional[float] = None) ->
         count=len(lengths),
         token_len_mean=mean,
         token_len_std=std,
+        answer_positions=positions,
         parse_success_rate=parse_success_rate,
     )
 

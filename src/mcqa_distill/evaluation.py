@@ -4,6 +4,8 @@ embedding-similarity statistics (what ``mcqa similarity`` reports).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -20,17 +22,21 @@ class EmptyCorpus(ValueError):
 def evaluate_accuracy(student, corpus) -> float:
     """Fraction of instances whose top student logit sits at the gold index.
 
-    Ties break toward the lowest index, so a zero-weight student picks
-    choice 0 everywhere. Logits are computed a featurizer chunk at a time.
+    A k-way tie at the top that includes the gold counts 1/k, the expected
+    hit of a random tie-break, so a zero-weight student scores 1/C on
+    C-choice instances. Logits are computed a featurizer chunk at a time.
     """
     instances = tuple(corpus)
     if not instances:
         raise EmptyCorpus("cannot evaluate an empty corpus")
     logits = instance_logits(student, ((inst.question, inst.choices) for inst in instances))
-    hits = sum(
-        int(np.argmax(row)) == inst.answer_index for inst, row in zip(instances, logits)
-    )
-    return hits / len(instances)
+    hits = Counter()  # width of the top tie -> instances whose gold is in it
+    for inst, row in zip(instances, logits):
+        row = row.tolist()
+        top = max(row)
+        if row[inst.answer_index] == top:
+            hits[row.count(top)] += 1
+    return math.fsum(count / width for width, count in hits.items()) / len(instances)
 
 
 class HashedTfEmbedder:

@@ -22,7 +22,6 @@ import ast
 import functools
 import json
 import math
-import random
 import threading
 from collections import Counter
 from contextlib import closing
@@ -35,6 +34,7 @@ from .core import (
     McqaInstance,
     Provenance,
     canonical_choice,
+    shuffled,
     stable_seed,
     validate_parts,
 )
@@ -69,7 +69,6 @@ class GenerationConfig:
     seed: int = 0
     # 0 means 20x target_count.
     max_attempts: int = 0
-    shuffle_choices: bool = False
 
     def __post_init__(self):
         if self.strategy not in ATTEMPTS:
@@ -230,8 +229,9 @@ def _decomposed_choices(
 
 
 def _decompose_attempt(fs, cfg, gw, attempt):
-    """Question, positive answer, then N sequential negatives; the answer
-    index is 0 unless shuffle_choices remaps it."""
+    """Question, positive answer, then N sequential negatives, dealt into a
+    seeded order so the gold sits at no fixed letter; the answer index is
+    the positive's position in that order."""
     question_seed = attempt_seed(cfg.seed, "question", attempt)
     question = _ask(gw, cfg, build_question_prompt(fs, question_seed))
     if not question:
@@ -240,13 +240,8 @@ def _decompose_attempt(fs, cfg, gw, attempt):
     if not positive:
         return EMPTY_FIELD
     choices = _decomposed_choices(fs, cfg, gw, question, positive)
-    answer_index = 0
-    if cfg.shuffle_choices:
-        order = list(range(len(choices)))
-        random.Random(attempt_seed(cfg.seed, "shuffle", attempt)).shuffle(order)
-        choices = [choices[i] for i in order]
-        answer_index = order.index(0)
-    return question, choices, answer_index
+    choices = shuffled(choices, attempt_seed(cfg.seed, "shuffle", attempt))
+    return question, choices, choices.index(positive)
 
 
 def _paraphrase_attempt(fs, cfg, gw, attempt):

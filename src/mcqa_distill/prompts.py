@@ -12,12 +12,11 @@ once per set and every request of a run reuses them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from .core import ChatMessage, FewShotSet, McqaInstance, index_to_identifier
+from .core import ChatMessage, FewShotSet, McqaInstance, index_to_identifier, shuffled
 from .datasets import simple_token_count
 
 JSON_SYSTEM = (
@@ -164,12 +163,6 @@ def exemplars(fs: FewShotSet) -> Exemplars:
     return last
 
 
-def _shuffled(items: Sequence, seed: int) -> list:
-    order = list(range(len(items)))
-    random.Random(seed).shuffle(order)
-    return [items[i] for i in order]
-
-
 def build_json_generation_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]:
     """Prompt asking for a complete instance as a JSON-style object.
 
@@ -181,7 +174,7 @@ def build_json_generation_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]
     """
     turns = exemplars(fs)
     messages = [_JSON_SYSTEM_TURN]
-    for pair in _shuffled(turns.json_pairs, seed):
+    for pair in shuffled(turns.json_pairs, seed):
         messages += pair
     messages.append(turns.instruction)
     return messages
@@ -191,7 +184,7 @@ def build_question_prompt(fs: FewShotSet, seed: int) -> List[ChatMessage]:
     """First decomposed stage: ask for a bare question about the topic."""
     instruction = TOPIC_INSTRUCTION.format(topic=fs.topic)
     messages = [ChatMessage("system", QUESTION_SYSTEM)]
-    for example in _shuffled(fs.examples, seed):
+    for example in shuffled(fs.examples, seed):
         messages.append(ChatMessage("user", instruction))
         messages.append(ChatMessage("assistant", example.question))
     messages.append(ChatMessage("user", instruction))

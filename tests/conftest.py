@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from mcqa_distill.core import FewShotSet, McqaInstance, stable_seed
+from mcqa_distill.core import FewShotSet, McqaInstance, shuffled, stable_seed
 from mcqa_distill.datasets import Corpus, CorpusMeta
-from mcqa_distill.generation import attempt_instance
-from mcqa_distill.mock_script import _record_run
+from mcqa_distill.gateway import MockBackend
+from mcqa_distill.generation import attempt_instance, attempt_seed, generate
+from mcqa_distill.mock_script import _record_run, add_scoring_responses
 
 
 def make_instance(
@@ -67,19 +68,29 @@ def build_separable_corpus(
 def fabricate_decomposed_run(fs, cfg, scoring_cfg=None):
     """Script a decomposed run with distinct negatives for every slot.
 
-    ``expected`` holds the choices in generation order (answer first), as a
-    run without shuffle_choices emits them.
+    Attempt ``i`` is answered with its question, its positive, then its
+    negatives in slot order. ``expected`` holds the instances the run emits:
+    those replies dealt by ``core.shuffled`` under the attempt's shuffle
+    seed, with the gold at the positive's position.
+
+    Two attempts can share a question prompt, and the script then answers
+    both with the later one's replies, each dealt under its own seed; so the
+    scoring replies cover the instances a run of the script really emits.
     """
-    expected = []
+    expected, plans = [], []
     for attempt in range(cfg.target_count):
         question = f"Synthetic staged {fs.topic} question {attempt}?"
-        choices = [f"right answer {attempt}"] + [
-            f"wrong answer {attempt}-{slot}" for slot in range(cfg.negatives_n)
-        ]
-        fields = (question, choices, 0)
+        positive = f"right answer {attempt}"
+        plan = [positive] + [f"wrong answer {attempt}-{slot}" for slot in range(cfg.negatives_n)]
+        choices = shuffled(plan, attempt_seed(cfg.seed, "shuffle", attempt))
+        fields = (question, choices, choices.index(positive))
         expected.append(attempt_instance("decompose", fs, cfg, attempt, fields))
-    plans = [[inst.question, *inst.choices] for inst in expected]
-    return _record_run("decompose", fs, cfg, plans, expected, scoring_cfg)
+        plans.append([question, *plan])
+    script, expected = _record_run("decompose", fs, cfg, plans, expected, None)
+    if scoring_cfg is not None:
+        emitted, _ = generate(fs, cfg, MockBackend(script))
+        add_scoring_responses(script, emitted, fs, scoring_cfg)
+    return script, expected
 
 
 def fabricate_paraphrase_run(fs, cfg, rewrite=lambda text: f"{text} (reworded)"):

@@ -238,14 +238,15 @@ def test_decomposed_pipeline_structure():
     with criterion("decomposed pipeline structure", 5.0):
         fs = science_fewshot_set()
         cfg = GenerationConfig(strategy="decompose", target_count=8, negatives_n=5, seed=21)
-        script, _ = fabricate_decomposed_run(fs, cfg)
+        script, expected = fabricate_decomposed_run(fs, cfg)
         recorder = _RecordingBackend(MockBackend(script))
         instances, report = generate(fs, cfg, recorder)
         assert len(instances) == 8
         assert report.parsed == 8
-        for inst in instances:
+        assert instances == expected
+        for attempt, inst in enumerate(instances):
             assert inst.num_choices == 6
-            assert inst.answer_index == 0
+            assert inst.gold_choice == f"right answer {attempt}"
             assert len({c.strip().casefold() for c in inst.choices}) == 6
         negative_requests = [
             r for r in recorder.requests
@@ -378,11 +379,15 @@ E2E_ARTIFACTS = [
 ]
 
 
-def test_end_to_end_mock_run(tmp_path):
-    with criterion("end-to-end mock run", 30.0):
+FABRICATORS = {"json": fabricate_json_run, "decompose": fabricate_decomposed_run}
+
+
+@pytest.mark.parametrize("strategy", sorted(FABRICATORS))
+def test_end_to_end_mock_run(tmp_path, strategy):
+    with criterion(f"end-to-end {strategy} mock run", 30.0):
         fs = science_fewshot_set()
-        gen_cfg = GenerationConfig(strategy="json", target_count=64, seed=13)
-        script, _ = fabricate_json_run(fs, gen_cfg, ScoringConfig())
+        gen_cfg = GenerationConfig(strategy=strategy, target_count=64, seed=13)
+        script, _ = FABRICATORS[strategy](fs, gen_cfg, ScoringConfig())
 
         src_root = str(Path(__file__).resolve().parents[1] / "src")
         runs = []
@@ -394,7 +399,7 @@ def test_end_to_end_mock_run(tmp_path):
             save_script(script, run_dir / "script.json")
             (run_dir / "run.ini").write_text(
                 "[backend]\nkind = mock\nscript = script.json\n"
-                "[generation]\nstrategy = json\ntarget_count = 64\nseed = 13\n"
+                f"[generation]\nstrategy = {strategy}\ntarget_count = 64\nseed = 13\n"
             )
             _run_pipeline(run_dir, src_root)
             runs.append(run_dir)

@@ -224,7 +224,7 @@ class TestGenerateCommand:
         fewshot_path = tmp_path / "fewshot.jsonl"
         write_jsonl(Corpus(fs.examples, CorpusMeta()), fewshot_path)
         cfg = GenerationConfig(strategy="decompose", target_count=4, negatives_n=5, seed=3)
-        script, _ = fabricate_decomposed_run(fs, cfg)
+        script, expected = fabricate_decomposed_run(fs, cfg)
         script_path = tmp_path / "script.json"
         save_script(script, script_path)
         config = tmp_path / "run.ini"
@@ -237,7 +237,8 @@ class TestGenerateCommand:
         )
         corpus = read_jsonl(out)
         assert all(len(inst.choices) == 6 for inst in corpus)
-        assert all(inst.answer_index == 0 for inst in corpus)
+        assert list(corpus) == expected
+        assert [inst.gold_choice for inst in corpus] == [f"right answer {k}" for k in range(4)]
 
 
 class TestScoreCommand:
@@ -446,6 +447,22 @@ class TestDataCommands:
         assert payload["parse_success_rate"] == 1.0
         assert payload["token_len_mean"] > 0
 
+    def test_stats_counts_the_gold_positions_of_a_decompose_run(self, tmp_path):
+        """A default decompose run deals its golds over all six positions;
+        ``answer_positions[i]`` counts the instances with the gold at i."""
+        fs = science_fewshot_set()
+        write_jsonl(Corpus(fs.examples, CorpusMeta()), tmp_path / "fewshot.jsonl")
+        cfg = GenerationConfig(strategy="decompose", target_count=64)
+        save_script(fabricate_decomposed_run(fs, cfg)[0], tmp_path / "script.json")
+        (tmp_path / "run.ini").write_text("[backend]\nkind = mock\nscript = script.json\n")
+        run_cli("generate", "--config", "run.ini", "--fewshot", "fewshot.jsonl",
+                "--strategy", "decompose", "--count", 64, "--out", "corpus.jsonl", cwd=tmp_path)
+        run_cli("stats", "--in", "corpus.jsonl", "--out", "stats.json", cwd=tmp_path)
+        positions = json.loads((tmp_path / "stats.json").read_text())["answer_positions"]
+        golds = [inst.answer_index for inst in read_jsonl(tmp_path / "corpus.jsonl")]
+        assert positions == [golds.count(i) for i in range(6)]
+        assert sum(positions) == 64 and min(positions) > 0
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -529,12 +546,12 @@ class TestDataCommands:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("[generation]\nshuffle_choices = ture\n",
-             "[generation] shuffle_choices must be a boolean"),
+            ("[generation]\ntemperature = warm\n",
+             "[generation] temperature must be a number, got 'warm'"),
             ("[generation]\ntarget_count = many\n",
              "[generation] target_count must be an integer, got 'many'"),
         ],
-        ids=["bool", "int"],
+        ids=["float", "int"],
     )
     def test_mistyped_config_value_exits_2(self, workspace, line, message):
         bad = workspace["dir"] / "typo.ini"
@@ -551,6 +568,18 @@ class TestDataCommands:
                        "--in", corpus_path, "--out", workspace["dir"] / "s.jsonl",
                        expect=2)
         assert "unknown config key [scoring] distill_temperature_r" in proc.stderr
+
+    def test_removed_shuffle_choices_key_exits_2(self, workspace):
+        """Decompose always shuffles, so the old switch is an unknown key."""
+        old = workspace["dir"] / "old.ini"
+        old.write_text("[generation]\nshuffle_choices = yes\n")
+        out = workspace["dir"] / "x.jsonl"
+        proc = run_cli("generate", "--config", old, "--fewshot", workspace["fewshot"],
+                       "--out", out, expect=2)
+        assert proc.stderr.startswith(
+            "mcqa generate: unknown config key [generation] shuffle_choices"
+        )
+        assert not out.exists()
 
 
 class TestParsing:

@@ -34,7 +34,6 @@ negatives_n = 3
 target_count = 64
 seed = 7
 max_attempts = 99
-shuffle_choices = yes
 
 [scoring]
 prompt_token_limit = 512
@@ -69,9 +68,16 @@ def test_defaults_are_the_reference_run():
     assert list(cfg) == ["backend", "generation", "scoring", "training"]
 
 
+def test_no_key_is_boolean():
+    """A file value is read by its default's type, and ``bool("no")`` is
+    True, so a boolean key would read every word as on."""
+    values = [value for entries in DEFAULTS.values() for value in entries.values()]
+    assert not any(isinstance(value, bool) for value in values)
+
+
 # Every corpus meta line and every run manifest records this digest, so a
 # change to it changes them all and must be declared in CHANGES.md.
-DEFAULT_CONFIG_DIGEST = "466a6d0080500d60e87882a9c946208b5f6fe970ac8f608a82ee00c4fb7b2d96"
+DEFAULT_CONFIG_DIGEST = "5056bea4642f806b93e5369c7ddb292157c3609207065866f1be68f9c7b4d462"
 
 
 def test_default_config_digest_is_pinned():
@@ -103,7 +109,6 @@ def test_every_key_from_file_reaches_its_stage(tmp_path):
         target_count=64,
         seed=7,
         max_attempts=99,
-        shuffle_choices=True,
     )
     assert stage_config(cfg, "scoring") == ScoringConfig(prompt_token_limit=512, fallback="skip")
     assert stage_config(cfg, "training") == TrainConfig(
@@ -130,21 +135,8 @@ def test_flag_beats_file_beats_default(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "word, value",
-    [("1", True), ("yes", True), ("True", True), ("on", True),
-     ("0", False), ("no", False), ("false", False), ("OFF", False)],
-)
-def test_boolean_words(tmp_path, word, value):
-    path = tmp_path / "run.ini"
-    path.write_text(f"[generation]\nshuffle_choices = {word}\n")
-    assert effective_config(path)["generation"]["shuffle_choices"] is value
-
-
-@pytest.mark.parametrize(
     "line, message",
     [
-        ("[generation]\nshuffle_choices = ture\n",
-         r"\[generation\] shuffle_choices must be a boolean .*got 'ture'"),
         ("[training]\niterations = many\n",
          r"\[training\] iterations must be an integer, got 'many'"),
         ("[backend]\nrequest_timeout = soon\n",
@@ -154,7 +146,7 @@ def test_boolean_words(tmp_path, word, value):
         ("[templates]\njson_system = J\n", r"unknown config section \[templates\]"),
         ("[scoring]\nnot_a_key = 1\n", r"unknown config key \[scoring\] not_a_key"),
     ],
-    ids=["bool", "int", "float", "section", "templates", "key"],
+    ids=["int", "float", "section", "templates", "key"],
 )
 def test_bad_file_values_name_section_and_key(tmp_path, line, message):
     path = tmp_path / "run.ini"

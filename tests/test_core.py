@@ -1,7 +1,8 @@
-"""Identifier mapping and instance validation."""
+"""Identifier mapping, instance validation and the seeded shuffle."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from mcqa_distill.core import (
     Provenance,
     index_to_identifier,
     identifier_to_index,
+    shuffled,
     stable_seed,
     validate_instance,
     write_json,
@@ -152,6 +154,24 @@ class TestOtherTypes:
     def test_stable_seed_is_deterministic_and_split(self):
         assert stable_seed(1, "x", 2) == stable_seed(1, "x", 2)
         assert stable_seed(1, "x", 2) != stable_seed(1, "x", 3)
+
+
+class TestShuffled:
+    def test_deals_as_an_in_place_shuffle_does(self):
+        """The order ``cumulative_subsets`` and the prompts always had."""
+        for n in range(40):
+            items = [f"item {k}" for k in range(n)]
+            for seed in range(200):
+                in_place = list(items)
+                random.Random(seed).shuffle(in_place)
+                assert shuffled(items, seed) == in_place
+
+    def test_returns_a_new_permutation_leaving_items_alone(self):
+        items = tuple(range(10))
+        dealt = shuffled(items, 3)
+        assert isinstance(dealt, list) and sorted(dealt) == list(items)
+        assert dealt != list(items) and items == tuple(range(10))
+        assert shuffled(items, 3) == dealt
 
 
 class TestProvenance:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcqa_distill.core import STRATEGIES, McqaInstance, Provenance, canonical_choice
+from mcqa_distill.core import STRATEGIES, McqaInstance, Provenance, canonical_choice, shuffled
 from mcqa_distill.datasets import (
     Corpus,
     CorpusMeta,
@@ -342,6 +342,11 @@ class TestCumulativeSubsets:
         assert sorted(i.id for i in subsets[20]) == sorted(i.id for i in corpus)
         assert subsets[20].instances != corpus.instances
 
+    def test_order_is_the_seeded_shuffle(self):
+        corpus = sized_corpus(24)
+        subsets = cumulative_subsets(corpus, [8, 24], seed=6)
+        assert list(subsets[24].instances) == shuffled(corpus.instances, 6)
+
     def test_seeds_give_different_permutations(self):
         corpus = sized_corpus(32)
         one = cumulative_subsets(corpus, [32], seed=1)[32]
@@ -400,9 +405,24 @@ class TestComputeStats:
         stats = compute_stats(sized_corpus(3), report.success_rate)
         assert stats.parse_success_rate == pytest.approx(0.52)
 
+    @pytest.mark.parametrize(
+        "golds, widths, positions",
+        [([0, 0, 0, 0], [4, 4, 4, 2], [4, 0, 0, 0]), ([2, 0, 2, 3, 2], [4] * 5, [1, 0, 3, 1])],
+        ids=["gold_first", "spread"],
+    )
+    def test_answer_positions_count_every_index_up_to_the_widest(self, golds, widths, positions):
+        four = ("oil", "solar", "water", "wind")
+        stats = compute_stats(corpus_of(*(
+            make_instance(f"a{k}", choices=four[:w], answer_index=gold)
+            for k, (gold, w) in enumerate(zip(golds, widths))
+        )))
+        assert stats.answer_positions == positions
+        assert stats.to_dict()["answer_positions"] == positions
+
     def test_empty_corpus(self):
         stats = compute_stats(corpus_of())
         assert (stats.count, stats.token_len_mean, stats.token_len_std) == (0, 0.0, 0.0)
+        assert stats.answer_positions == []
 
 
 class TestImportBenchmark:

@@ -35,13 +35,29 @@ class TestEvaluateAccuracy:
         }
         assert evaluate_accuracy(FixedLogitStudent(table), corpus_of(*instances)) == 1.0
 
-    def test_zero_weight_student_ties_break_to_first_choice(self):
+    @pytest.mark.parametrize(
+        "golds, widths",
+        [([0] * 8, [4] * 8), ([k % 4 for k in range(8)], [4] * 8), ([1, 3], [2, 4])],
+        ids=["gold_first", "gold_spread", "mixed_widths"],
+    )
+    def test_zero_weight_student_scores_one_over_the_choice_count(self, golds, widths):
+        """A C-way tie holding the gold counts 1/C, wherever the golds sit."""
+        four = ("oil", "solar", "water", "wind")
         instances = [
-            make_instance(f"i{k}", question=f"q{k}?", answer_index=k % 4) for k in range(8)
+            make_instance(f"i{k}", question=f"q{k}?", choices=four[:w], answer_index=gold)
+            for k, (gold, w) in enumerate(zip(golds, widths))
         ]
         accuracy = evaluate_accuracy(ToyStudent(n_features=2**10), corpus_of(*instances))
-        gold_at_zero = sum(1 for inst in instances if inst.answer_index == 0)
-        assert accuracy == gold_at_zero / len(instances)
+        assert accuracy == sum(1 / w for w in widths) / len(widths)
+
+    def test_tie_credit_is_one_over_its_width(self):
+        """Gold alone on top: 1. Gold in a two-way top tie: 1/2. Gold below
+        a tie: 0."""
+        instances = [make_instance(f"i{k}", question=f"q{k}?", answer_index=0) for k in range(3)]
+        top = {0: ["oil"], 1: ["oil", "solar"], 2: ["solar", "water"]}  # gold: "oil"
+        table = {(f"q{k}?", choice): 2.0 for k, choices in top.items() for choice in choices}
+        accuracy = evaluate_accuracy(FixedLogitStudent(table), corpus_of(*instances))
+        assert accuracy == (1 + 1 / 2 + 0) / 3
 
     def test_headline_arithmetic(self):
         instances = [

@@ -15,6 +15,7 @@ from mcqa_distill.core import (
     EMPTY_FIELD,
     STRATEGIES,
     TOO_FEW_CHOICES,
+    shuffled,
     validate_parts,
 )
 from mcqa_distill.gateway import (
@@ -27,6 +28,8 @@ from mcqa_distill.gateway import (
     request_digest,
 )
 from mcqa_distill import generation, prompts
+from mcqa_distill.datasets import Corpus, CorpusMeta
+from mcqa_distill.evaluation import evaluate_accuracy
 from mcqa_distill.generation import (
     ATTEMPTS,
     BAD_SYNTAX,
@@ -46,6 +49,7 @@ from mcqa_distill.prompts import (
     build_question_prompt,
 )
 from mcqa_distill.mock_script import _record_run, fabricate_json_run
+from mcqa_distill.students import ToyStudent
 
 from conftest import NESTED_TOO_DEEPLY, fabricate_decomposed_run, fabricate_paraphrase_run
 
@@ -311,13 +315,16 @@ class RecordingBackend:
 
 
 class TestGenerateDecomposed:
-    def test_five_negatives_give_six_choices_answer_first(self, science_fewshot):
+    def test_five_negatives_give_six_shuffled_choices(self, science_fewshot):
+        """Six distinct choices, the gold the planned positive, in the order
+        the fabricator's ``core.shuffled`` deals them."""
         cfg = GenerationConfig(strategy="decompose", target_count=4, negatives_n=5, seed=2)
-        script, _ = fabricate_decomposed_run(science_fewshot, cfg)
+        script, expected = fabricate_decomposed_run(science_fewshot, cfg)
         instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 4
         assert all(i.num_choices == 6 for i in instances)
-        assert all(i.answer_index == 0 for i in instances)
+        assert instances == expected
+        assert [i.gold_choice for i in instances] == [f"right answer {k}" for k in range(4)]
         assert report.parsed == 4
         for inst in instances:
             assert len({c.lower() for c in inst.choices}) == 6
@@ -366,11 +373,12 @@ class TestGenerateDecomposed:
             forbidden.append(reply.strip())
         instances, report = generate(science_fewshot, cfg, MockBackend(script))
         assert len(instances) == 1
-        assert instances[0].choices == (
-            positive, "neg one", "neg two", "neg three", "neg four",
+        plan = [positive, "neg one", "neg two", "neg three", "neg four"]
+        assert instances[0].choices == tuple(
+            shuffled(plan, attempt_seed(cfg.seed, "shuffle", 0))
         )
         assert instances[0].num_choices == 5
-        assert instances[0].answer_index == 0
+        assert instances[0].gold_choice == positive
         assert report.parsed == 1
 
     def test_stage_failure_discards_only_that_instance(self, science_fewshot):
@@ -400,17 +408,25 @@ class TestGenerateDecomposed:
         assert report.attempted == 3
         assert report.rejected_by_reason == {STAGE_FAILURE: 1}
 
-    def test_shuffle_choices_remaps_answer(self, science_fewshot):
-        cfg = GenerationConfig(
-            strategy="decompose", target_count=6, negatives_n=3, seed=11, shuffle_choices=True
-        )
-        script, expected = fabricate_decomposed_run(science_fewshot, cfg)
+    def test_default_run_puts_the_gold_everywhere(self, science_fewshot):
+        """A default run's golds cover all six positions, so a zero-weight
+        student, tied on every choice, scores exactly 1/6.
+
+        (Question prompts repeat across attempts, so the mock answers some
+        attempts with a later attempt's question; each gold is still the
+        positive planned for its question.)
+        """
+        cfg = GenerationConfig(strategy="decompose", target_count=64)
+        assert cfg.negatives_n == 5
+        script, _ = fabricate_decomposed_run(science_fewshot, cfg)
         instances, _ = generate(science_fewshot, cfg, MockBackend(script))
-        assert len(instances) == 6
-        for inst, plain in zip(instances, expected):
-            assert inst.gold_choice == plain.choices[0]
-            assert sorted(inst.choices) == sorted(plain.choices)
-        assert any(inst.answer_index != 0 for inst in instances)
+        assert len(instances) == 64
+        for inst in instances:
+            planned = inst.question.removesuffix("?").rsplit(" ", 1)[1]
+            assert inst.gold_choice == f"right answer {planned}"
+        assert {inst.answer_index for inst in instances} == set(range(6))
+        corpus = Corpus(tuple(instances), CorpusMeta())
+        assert evaluate_accuracy(ToyStudent(n_features=2**10), corpus) == 1 / 6
 
 
 class TestGenerateParaphrase:
@@ -574,16 +590,10 @@ class JitteryBackend:
                 self.done += 1
 
 
-@pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
 @pytest.mark.parametrize("strategy", ["json", "decompose", "paraphrase"])
-def test_width_changes_no_output_and_no_request(science_fewshot, strategy, shuffle):
+def test_width_changes_no_output_and_no_request(science_fewshot, strategy):
     cfg = GenerationConfig(
-        strategy=strategy,
-        target_count=12,
-        max_attempts=30,
-        negatives_n=2,
-        seed=5,
-        shuffle_choices=shuffle,
+        strategy=strategy, target_count=12, max_attempts=30, negatives_n=2, seed=5
     )
     serial_backend = JitteryBackend(seed=3)
     serial, serial_report = generate(science_fewshot, cfg, serial_backend, width=1)
