@@ -15,13 +15,18 @@ Usage: python scripts/noisy_teacher_experiment.py [outdir]
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-import numpy as np
+# One BLAS thread, as the mcqa CLI sets it: numpy's idle OpenBLAS pool only
+# adds start-up cost to the student's small dot products.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))

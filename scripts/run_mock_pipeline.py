@@ -17,6 +17,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+# One BLAS thread, as the mcqa CLI sets it, before mock_script imports numpy:
+# numpy's idle OpenBLAS pool only adds start-up cost.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from mcqa_distill.core import FewShotSet, McqaInstance  # noqa: E402
 from mcqa_distill.datasets import Corpus, CorpusMeta, write_jsonl  # noqa: E402

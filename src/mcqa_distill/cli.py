@@ -6,12 +6,19 @@ the corresponding module operation, and writes its outputs plus a run manifest
 (``<out>.manifest.json``) recording the resolved config, its digest, the seed,
 stage timings and counts. Exit codes: 0 success, 1 partial result (generation
 ran out of attempt budget), 2 usage or fatal error.
+
+Commands run numpy's BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+set: ``main`` sets it to 1 before any command imports numpy. The student's
+small dot products never use more than one thread, and the idle OpenBLAS pool
+numpy would otherwise start cost 50-65 ms of CPU per command that loads
+numpy (train, eval, stats, similarity) on a 2-core host.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -92,6 +99,14 @@ def main(args=None, prog_name="mcqa"):
     its config flags. A ``GatewayError``, ``OSError`` or ``ValueError`` it
     raises is unrecoverable: ``mcqa <name>: <message>`` on stderr and exit 2.
     """
+    # Before any command imports numpy: its bundled OpenBLAS otherwise starts a
+    # pool of one worker thread per core at import. On a 2-core Linux host that
+    # pool made ``import numpy`` cost 107-127 ms of CPU instead of 56-62 ms
+    # (medians of two batches of 15), in every train, eval, stats or similarity
+    # command. The pool never helps: the student's only BLAS calls are dot
+    # products over a few dozen features, which OpenBLAS runs on one thread.
+    # An exported value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     summary = "Few-shot MCQA pipeline: generate, score, train, evaluate."
     parser = argparse.ArgumentParser(prog_name, description=summary, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")

@@ -1,11 +1,16 @@
 import http.server
 import json
+import os
 import socket
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-import pytest
+# One BLAS thread for the test process, as the mcqa CLI sets it: numpy's idle
+# OpenBLAS pool only adds start-up cost. An exported value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from mcqa_distill.core import FewShotSet, McqaInstance, shuffled, stable_seed
 from mcqa_distill.datasets import Corpus, CorpusMeta

@@ -44,12 +44,12 @@ def cli_env():
     return env
 
 
-def run_cli(*args, expect=0, epoch="1700000000", cwd=None):
+def run_cli(*args, expect=0, epoch="1700000000", cwd=None, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "mcqa_distill", *map(str, args)],
         capture_output=True,
         text=True,
-        env={**cli_env(), "SOURCE_DATE_EPOCH": epoch},
+        env={**cli_env(), "SOURCE_DATE_EPOCH": epoch, **(env or {})},
         cwd=cwd,
     )
     assert proc.returncode == expect, (
@@ -405,6 +405,21 @@ class TestTrainEvalCommands:
         assert "mcqa eval: cannot evaluate an empty corpus" in proc.stderr
         assert not (tmp_path / "r.json").exists()
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, workspace, scored_corpus):
+        outputs = {}
+        for threads in ("1", "2"):
+            cwd = workspace["dir"] / f"blas-{threads}"
+            cwd.mkdir()
+            env = {"OPENBLAS_NUM_THREADS": threads}
+            run_cli("train", "--config", workspace["config"], "--in", scored_corpus,
+                    "--out", "model.bin", "--loss", "distill", "--iterations", 50,
+                    "--seed", 3, cwd=cwd, env=env)
+            run_cli("eval", "--config", workspace["config"], "--in", scored_corpus,
+                    "--model", "model.bin", "--out", "eval.json", cwd=cwd, env=env)
+            outputs[threads] = [(cwd / name).read_bytes()
+                                for name in ("model.bin", "model.bin.trace.csv", "eval.json")]
+        assert outputs["1"] == outputs["2"]
+
     @pytest.mark.parametrize("name", [
         "missing_hash_seed", "header_is_a_list", "header_nested_too_deeply",
         "n_features_is_a_string", "too_few_weights", "nan_weight",
@@ -619,6 +634,17 @@ class TestParsing:
         assert err.startswith(f"usage: mcqa {name} [-h] [--config CONFIG_PATH]")
         assert err.endswith(f"mcqa {name}: error: unrecognized arguments: --no-such-option 3\n")
         assert list(tmp_path.iterdir()) == []
+
+
+def test_main_runs_blas_on_one_thread_unless_the_user_set_it(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 # Each command imports only the layers it runs: a fresh interpreter runs the
