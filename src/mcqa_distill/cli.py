@@ -11,7 +11,7 @@ Commands run numpy's BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
 set: ``main`` sets it to 1 before any command imports numpy. The student's
 small dot products never use more than one thread, and the idle OpenBLAS pool
 numpy would otherwise start cost 50-65 ms of CPU per command that loads
-numpy (train, eval, stats, similarity) on a 2-core host.
+numpy (train, eval, similarity) on a 2-core host.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def main(args=None, prog_name="mcqa"):
     # Before any command imports numpy: its bundled OpenBLAS otherwise starts a
     # pool of one worker thread per core at import. On a 2-core Linux host that
     # pool made ``import numpy`` cost 107-127 ms of CPU instead of 56-62 ms
-    # (medians of two batches of 15), in every train, eval, stats or similarity
+    # (medians of two batches of 15), in every train, eval or similarity
     # command. The pool never helps: the student's only BLAS calls are dot
     # products over a few dozen features, which OpenBLAS runs on one thread.
     # An exported value wins.
@@ -246,8 +246,7 @@ def score(cfg, fewshot, in_path, out):
 @option("--out", required=True, help="Trained model file.")
 @config_flag("training", "loss_mode", "--loss", choices=LOSS_MODES)
 @config_flag("training", "iterations", "--iterations")
-@config_flag("training", "micro_batch", "--micro-batch")
-@config_flag("training", "grad_accumulation", "--accum", help="Gradient accumulation steps.")
+@config_flag("training", "batch_size", "--batch-size", help="Instances per optimizer step.")
 @config_flag("training", "learning_rate", "--lr")
 @config_flag("training", "distill_temperature_r", "--distill-r")
 @config_flag("training", "seed", "--seed")

@@ -3,10 +3,11 @@
 Each section's keys are the fields of its stage dataclass, and each default
 is written once, on that field. The defaults reproduce the reference
 experiment configuration (teacher temperature 2, five negatives, 1024
-instances, 500 iterations at batch 4 with 2-step accumulation), a config
-file overrides defaults, and command-line flags override the file. The fully
-resolved mapping is digested and stored in every run manifest so any
-manifest's digest can be recomputed from the config it embeds.
+instances, 500 iterations at batch 8, the paper's micro-batch 4 with 2-step
+accumulation), a config file overrides defaults, and command-line flags
+override the file. The fully resolved mapping is digested and stored in every
+run manifest so any manifest's digest can be recomputed from the config it
+embeds.
 
 ``TrainConfig`` lives here rather than in the numpy-backed ``distillation``
 module, which imports it from here, so resolving a config loads no numpy.
@@ -51,8 +52,7 @@ class ScoringConfig:
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 500
-    micro_batch: int = 4
-    grad_accumulation: int = 2
+    batch_size: int = 8
     # Adam's step size, sized for the student's unit-norm hashed features.
     learning_rate: float = 0.5
     loss_mode: str = "generate"
@@ -63,8 +63,8 @@ class TrainConfig:
     hash_seed: int = DEFAULT_HASH_SEED
 
     def __post_init__(self):
-        if self.iterations < 1 or self.micro_batch < 1 or self.grad_accumulation < 1:
-            raise ValueError("iterations, micro_batch and grad_accumulation must be >= 1")
+        if self.iterations < 1 or self.batch_size < 1:
+            raise ValueError("iterations and batch_size must be >= 1")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if not 0 <= self.distill_temperature_r < math.inf:  # also false for NaN

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -268,8 +269,6 @@ def cumulative_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> Dict[
 def compute_stats(corpus: Corpus, parse_success_rate: Optional[float] = None) -> CorpusStats:
     """Token-length mean and population std over question + all choices, the
     gold-position histogram, and ``parse_success_rate`` passed through."""
-    import numpy as np
-
     positions = [0] * max((inst.num_choices for inst in corpus.instances), default=0)
     for inst in corpus.instances:
         positions[inst.answer_index] += 1
@@ -279,8 +278,8 @@ def compute_stats(corpus: Corpus, parse_success_rate: Optional[float] = None) ->
         for inst in corpus.instances
     ]
     if lengths:
-        mean = float(np.mean(lengths))
-        std = float(np.std(lengths))
+        mean = statistics.fmean(lengths)
+        std = statistics.pstdev(lengths)
     else:
         mean = std = 0.0
     return CorpusStats(

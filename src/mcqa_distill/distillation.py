@@ -26,7 +26,6 @@ rescales gradients but not the argmin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -249,11 +248,12 @@ def _number_by_first_touch(features: dict, size: int) -> Tuple[np.ndarray, List[
 def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     """Run cfg.iterations Adam steps over the dataset.
 
-    Each step accumulates gradients over ``grad_accumulation`` micro-batches
-    of ``micro_batch`` instances before one parameter update (micro_batch 4
-    with accumulation 2 behaves like batch size 8). Instances are drawn by
-    cycling a seeded shuffle, reshuffled each epoch, so identical seeds give
-    identical final parameters. Returns (student, TrainResult).
+    Each step averages the loss and gradient over ``batch_size`` instances
+    before one parameter update. (The paper's micro-batch 4 with
+    accumulation 2 is batch 8 here: the linear student holds any batch in
+    memory.) Instances are drawn by cycling a seeded shuffle, reshuffled
+    each epoch, so identical seeds give identical final parameters. Returns
+    (student, TrainResult).
 
     The whole visit order is drawn first. Only the instances it visits are
     compiled: their pair features are read once through
@@ -269,24 +269,22 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     ``feature_logits``) and checks them once; its rows then go through
     ``loss_kernel`` as one (B, C) block per choice count C. Its scatter
     terms come from one product over its visits' features laid end to end,
-    visit by visit and choice by choice, which the micro-batches split at
-    their boundaries.
+    visit by visit and choice by choice.
 
     Each step does the work of a dense update over all of
     ``student.params``, bit for bit, on fewer coordinates:
 
-    * Its gradient accumulation (zeroing, the micro-batch scatters, their
-      sum and the division by ``grad_accumulation``) and Adam's five
+    * Its gradient (zeroing and one scatter of its terms) and Adam's five
       gradient-term passes ((1-b1)*g, m +=, (1-b2)*g, *g, v +=) run only on
-      the coordinates its micro-batches scatter to. There every float
-      operation runs as in the dense update, in the same order. Everywhere
-      else the dense update would only add +0.0, which is the identity for
-      every value these buffers hold: a sum is -0.0 only if both addends
-      are, so a gradient that starts at +0.0 never holds -0.0 and is exactly
-      +0.0 off the scattered coordinates; m and v start at +0.0, and with
-      b1, b2 > 1/2 a non-zero value times b never rounds to zero, so they
-      never hold -0.0 either. The same makes the +-0.0 term of a choice
-      whose logit gradient is 0 an identity. A repeated coordinate needs no
+      the coordinates it scatters to. There every float operation runs as
+      in the dense update, in the same order. Everywhere else the dense
+      update would only add +0.0, which is the identity for every value
+      these buffers hold: a sum is -0.0 only if both addends are, so a
+      gradient that starts at +0.0 never holds -0.0 and is exactly +0.0 off
+      the scattered coordinates; m and v start at +0.0, and with b1, b2 >
+      1/2 a non-zero value times b never rounds to zero, so they never hold
+      -0.0 either. The same makes the +-0.0 term of a choice whose logit
+      gradient is 0 an identity. A repeated coordinate needs no
       deduplication: ``a[t] += b`` writes the same value for each copy.
     * Adam's nine passes that decay m and v and update w change every
       coordinate touched so far, so they run on the ``reach[t]`` prefix.
@@ -307,8 +305,8 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
             raise MissingTeacherScores(
                 f"distill loss needs teacher scores on every instance; {missing} missing"
             )
-    per_step = cfg.grad_accumulation * cfg.micro_batch
-    schedule = _visit_schedule(len(instances), cfg.iterations * per_step, cfg.seed)
+    batch = cfg.batch_size
+    schedule = _visit_schedule(len(instances), cfg.iterations * batch, cfg.seed)
 
     visited = list(dict.fromkeys(schedule.tolist()))
     blocks, sizes, rows, temperature = _compile_targets(
@@ -323,60 +321,50 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     # each visit's first-touch count, read at the end of each step.
     after = np.zeros(len(instances), dtype=np.int64)
     after[visited] = reach_after
-    reach = np.maximum.accumulate(after[schedule])[per_step - 1 :: per_step].tolist()
-    # Per step: its visits, their target rows, how many of its choices each
-    # micro-batch ends after, and the split of its rows into blocks,
-    # computed once per distinct list of choice counts.
-    visits = schedule.reshape(cfg.iterations, per_step)
+    reach = np.maximum.accumulate(after[schedule])[batch - 1 :: batch].tolist()
+    # Per step: its visits, their target rows and the split of its rows
+    # into blocks, computed once per distinct list of choice counts.
+    visits = schedule.reshape(cfg.iterations, batch)
     sizes, rows = sizes[visits], rows[visits]
-    choice_ends = np.cumsum(sizes, axis=1)[:, cfg.micro_batch - 1 :: cfg.micro_batch].tolist()
     layouts = [tuple(layout) for layout in sizes.tolist()]
     groups = {layout: _row_groups(layout) for layout in set(layouts)}
 
-    # w, m, v, scratch, denom, read as prefixes; grad_sum and micro_grad,
-    # read at scattered coordinates only.
+    # w, m, v, scratch, denom, read as prefixes; grad, read at scattered
+    # coordinates only.
     buffers = (params[active], *(np.zeros(active.size) for _ in range(4)))
-    grad_sum, micro_grad = np.zeros(active.size), np.zeros(active.size)
+    grad = np.zeros(active.size)
     result = TrainResult(
         instance_visits=int(schedule.size),
         visited_instances=len(features),
         active_features=int(active.size),
     )
-    scale = 1.0 / cfg.micro_batch
-    steps = zip(visits.tolist(), layouts, rows, choice_ends, reach)
-    for step, (step_visits, layout, step_rows, batch_ends, n) in enumerate(steps, start=1):
+    scale = 1.0 / batch
+    steps = zip(visits.tolist(), layouts, rows, reach)
+    for step, (step_visits, layout, step_rows, n) in enumerate(steps, start=1):
         w, m, v, scratch, denom = (b[:n] for b in buffers)
         pairs = [pair for i in step_visits for pair in features[i]]
         logits = feature_logits(w, pairs)
         if not np.isfinite(logits).all():
             raise TrainingDiverged(f"training diverged at step {step}: non-finite student logits")
-        losses, dlogits = np.empty(per_step), np.empty(logits.size)
+        losses, dlogits = np.empty(batch), np.empty(logits.size)
         for c, group, at in groups[layout]:
             losses[group], dlogits[at] = loss_kernel(
                 logits[at], blocks[c][step_rows[group]], temperature
             )
-        lengths = [idx.size for idx, _ in pairs]
         touched = np.concatenate([idx for idx, _ in pairs])
-        terms = np.repeat(scale * dlogits, lengths) * np.concatenate([val for _, val in pairs])
-        offsets = list(accumulate(lengths))
-        ends = [offsets[k - 1] for k in batch_ends]
-        grad_sum[touched] = 0.0
-        loss_sum = 0.0
-        batch_losses = losses.reshape(cfg.grad_accumulation, -1).mean(axis=1).tolist()
-        for a, b, batch_loss in zip([0, *ends], ends, batch_losses):
-            loss_sum += batch_loss
-            index = touched[a:b]
-            micro_grad[index] = 0.0
-            np.add.at(micro_grad, index, terms[a:b])
-            grad_sum[index] += micro_grad[index]
-        grad = grad_sum[touched] / cfg.grad_accumulation
-        result.losses.append(loss_sum / cfg.grad_accumulation)
+        terms = np.repeat(scale * dlogits, [idx.size for idx, _ in pairs]) * np.concatenate(
+            [val for _, val in pairs]
+        )
+        grad[touched] = 0.0
+        np.add.at(grad, touched, terms)
+        g = grad[touched]
+        result.losses.append(float(losses.mean()))
         # Operand for operand as m = b1*m + (1-b1)*g,
         # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps).
         np.multiply(ADAM_BETA1, m, out=m)
-        m[touched] += (1.0 - ADAM_BETA1) * grad
+        m[touched] += (1.0 - ADAM_BETA1) * g
         np.multiply(ADAM_BETA2, v, out=v)
-        v[touched] += ((1.0 - ADAM_BETA2) * grad) * grad
+        v[touched] += ((1.0 - ADAM_BETA2) * g) * g
         np.divide(v, 1.0 - ADAM_BETA2**step, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 
 from .core import (
     EMPTY_FIELD,
+    MAX_CHOICES,
     FewShotSet,
     McqaInstance,
     Provenance,
@@ -75,8 +76,11 @@ class GenerationConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not 0 < self.temperature < math.inf:  # also false for NaN
             raise ValueError(f"temperature must be finite and > 0: {self.temperature}")
-        if self.negatives_n < 1:
-            raise ValueError("negatives_n must be >= 1")
+        # Decompose's choices are the positive plus one per negative slot.
+        if not 1 <= self.negatives_n <= MAX_CHOICES - 1:
+            raise ValueError(
+                f"negatives_n must be between 1 and {MAX_CHOICES - 1}: {self.negatives_n}"
+            )
         if self.target_count < 1:
             raise ValueError("target_count must be >= 1")
         if self.max_attempts < 0:

@@ -285,7 +285,7 @@ def test_noisy_teacher_ordering():
 def test_training_loop_accounting():
     with criterion("training-loop accounting", 30.0):
         corpus = build_separable_corpus(48, seed=31)
-        cfg = TrainConfig(iterations=500, micro_batch=4, grad_accumulation=2, seed=17)
+        cfg = TrainConfig(iterations=500, batch_size=8, seed=17)
         student_a, result_a = train(ToyStudent(n_features=2**13), corpus.instances, cfg)
         assert result_a.instance_visits == 4000
         assert len(result_a.losses) == 500

@@ -310,7 +310,7 @@ class TestTrainEvalCommands:
         proc = run_cli(
             "train", "--config", workspace["config"], "--in", scored_corpus,
             "--out", model, "--loss", "distill", "--iterations", 20,
-            "--micro-batch", 4, "--accum", 2, "--seed", 1,
+            "--batch-size", 8, "--seed", 1,
         )
         assert "160 instance visits" in proc.stdout
         assert model.exists()
@@ -596,6 +596,25 @@ class TestDataCommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["micro_batch", "grad_accumulation"])
+    def test_removed_accumulation_keys_exit_2(self, workspace, key):
+        """Training takes one ``batch_size``; the old split is an unknown key."""
+        old = workspace["dir"] / "old.ini"
+        old.write_text(f"[training]\n{key} = 2\n")
+        out = workspace["dir"] / "model.bin"
+        proc = run_cli("train", "--config", old, "--in", workspace["fewshot"],
+                       "--out", out, expect=2)
+        assert proc.stderr.startswith(f"mcqa train: unknown config key [training] {key}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--micro-batch", "--accum"])
+    def test_removed_accumulation_flags_exit_2(self, workspace, flag):
+        out = workspace["dir"] / "model.bin"
+        proc = run_cli("train", flag, 2, "--in", workspace["fewshot"], "--out", out, expect=2)
+        assert proc.stderr.startswith("usage: mcqa train ")
+        assert f"unrecognized arguments: {flag} 2" in proc.stderr
+        assert not out.exists()
+
 
 class TestParsing:
     def test_no_command_prints_usage_and_exits_2(self, tmp_path):
@@ -707,6 +726,12 @@ class TestCommandImports:
         loaded = loaded_after("generate", "--config", workspace["config"],
                               "--fewshot", workspace["fewshot"],
                               "--out", workspace["dir"] / "corpus.jsonl", expect=0)
+        assert not {"requests", "numpy", "http.client"} & loaded
+        assert third_party(loaded) == set()
+
+    def test_stats_loads_neither_requests_nor_numpy(self, workspace):
+        loaded = loaded_after("stats", "--in", workspace["fewshot"],
+                              "--out", workspace["dir"] / "stats.json", expect=0)
         assert not {"requests", "numpy", "http.client"} & loaded
         assert third_party(loaded) == set()
 
@@ -843,6 +868,18 @@ class TestHttpTeacher:
         assert all(inst.teacher_scores is not None for inst in scored)
         counts = json.loads((d / "scored.jsonl.manifest.json").read_text())["counts"]
         assert counts == {"scored": 2, "fallback": 0, "skipped": 0}
+
+    def test_too_many_negatives_exit_2_before_any_request(self, workspace, scripted_teacher):
+        """26 negatives make 27 choices, more than an instance may have."""
+        scripted_teacher.respond = teacher_reply
+        d = workspace["dir"]
+        config = self.http_config(d, scripted_teacher.base_url)
+        proc = run_cli("generate", "--config", config, "--fewshot", workspace["fewshot"],
+                       "--strategy", "decompose", "--negatives", 26, "--count", 2,
+                       "--out", d / "corpus.jsonl", expect=2)
+        assert proc.stderr.startswith("mcqa generate: negatives_n must be between 1 and 25: 26")
+        assert scripted_teacher.received == []
+        assert not list(d.glob("corpus.jsonl*"))
 
     def test_rejected_request_stops_generate(self, workspace, scripted_teacher):
         scripted_teacher.respond = lambda received: Reply(401, body=b"invalid api key")
@@ -984,8 +1021,7 @@ CONFIG_FLAGS = [
     ("score", "--model", "backend", "model_name", "file-model", "flag-model"),
     ("train", "--loss", "training", "loss_mode", "distill", "binary_bce"),
     ("train", "--iterations", "training", "iterations", 20, 30),
-    ("train", "--micro-batch", "training", "micro_batch", 2, 3),
-    ("train", "--accum", "training", "grad_accumulation", 3, 5),
+    ("train", "--batch-size", "training", "batch_size", 6, 10),
     ("train", "--lr", "training", "learning_rate", 0.25, 0.125),
     ("train", "--distill-r", "training", "distill_temperature_r", 0.5, 2.0),
     ("train", "--seed", "training", "seed", 9, 13),

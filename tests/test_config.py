@@ -41,8 +41,7 @@ fallback = skip
 
 [training]
 iterations = 20
-micro_batch = 2
-grad_accumulation = 3
+batch_size = 6
 learning_rate = 0.25
 loss_mode = distill
 distill_temperature_r = 0.5
@@ -57,7 +56,8 @@ def test_defaults_are_the_reference_run():
     gen = stage_config(cfg, "generation")
     assert (gen.temperature, gen.negatives_n, gen.target_count) == (2.0, 5, 1024)
     train = stage_config(cfg, "training")
-    assert (train.iterations, train.micro_batch, train.grad_accumulation) == (500, 4, 2)
+    # Batch 8: the paper's micro-batch 4 with 2-step accumulation.
+    assert (train.iterations, train.batch_size) == (500, 8)
     assert (train.n_features, train.hash_seed) == (2**18, 0)
     scoring = stage_config(cfg, "scoring")
     assert (scoring.prompt_token_limit, scoring.fallback) == (1024, "one_hot")
@@ -77,7 +77,7 @@ def test_no_key_is_boolean():
 
 # Every corpus meta line and every run manifest records this digest, so a
 # change to it changes them all and must be declared in CHANGES.md.
-DEFAULT_CONFIG_DIGEST = "5056bea4642f806b93e5369c7ddb292157c3609207065866f1be68f9c7b4d462"
+DEFAULT_CONFIG_DIGEST = "8260fd17a7581837597581823193b96a7e68844a07cb63815216a44603a0ef3e"
 
 
 def test_default_config_digest_is_pinned():
@@ -113,8 +113,7 @@ def test_every_key_from_file_reaches_its_stage(tmp_path):
     assert stage_config(cfg, "scoring") == ScoringConfig(prompt_token_limit=512, fallback="skip")
     assert stage_config(cfg, "training") == TrainConfig(
         iterations=20,
-        micro_batch=2,
-        grad_accumulation=3,
+        batch_size=6,
         learning_rate=0.25,
         loss_mode="distill",
         distill_temperature_r=0.5,
@@ -189,6 +188,9 @@ def test_readme_example_config_loads(tmp_path):
          "distill_temperature_r must be finite and >= 0: inf"),
         (TrainConfig, "distill_temperature_r", -0.5,
          "distill_temperature_r must be finite and >= 0: -0.5"),
+        (TrainConfig, "batch_size", 0, "iterations and batch_size must be >= 1"),
+        (GenerationConfig, "negatives_n", 0, "negatives_n must be between 1 and 25: 0"),
+        (GenerationConfig, "negatives_n", 26, "negatives_n must be between 1 and 25: 26"),
         (GenerationConfig, "temperature", float("nan"), "temperature must be finite and > 0: nan"),
         (GenerationConfig, "temperature", float("inf"), "temperature must be finite and > 0: inf"),
         (GenerationConfig, "temperature", 0.0, "temperature must be finite and > 0: 0.0"),

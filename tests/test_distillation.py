@@ -253,7 +253,7 @@ class TestGradient:
         grad = loss_and_gradient(student, inst, "generate")[1]
         assert np.all(grad == 0.0)
 
-    def test_micro_batch_order_invariance(self):
+    def test_batch_order_invariance(self):
         rng = np.random.default_rng(4)
         student = random_student(seed=13)
         batch = [random_instance(rng) for _ in range(4)]
@@ -273,7 +273,7 @@ class TestTrain:
     def test_visit_accounting_exact(self):
         corpus = build_separable_corpus(32, seed=1)
         student = ToyStudent(n_features=2**12)
-        cfg = TrainConfig(iterations=500, micro_batch=4, grad_accumulation=2, seed=0)
+        cfg = TrainConfig(iterations=500, batch_size=8, seed=0)
         _, result = train(student, corpus.instances, cfg)
         assert result.instance_visits == 4000
         assert len(result.losses) == 500
@@ -323,8 +323,7 @@ class TestTrain:
     def test_distill_rejects_an_unscored_instance_the_schedule_never_visits(self):
         rng = np.random.default_rng(25)
         corpus = [random_instance(rng) for _ in range(48)]
-        cfg = TrainConfig(iterations=1, micro_batch=2, grad_accumulation=1, seed=0,
-                          loss_mode="distill")
+        cfg = TrainConfig(iterations=1, batch_size=2, seed=0, loss_mode="distill")
         # Two visits: the last instance of the first shuffle is never drawn.
         unvisited = int(np.random.default_rng(cfg.seed).permutation(len(corpus))[-1])
         corpus[unvisited] = random_instance(rng, with_scores=False)
@@ -373,25 +372,20 @@ def dense_reference_train(student, instances, cfg):
     params = student.params
     m, v = np.zeros_like(params), np.zeros_like(params)
     for step in range(1, cfg.iterations + 1):
-        grad_sum, loss_sum = np.zeros_like(params), 0.0
-        for _ in range(cfg.grad_accumulation):
-            grad, batch_losses = np.zeros_like(params), []
-            for _ in range(cfg.micro_batch):
-                if not order:
-                    order = list(rng.permutation(len(instances)))[::-1]
-                inst = instances[order.pop()]
-                pairs = [pair_features(student, inst.question, c) for c in inst.choices]
-                logits = np.array([np.dot(params[idx], val) for idx, val in pairs])
-                target = instance_target(inst, cfg.loss_mode, cfg.distill_temperature_r)
-                loss, dlogits = loss_kernel(logits, *target)
-                for coeff, (idx, val) in zip(dlogits, pairs):
-                    if coeff != 0.0 and idx.size:
-                        np.add.at(grad, idx, (1.0 / cfg.micro_batch) * coeff * val)
-                batch_losses.append(loss)
-            grad_sum += grad
-            loss_sum += float(np.mean(batch_losses))
-        grad = grad_sum / cfg.grad_accumulation
-        losses.append(loss_sum / cfg.grad_accumulation)
+        grad, batch_losses = np.zeros_like(params), []
+        for _ in range(cfg.batch_size):
+            if not order:
+                order = list(rng.permutation(len(instances)))[::-1]
+            inst = instances[order.pop()]
+            pairs = [pair_features(student, inst.question, c) for c in inst.choices]
+            logits = np.array([np.dot(params[idx], val) for idx, val in pairs])
+            target = instance_target(inst, cfg.loss_mode, cfg.distill_temperature_r)
+            loss, dlogits = loss_kernel(logits, *target)
+            for coeff, (idx, val) in zip(dlogits, pairs):
+                if coeff != 0.0 and idx.size:
+                    np.add.at(grad, idx, (1.0 / cfg.batch_size) * coeff * val)
+            batch_losses.append(loss)
+        losses.append(float(np.mean(batch_losses)))
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
         m_hat = m / (1.0 - 0.9**step)
@@ -418,8 +412,7 @@ class TestTrainMatchesDenseReference:
     def test_bit_identical_weights_and_losses(self, name, n_instances):
         rng = np.random.default_rng(21)
         corpus = [random_instance(rng) for _ in range(n_instances)]
-        cfg = TrainConfig(iterations=6, micro_batch=3, grad_accumulation=2, seed=5,
-                          **EXACTNESS_CONFIGS[name])
+        cfg = TrainConfig(iterations=6, batch_size=6, seed=5, **EXACTNESS_CONFIGS[name])
         reference = ToyStudent(n_features=2**12)
         expected_losses = dense_reference_train(reference, corpus, cfg)
         student, result = train(ToyStudent(n_features=2**12), corpus, cfg)
@@ -430,8 +423,7 @@ class TestTrainMatchesDenseReference:
 
     @pytest.mark.parametrize("name", sorted(EXACTNESS_CONFIGS))
     def test_bit_identical_with_two_to_six_choices(self, name):
-        cfg = TrainConfig(iterations=6, micro_batch=3, grad_accumulation=2, seed=5,
-                          **EXACTNESS_CONFIGS[name])
+        cfg = TrainConfig(iterations=6, batch_size=6, seed=5, **EXACTNESS_CONFIGS[name])
         rng = np.random.default_rng(26)
         counts = rng.integers(2, 7, size=30)
         # Step 1 visits the first six of the shuffle: every count, 2 to 6.
@@ -448,8 +440,7 @@ class TestTrainMatchesDenseReference:
     def test_preset_weights_off_the_visited_pairs_come_back_bit_for_bit(self):
         rng = np.random.default_rng(22)
         corpus = [random_instance(rng) for _ in range(48)]
-        cfg = TrainConfig(iterations=4, micro_batch=2, grad_accumulation=2, seed=3,
-                          learning_rate=0.2)
+        cfg = TrainConfig(iterations=4, batch_size=4, seed=3, learning_rate=0.2)
         visited = np.random.default_rng(cfg.seed).permutation(len(corpus))[:16]
         student = random_student(seed=8)
         student.weights[::7] = -0.0
@@ -555,8 +546,7 @@ class TestDivergence:
     def test_an_overflowing_last_update_is_caught_at_the_end(self, mode):
         corpus = [make_instance(f"i{k}", question=f"q{k}") for k in range(4)]
         student = WideValueStudent(4)
-        cfg = TrainConfig(iterations=1, micro_batch=4, grad_accumulation=1, seed=0,
-                          loss_mode=mode, learning_rate=1e308)
+        cfg = TrainConfig(iterations=1, batch_size=4, seed=0, loss_mode=mode, learning_rate=1e308)
         # lr * m_hat overflows: m_hat is the gradient, hundreds in size.
         with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
             with pytest.raises(
@@ -601,7 +591,7 @@ class TestPrefixTrainMatchesDenseReference:
     def test_preset_weights_with_first_touches_at_every_step(self):
         rng = np.random.default_rng(23)
         corpus = [random_instance(rng) for _ in range(40)]
-        cfg = TrainConfig(iterations=8, micro_batch=2, grad_accumulation=2, seed=4,
+        cfg = TrainConfig(iterations=8, batch_size=4, seed=4,
                           loss_mode="distill", learning_rate=0.2)
         # 32 visits over 40 instances: every visit is a first visit, and
         # every step touches coordinates no earlier step touched.
@@ -621,7 +611,7 @@ class TestPrefixTrainMatchesDenseReference:
     def test_last_step_is_the_first_to_touch_some_coordinates(self):
         rng = np.random.default_rng(24)
         corpus = [random_instance(rng) for _ in range(12)]
-        cfg = TrainConfig(iterations=3, micro_batch=2, grad_accumulation=2, seed=6,
+        cfg = TrainConfig(iterations=3, batch_size=4, seed=6,
                           loss_mode="generate", learning_rate=0.2)
         # 12 visits are one shuffle of the 12 instances; its last instance
         # is visited by the last step only.
@@ -644,12 +634,12 @@ class TestPrefixTrainMatchesDenseReference:
     def test_first_step_coordinates_idle_for_over_100_steps(self):
         rng = np.random.default_rng(25)
         corpus = [random_instance(rng) for _ in range(480)]
-        cfg = TrainConfig(iterations=110, micro_batch=2, grad_accumulation=2, seed=7,
+        cfg = TrainConfig(iterations=110, batch_size=4, seed=7,
                           loss_mode="distill", learning_rate=0.2)
-        # 440 visits over 480 instances, each visited once: the two
-        # instances step 1 visits in its two micro-batches share words no
-        # other instance has, so their coordinates are touched by step 1
-        # and idle for the 109 steps after it.
+        # 440 visits over 480 instances, each visited once: two of the four
+        # instances step 1 visits share words no other instance has, so
+        # their coordinates are touched by step 1 and idle for the 109
+        # steps after it.
         order = np.random.default_rng(cfg.seed).permutation(len(corpus))
         for i, words in ((order[0], "zeta eta theta"), (order[2], "zeta iota kappa")):
             corpus[i] = make_instance(

@@ -104,7 +104,7 @@ class TestEvaluateStreams:
         student, _ = train(
             ToyStudent(n_features=2**12),
             build_separable_corpus(64, seed=1).instances,
-            TrainConfig(iterations=3, micro_batch=2, grad_accumulation=1, seed=2),
+            TrainConfig(iterations=3, batch_size=2, seed=2),
         )
         corpus = build_separable_corpus(3 * FEATURIZE_CHUNK + 7, num_choices=5, seed=9)
         hits = sum(

@@ -13,6 +13,7 @@ from mcqa_distill.core import (
     ANSWER_RANGE,
     DUPLICATE_CHOICE,
     EMPTY_FIELD,
+    MAX_CHOICES,
     STRATEGIES,
     TOO_FEW_CHOICES,
     shuffled,
@@ -328,6 +329,14 @@ class TestGenerateDecomposed:
         assert report.parsed == 4
         for inst in instances:
             assert len({c.lower() for c in inst.choices}) == 6
+
+    def test_twenty_five_negatives_give_the_most_choices(self, science_fewshot):
+        cfg = GenerationConfig(strategy="decompose", target_count=1, negatives_n=25, seed=2)
+        script, expected = fabricate_decomposed_run(science_fewshot, cfg)
+        instances, report = generate(science_fewshot, cfg, MockBackend(script))
+        assert instances == expected
+        assert instances[0].num_choices == MAX_CHOICES
+        assert report.attempted == 1
 
     def test_forbidden_list_growth_per_step(self, science_fewshot):
         cfg = GenerationConfig(strategy="decompose", target_count=1, negatives_n=5, seed=2)
