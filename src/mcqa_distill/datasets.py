@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -269,6 +268,10 @@ def cumulative_subsets(corpus: Corpus, sizes: Sequence[int], seed: int) -> Dict[
 def compute_stats(corpus: Corpus, parse_success_rate: Optional[float] = None) -> CorpusStats:
     """Token-length mean and population std over question + all choices, the
     gold-position histogram, and ``parse_success_rate`` passed through."""
+    # Imported here: ``statistics`` pulls in ``fractions`` and ``decimal``,
+    # about 3 ms at start-up of every command that imports this module.
+    import statistics
+
     positions = [0] * max((inst.num_choices for inst in corpus.instances), default=0)
     for inst in corpus.instances:
         positions[inst.answer_index] += 1
