@@ -92,7 +92,7 @@ def soften(scores: Sequence[float], r: float) -> np.ndarray:
     if r == 0:
         top = arr.max()
         if int((arr == top).sum()) != 1:
-            raise TieAtZeroTemperature(f"argmax tie at temperature 0: {list(arr)}")
+            raise TieAtZeroTemperature(f"argmax tie at temperature 0: {arr.tolist()}")
         return one_hot(int(arr.argmax()), arr.size)
     return _softmax(arr, r)
 
@@ -110,14 +110,18 @@ def instance_target(
 
     The temperature is None for ``binary_bce``, whose target holds the 0/1
     pair labels. Distillation at r = 0 targets the teacher argmax (one-hot)
-    with the student at temperature 1.
+    with the student at temperature 1; a tied argmax raises
+    ``TieAtZeroTemperature`` naming the instance.
     """
     if mode == "generate":
         return one_hot(inst.answer_index, inst.num_choices), 1.0
     if mode == "distill":
         if inst.teacher_scores is None:
             raise MissingTeacherScores(f"instance {inst.id} has no teacher scores")
-        return soften(inst.teacher_scores, r), (r if r > 0 else 1.0)
+        try:
+            return soften(inst.teacher_scores, r), (r if r > 0 else 1.0)
+        except TieAtZeroTemperature as exc:
+            raise TieAtZeroTemperature(f"instance {inst.id}: {exc}") from None
     if mode == "binary_bce":
         return one_hot(inst.answer_index, inst.num_choices), None
     raise ValueError(f"unknown loss mode {mode!r}")
@@ -162,38 +166,16 @@ def loss_kernel(
 _NO_INDEX = np.zeros(0, dtype=np.int64)
 
 
-def _compile_targets(
-    instances: Sequence[McqaInstance], visited: Sequence[int], mode: str, r: float
-) -> Tuple[dict, np.ndarray, np.ndarray, Optional[float]]:
-    """The ``visited`` instances' targets as one matrix per choice count C,
-    keyed by C, rows in visit order; per instance, indexed like
-    ``instances``, its choice count and its row in the matrix of that count
-    (0 where never visited); and the student temperature, which depends on
-    the mode and r alone. Targets are computed in visit order, so a bad
-    instance fails as it would visit by visit."""
-    targets = [instance_target(instances[i], mode, r) for i in visited]
-    counts = np.array([target.size for target, _ in targets])
-    sizes = np.zeros(len(instances), dtype=np.int64)
-    rows = np.zeros(len(instances), dtype=np.int64)
-    sizes[visited] = counts
-    blocks = {}
-    for c in sorted(set(counts.tolist())):
-        members = np.flatnonzero(counts == c)
-        rows[np.asarray(visited)[members]] = np.arange(members.size)
-        blocks[c] = np.concatenate([targets[k][0] for k in members.tolist()]).reshape(-1, c)
-    return blocks, sizes, rows, targets[0][1]
-
-
-def _row_groups(sizes: Sequence[int]) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """How rows with ``sizes`` choices, their logits laid end to end, split
-    into blocks: per choice count c, (c, the rows with c choices, the
-    (rows, c) positions of their logits)."""
+def _row_groups(sizes: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """How rows with ``sizes`` choices, their values laid end to end, split
+    into blocks: per choice count c, (the rows with c choices, the (rows, c)
+    positions of their values)."""
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     groups = []
     for c in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == c)
-        groups.append((c, rows, starts[rows, None] + np.arange(c)))
+        groups.append((rows, starts[rows, None] + np.arange(c)))
     return groups
 
 
@@ -257,17 +239,19 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
 
     The whole visit order is drawn first. Only the instances it visits are
     compiled: their pair features are read once through
-    ``instance_features``, and their targets are computed once, as one
-    matrix per choice count. The coordinates their features touch are then
-    numbered in order of first touch along the visit order, so the
-    coordinates steps 1..t touch are the first ``reach[t]``. Steps work in
-    buffers allocated once per call, and the trained values are written
-    back into ``student.params`` at the end.
+    ``instance_features``, and their target vectors are computed once, in
+    order of first visit, so a bad instance fails as it would visit by
+    visit. The coordinates their features touch are then numbered in order
+    of first touch along the visit order, so the coordinates steps 1..t
+    touch are the first ``reach[t]``. Steps work in buffers allocated once
+    per call, and the trained values are written back into
+    ``student.params`` at the end.
 
     The optimizer step, not the visit, is the unit of work. A step reads
     the logits of all its visits' choices (one dot product each, through
-    ``feature_logits``) and checks them once; its rows then go through
-    ``loss_kernel`` as one (B, C) block per choice count C. Its scatter
+    ``feature_logits``) and checks them once. Its visits' targets are laid
+    end to end the same way, so its rows go through ``loss_kernel`` as one
+    (B, C) block of logits and targets per choice count C. Its scatter
     terms come from one product over its visits' features laid end to end,
     visit by visit and choice by choice.
 
@@ -309,9 +293,11 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     schedule = _visit_schedule(len(instances), cfg.iterations * batch, cfg.seed)
 
     visited = list(dict.fromkeys(schedule.tolist()))
-    blocks, sizes, rows, temperature = _compile_targets(
-        instances, visited, cfg.loss_mode, cfg.distill_temperature_r
-    )
+    targets = {}
+    for i in visited:
+        targets[i], temperature = instance_target(
+            instances[i], cfg.loss_mode, cfg.distill_temperature_r
+        )
     features = dict(zip(visited, student.instance_features(
         (instances[i].question, instances[i].choices) for i in visited
     )))
@@ -322,11 +308,10 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
     after = np.zeros(len(instances), dtype=np.int64)
     after[visited] = reach_after
     reach = np.maximum.accumulate(after[schedule])[batch - 1 :: batch].tolist()
-    # Per step: its visits, their target rows and the split of its rows
-    # into blocks, computed once per distinct list of choice counts.
-    visits = schedule.reshape(cfg.iterations, batch)
-    sizes, rows = sizes[visits], rows[visits]
-    layouts = [tuple(layout) for layout in sizes.tolist()]
+    # Per step: its visits and the split of its rows into blocks by choice
+    # count, computed once per distinct list of choice counts.
+    visits = schedule.reshape(cfg.iterations, batch).tolist()
+    layouts = [tuple(targets[i].size for i in step_visits) for step_visits in visits]
     groups = {layout: _row_groups(layout) for layout in set(layouts)}
 
     # w, m, v, scratch, denom, read as prefixes; grad, read at scattered
@@ -339,18 +324,16 @@ def train(student, dataset: Sequence[McqaInstance], cfg: TrainConfig):
         active_features=int(active.size),
     )
     scale = 1.0 / batch
-    steps = zip(visits.tolist(), layouts, rows, reach)
-    for step, (step_visits, layout, step_rows, n) in enumerate(steps, start=1):
+    for step, (step_visits, layout, n) in enumerate(zip(visits, layouts, reach), start=1):
         w, m, v, scratch, denom = (b[:n] for b in buffers)
         pairs = [pair for i in step_visits for pair in features[i]]
         logits = feature_logits(w, pairs)
         if not np.isfinite(logits).all():
             raise TrainingDiverged(f"training diverged at step {step}: non-finite student logits")
+        target = np.concatenate([targets[i] for i in step_visits])
         losses, dlogits = np.empty(batch), np.empty(logits.size)
-        for c, group, at in groups[layout]:
-            losses[group], dlogits[at] = loss_kernel(
-                logits[at], blocks[c][step_rows[group]], temperature
-            )
+        for group, at in groups[layout]:
+            losses[group], dlogits[at] = loss_kernel(logits[at], target[at], temperature)
         touched = np.concatenate([idx for idx, _ in pairs])
         terms = np.repeat(scale * dlogits, [idx.size for idx, _ in pairs]) * np.concatenate(
             [val for _, val in pairs]

@@ -181,9 +181,6 @@ class MockBackend:
     def __init__(self, script: Mapping[str, CompletionResult]):
         self._script: Dict[str, CompletionResult] = dict(script)
 
-    def __len__(self) -> int:
-        return len(self._script)
-
     def complete(self, req: CompletionRequest) -> CompletionResult:
         digest = request_digest(req.messages)
         if digest not in self._script:

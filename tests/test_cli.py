@@ -9,6 +9,7 @@ import re
 import socket
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,36 @@ class TestTrainEvalCommands:
             in proc.stderr
         )
         assert not (workspace["dir"] / "m.bin").exists()
+
+    def test_distill_r0_tie_exits_2_naming_the_first_visited_instance(
+        self, workspace, scored_corpus
+    ):
+        corpus = read_jsonl(scored_corpus)
+        instances = list(corpus.instances)
+        seed = 2
+        first, second = np.random.default_rng(seed).permutation(len(instances))[:2].tolist()
+        # Corpus order would reach the other tie first.
+        assert first > second
+        # An all-0.0 row is what scoring stores when no choice letter is in
+        # the teacher's top logprobs.
+        width = instances[first].num_choices
+        instances[first] = replace(instances[first], teacher_scores=(0.0,) * width)
+        instances[second] = replace(instances[second], teacher_scores=(
+            1.0, 1.0, *(0.0,) * (instances[second].num_choices - 2)))
+        tied = workspace["dir"] / "tied.jsonl"
+        write_jsonl(Corpus(tuple(instances), corpus.meta), tied)
+        model = workspace["dir"] / "m.bin"
+        proc = run_cli(
+            "train", "--config", workspace["config"], "--in", tied, "--out", model,
+            "--loss", "distill", "--distill-r", 0, "--iterations", 2, "--seed", seed,
+            expect=2,
+        )
+        zeros = ", ".join(["0.0"] * width)
+        assert proc.stderr == (
+            f"mcqa train: instance {instances[first].id}: "
+            f"argmax tie at temperature 0: [{zeros}]\n"
+        )
+        assert not model.exists()
 
     def test_train_empty_corpus_exits_2(self, workspace, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -1,6 +1,7 @@
 """Loss functions, analytic gradients, and the training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mcqa_distill.distillation import (
     LOGIT_CLAMP,
     MissingTeacherScores,
+    TieAtZeroTemperature,
     TrainConfig,
     TrainingDiverged,
     _number_by_first_touch,
@@ -333,7 +335,24 @@ class TestTrain:
         ):
             train(ToyStudent(n_features=2**10), corpus, cfg)
 
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5, 0.0])
+    def test_distill_r0_tie_names_the_instance_the_schedule_visits_first(self):
+        rng = np.random.default_rng(31)
+        corpus = [random_instance(rng) for _ in range(12)]
+        cfg = TrainConfig(iterations=2, batch_size=4, seed=3, loss_mode="distill",
+                          distill_temperature_r=0.0)
+        first, second = np.random.default_rng(cfg.seed).permutation(len(corpus))[:2].tolist()
+        # Corpus order would reach the other tie first.
+        assert first > second
+        corpus[first] = replace(corpus[first], id="tie-first", teacher_scores=(0.0,) * 4)
+        corpus[second] = replace(corpus[second], id="tie-second",
+                                 teacher_scores=(1.5, -2.0, 1.5, 0.25))
+        with pytest.raises(TieAtZeroTemperature) as caught:
+            train(ToyStudent(n_features=2**10), corpus, cfg)
+        assert str(caught.value) == (
+            "instance tie-first: argmax tie at temperature 0: [0.0, 0.0, 0.0, 0.0]"
+        )
+
+    @pytest.mark.parametrize("rate",[float("nan"), float("inf"), -0.5, 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
